@@ -37,7 +37,7 @@ int main() {
                Table::num(ideal_min / (m.makespan_s / 60.0), 3)});
   }
   t.print(std::cout);
-  t.write_csv("bench_acoustics_fanout.csv");
+  t.write_csv("results/bench_acoustics_fanout.csv");
   std::cout << "\npaper: 6000+ jobs handled 'without any problem "
                "whatsoever' — efficiency near 1.0 confirms the shape.\n";
   return 0;

@@ -59,7 +59,7 @@ int main() {
     }
   }
   t.print(std::cout);
-  t.write_csv("bench_nested_jobs.csv");
+  t.write_csv("results/bench_nested_jobs.csv");
 
   // Mixed workload: the regime where FIFO vs backfill actually separates
   // — wide jobs block narrow ones behind them under strict FIFO.
@@ -97,7 +97,7 @@ int main() {
   mixed.add_row({"backfill", Table::num(bf / 60.0, 1)});
   mixed.add_row({"strict-fifo", Table::num(ff / 60.0, 1)});
   mixed.print(std::cout);
-  mixed.write_csv("bench_nested_jobs_mixed.csv");
+  mixed.write_csv("results/bench_nested_jobs_mixed.csv");
   std::cout << "\nshape: 2-core members map cleanly onto the dual-socket "
                "nodes; 3-core members fragment them (a dual-core node "
                "cannot host one at all) and 4-core members strand on the "

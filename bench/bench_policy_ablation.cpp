@@ -49,7 +49,7 @@ int main() {
                std::to_string(m.members_diffed)});
   }
   f.print(std::cout);
-  f.write_csv("bench_policy_failures.csv");
+  f.write_csv("results/bench_policy_failures.csv");
 
   // --- (2) cancellation policies ---------------------------------------------
   Table c("\nablation 2: cancel-on-convergence policy (sec 4.1)");
@@ -72,7 +72,7 @@ int main() {
                Table::num(m.wasted_cpu_seconds / 3600.0, 1)});
   }
   c.print(std::cout);
-  c.write_csv("bench_policy_cancel.csv");
+  c.write_csv("results/bench_policy_cancel.csv");
 
   // --- (3) pool headroom -------------------------------------------------------
   Table h("\nablation 3: pool headroom M/N (sec 4.1 last para)");
@@ -88,6 +88,6 @@ int main() {
                Table::num(m.wasted_cpu_seconds / 3600.0, 1)});
   }
   h.print(std::cout);
-  h.write_csv("bench_policy_headroom.csv");
+  h.write_csv("results/bench_policy_headroom.csv");
   return 0;
 }

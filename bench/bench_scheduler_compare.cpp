@@ -64,7 +64,7 @@ int main() {
     condor_sinks.push_back(std::move(sink));
   }
   t.print(std::cout);
-  t.write_csv("bench_scheduler_compare.csv");
+  t.write_csv("results/bench_scheduler_compare.csv");
 
   std::vector<const telemetry::Sink*> sessions{&sge};
   for (const auto& s : condor_sinks) sessions.push_back(s.get());

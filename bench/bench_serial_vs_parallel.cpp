@@ -75,7 +75,7 @@ int main() {
     sinks.push_back(std::move(parallel));
   }
   t.print(std::cout);
-  t.write_csv("bench_serial_vs_parallel.csv");
+  t.write_csv("results/bench_serial_vs_parallel.csv");
 
   std::vector<const telemetry::Sink*> sessions;
   for (const auto& s : sinks) sessions.push_back(s.get());
