@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   Rng obs_rng(9);
   auto campaign = obs::aosn_campaign(sc.grid, truth, obs_rng);
   obs::ObsOperator h(sc.grid, campaign);
-  esse::AnalysisResult an =
-      esse::analyze(fr.central_forecast, fr.forecast_subspace, h);
+  esse::AnalysisResult an = esse::analyze(
+      fr.central_forecast, fr.forecast_subspace, esse::ObsSet::from_operator(h));
   std::printf("\nassimilated %zu obs (CTD+gliders+AUV+SST):\n", h.count());
   std::printf("  innovation rms %.4f -> %.4f\n", an.prior_innovation_rms,
               an.posterior_innovation_rms);

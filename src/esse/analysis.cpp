@@ -215,7 +215,6 @@ AnalysisResult analyze_core(const la::Vector& forecast,
                             const ErrorSubspace& subspace,
                             const la::Matrix& he, const la::Vector& d,
                             const la::Vector& rvar) {
-  const std::size_t k = subspace.rank();
   for (double rv : rvar) {
     ESSEX_REQUIRE(rv > 0.0, "observation noise variance must be positive");
   }
@@ -332,9 +331,8 @@ void build_he(la::Matrix& he, const ObsSet& obs, const la::Matrix& modes,
 
 /// The historical dense path over the whole domain, generalized over the
 /// self-contained methods. The HE/innovation arithmetic accumulates in
-/// stencil order, exactly as the ObsOperator and analyze_linear front
-/// ends did, so the default method stays bitwise unchanged through the
-/// ObsSet adapters.
+/// stencil order, exactly as ObsOperator does, so the default method
+/// stays bitwise unchanged whichever ObsSet front end built the set.
 AnalysisResult analyze_global(const la::Vector& forecast,
                               const ErrorSubspace& subspace,
                               const ObsSet& obs,
@@ -501,21 +499,6 @@ AnalysisResult analyze(const la::Vector& forecast,
   }
   return analyze_tiled(forecast, subspace, use, tiling, options.localization,
                        nullptr, options.method);
-}
-
-AnalysisResult analyze(const la::Vector& forecast,
-                       const ErrorSubspace& subspace,
-                       const obs::ObsOperator& h,
-                       const AnalysisOptions& options) {
-  ESSEX_REQUIRE(h.count() > 0, "analysis needs at least one observation");
-  return analyze(forecast, subspace, ObsSet::from_operator(h), options);
-}
-
-AnalysisResult analyze_linear(const la::Vector& forecast,
-                              const ErrorSubspace& subspace,
-                              const std::vector<LinearObservation>& obs,
-                              const AnalysisOptions& options) {
-  return analyze(forecast, subspace, ObsSet::from_linear(obs), options);
 }
 
 }  // namespace essex::esse

@@ -76,7 +76,6 @@ struct MtcAccounting {
   std::size_t members_submitted = 0;  ///< pool size M issued (M ≥ N)
   std::size_t members_cancelled = 0;  ///< killed on convergence (§4.1)
   std::size_t svd_runs = 0;           ///< decoupled SVD invocations
-  std::uint64_t store_versions = 0;   ///< covariance snapshots promoted
   // Fault-layer accounting (zero for failure-free runs).
   std::size_t members_failed = 0;     ///< attempts that threw/were injected
   std::size_t members_retried = 0;    ///< re-submissions issued

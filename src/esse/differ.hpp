@@ -73,7 +73,7 @@ struct AnomalyColumn {
 /// Versioned, copy-free column view over the differ's append-only column
 /// storage — the in-process analogue of the paper's "safe file".
 /// Copying a view copies n shared pointers, never the m×n payload, so
-/// promoting one through a TripleBufferStore costs O(n).
+/// handing one to the SVD costs O(n).
 ///
 /// Determinism contract (DESIGN.md §10): columns are ordered by
 /// perturbation index (member_id ascending), NOT by arrival order, so

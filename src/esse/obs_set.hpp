@@ -10,9 +10,9 @@
 // untapered — the only defensible default when no geometry is attached.
 //
 // The stencil evaluation order is part of the contract: apply()/
-// apply_mode() accumulate in stencil order, exactly as ObsOperator and
-// the historical analyze_linear loop did, so the global analysis path
-// stays bitwise identical through the adapters.
+// apply_mode() accumulate in stencil order, exactly as ObsOperator does,
+// so the global analysis path is bitwise identical whichever front end
+// built the set.
 #pragma once
 
 #include <cstddef>

@@ -98,12 +98,9 @@ ForecastService::ForecastService(ServiceConfig config)
                 "max_workers must be >= min_workers");
   ESSEX_REQUIRE(config_.max_inflight >= 1,
                 "service needs >= 1 concurrent request slot");
-  std::size_t initial = config_.initial_workers == 0 ? config_.min_workers
-                                                     : config_.initial_workers;
-  initial = std::clamp(initial, config_.min_workers, config_.max_workers);
-  member_pool_ = std::make_unique<ThreadPool>(initial);
+  member_pool_ = std::make_unique<ThreadPool>(config_.min_workers);
   orchestrators_ = std::make_unique<ThreadPool>(config_.max_inflight);
-  peak_workers_.store(initial, std::memory_order_relaxed);
+  peak_workers_.store(config_.min_workers, std::memory_order_relaxed);
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -431,13 +428,12 @@ esse::ForecastResult run_parallel_forecast(const ForecastRequest& request) {
   service::ServiceConfig sc;
   const std::size_t workers =
       std::max<std::size_t>(request.config.cycle.threads, 1);
-  sc.min_workers = sc.max_workers = sc.initial_workers = workers;
+  sc.min_workers = sc.max_workers = workers;
   sc.max_inflight = 1;
   sc.elastic = false;
   sc.admission.enforce_deadlines = false;
   service::ForecastService svc(sc);
-  service::ServiceRequest req{request};
-  service::ForecastHandle handle = svc.submit(req);
+  service::ForecastHandle handle = svc.submit({.forecast = request});
   return handle.take_result();
 }
 

@@ -46,12 +46,11 @@ namespace essex::service {
 
 /// Server sizing and policy knobs.
 struct ServiceConfig {
-  /// Member-worker pool bounds. The pool starts at `initial_workers`
-  /// (0 = min_workers) and, when `elastic`, tracks aggregate request
-  /// demand within [min_workers, max_workers].
+  /// Member-worker pool bounds. The pool starts at `min_workers` and,
+  /// when `elastic`, tracks aggregate request demand within
+  /// [min_workers, max_workers].
   std::size_t min_workers = 1;
   std::size_t max_workers = 8;
-  std::size_t initial_workers = 0;
   /// Requests run concurrently on the shared pool (each gets its own
   /// differ/SVD orchestration thread from an internal pool this size).
   std::size_t max_inflight = 1;
@@ -76,7 +75,7 @@ struct ServiceRequest {
   /// Caller's runtime estimate for admission (0 = use the service's
   /// rolling estimator once it has completions).
   double expected_cost_s = 0.0;
-  std::string label;  ///< tenant/procedure tag for telemetry events
+  std::string label = "";  ///< tenant/procedure tag for telemetry events
 };
 
 /// Shared record behind a ForecastHandle (internal, but visible so the

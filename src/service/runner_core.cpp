@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -115,11 +114,9 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   differ.set_sink(sink);  // differ.* cache counters + check latency
   esse::ConvergenceTest conv(cp.convergence);
   esse::EnsembleSizeController sizer(cp.ensemble);
-  workflow::TripleBufferStore<esse::AnomalyView> store;
 
   std::mutex mu;
   std::condition_variable cv;
-  std::size_t promoted_milestone = 0;  // last milestone pushed to the store
   std::size_t resolved = 0;  // members with a final outcome
 
   esse::ForecastResult out;
@@ -175,33 +172,9 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                             ml ? mlp.column_weight(0) : 1.0);
         }
         if (sink) sink->count("runner.members_run");
-        // Promote when the canonical contiguous-id prefix crosses a new
-        // milestone (a multiple of svd_min_new_members). Keying promotion
-        // on the contiguous count rather than "members since the last
-        // snapshot" is what makes the SVD's inputs schedule-free: a
-        // milestone fires exactly once per run, no matter which worker
-        // lands the member that completes the prefix.
-        bool promote = false;
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          const std::size_t milestone =
-              (differ.contiguous_count() / config.svd_min_new_members) *
-              config.svd_min_new_members;
-          if (milestone >= 2 && milestone > promoted_milestone) {
-            promoted_milestone = milestone;
-            promote = true;
-          }
-        }
-        // Promote a new covariance snapshot through the triple-buffer
-        // store (the "safe file" the SVD reads). Views are column-prefix
-        // handles over the differ's append-only storage, so a promote is
-        // O(n) pointer copies — writers never block behind an O(m·n)
-        // matrix copy.
-        if (promote) {
-          store.update(
-              [&](esse::AnomalyView& v) { v = differ.contiguous_view(); });
-          if (sink) sink->count("runner.store_promotes");
-        }
+        // Wake the orchestrator. Notifying under `mu` orders this wakeup
+        // after its predicate check, so it cannot be lost.
+        std::lock_guard<std::mutex> lk(mu);
         cv.notify_all();
       });
   mtc::FaultTolerantExecutor exec(backend, config.fault, sink);
@@ -215,18 +188,11 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   Teardown teardown{exec, backend};
 
   auto fill_pool = [&] {
-    std::size_t cap;
-    if (ml) {
-      // Fixed multilevel layout: the planned per-level mix is the pool
-      // (no speculative headroom — ids beyond the plan have no level,
-      // and column weights are derived from the planned counts).
-      cap = mlp.total_members();
-    } else {
-      const auto m = static_cast<std::size_t>(std::ceil(
-          static_cast<double>(sizer.target()) * config.pool_headroom));
-      cap = std::max(sizer.target(),
-                     std::min(m, cp.ensemble.max_members));
-    }
+    // A multilevel plan is its own pool: no speculative headroom (ids
+    // beyond the plan have no level, and column weights are derived from
+    // the planned counts).
+    const std::size_t cap =
+        ml ? mlp.total_members() : sizer.pool_target(config.pool_headroom);
     while (submitted < cap) exec.run_member(submitted++);
     if (sink) {
       sink->gauge_set("runner.pool_size", static_cast<double>(submitted));
@@ -240,11 +206,11 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
 
   fill_pool();
 
-  std::uint64_t last_version = 0;
   // Deterministic milestone schedule: convergence is checked at ensemble
   // sizes k·svd_min_new_members over the canonical member-id prefix
-  // 0..c-1, never over "whatever happened to arrive first". The latest
-  // promoted snapshot may cover several newly-completed milestones at
+  // 0..c-1, never over "whatever happened to arrive first". The SVD
+  // reads a contiguous_view() — the differ's versioned, copy-free safe
+  // snapshot — which may cover several newly-completed milestones at
   // once; they are processed strictly in order, so the ρ history — and
   // the milestone that declares convergence — is a pure function of the
   // seed and configuration.
@@ -252,54 +218,47 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   std::optional<esse::ErrorSubspace> converged_sub;
   std::size_t converged_members = 0;
   for (;;) {
-    // Wait for fresh data, full resolution (done, or lost after its
-    // retries), or a request-level cancel. The bounded wait keeps
-    // cancellation responsive without a dedicated waker channel.
+    // Wait for the next milestone's prefix, full resolution (done, or
+    // lost after its retries), or a request-level cancel. The bounded
+    // wait keeps cancellation responsive without a dedicated waker.
+    std::size_t resolved_now;
     {
       std::unique_lock<std::mutex> lk(mu);
       cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
-        return store.version() != last_version || resolved >= submitted ||
-               cancelled_now();
+        return differ.contiguous_count() >= next_check ||
+               resolved >= submitted || cancelled_now();
       });
+      resolved_now = resolved;
     }
     if (cancelled_now()) {
       outcome.cancelled = true;
       teardown.run();
       return outcome;
     }
-    const auto snap = store.read();
-    if (snap.version != last_version && snap.data) {
-      last_version = snap.version;
-      const std::size_t avail = snap.data->count();
-      while (next_check <= avail && !conv.converged()) {
-        const std::size_t c = next_check;
-        next_check += config.svd_min_new_members;
-        if (c < 2) continue;  // spread needs two members
-        ++acct.svd_runs;
-        telemetry::ScopedTimer timer(sink, "runner.svd_s");
-        esse::ErrorSubspace sub =
-            esse::subspace_from_view(snap.data->prefix(c),
-                                     cp.variance_fraction, cp.max_rank,
-                                     nullptr, sink);
-        const auto rho = conv.update(sub, c);
-        if (sink && rho) {
-          sink->event("runner.convergence", static_cast<double>(c), *rho);
-        }
-        if (conv.converged()) {
-          // The forecast subspace is the converged milestone's — never
-          // recomputed later from the racy post-cancellation member set.
-          converged_sub = std::move(sub);
-          converged_members = c;
-        }
+    // Cut after reading `resolved`: a drained pool's view then holds
+    // every member that will ever land in this growth stage.
+    const esse::AnomalyView view = differ.contiguous_view();
+    while (next_check <= view.count() && !conv.converged()) {
+      const std::size_t c = next_check;
+      next_check += config.svd_min_new_members;
+      if (c < 2) continue;  // spread needs two members
+      ++acct.svd_runs;
+      telemetry::ScopedTimer timer(sink, "runner.svd_s");
+      esse::ErrorSubspace sub = esse::subspace_from_view(
+          view.prefix(c), cp.variance_fraction, cp.max_rank, nullptr, sink);
+      const auto rho = conv.update(sub, c);
+      if (sink && rho) {
+        sink->event("runner.convergence", static_cast<double>(c), *rho);
       }
-      if (conv.converged()) break;  // §4.1: cancel the remaining members
+      if (conv.converged()) {
+        // The forecast subspace is the converged milestone's — never
+        // recomputed later from the racy post-cancellation member set.
+        converged_sub = std::move(sub);
+        converged_members = c;
+      }
     }
-    std::size_t resolved_now;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      resolved_now = resolved;
-    }
-    if (resolved_now >= submitted && store.version() == last_version) {
+    if (conv.converged()) break;  // §4.1: cancel the remaining members
+    if (resolved_now >= submitted) {
       // Pool drained without convergence: grow toward Nmax or stop (the
       // multilevel mix is fixed — no growth stage to fall back on).
       if (ml || sizer.at_max()) break;
@@ -347,7 +306,6 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   }
   acct.members_submitted = submitted;
   acct.members_cancelled = submitted - out.members_run;
-  acct.store_versions = store.version();
   acct.members_done = fstats.members_done;
   // Members still unresolved when cancel_all() tore the pool down ended
   // cancelled; fold them in so member outcomes conserve against the
@@ -370,8 +328,6 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                 static_cast<double>(acct.members_retried));
     sink->count("runner.members_lost",
                 static_cast<double>(acct.members_lost));
-    sink->gauge_set("runner.store_versions",
-                    static_cast<double>(acct.store_versions));
     sink->gauge_set("runner.converged", out.converged ? 1.0 : 0.0);
     sink->gauge_set("runner.degraded", acct.degraded ? 1.0 : 0.0);
   }

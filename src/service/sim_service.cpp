@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "workflow/parallel_runner.hpp"
 
 namespace essex::service {
 
@@ -16,37 +16,31 @@ double member_cost_s(const mtc::EsseJobShape& shape) {
   return shape.pert_cpu_s + shape.pert_fs_s + shape.pemodel_cpu_s;
 }
 
-bool multilevel(const SimRequestSpec& spec) { return spec.levels > 1; }
+/// Floor of any running request's member-slot budget.
+constexpr std::size_t kMinSlotsPerRequest = 2;
 
-std::size_t total_planned(const SimRequestSpec& spec) {
-  std::size_t n = 0;
-  for (std::size_t m : spec.members_per_level) n += m;
-  return n;
+/// The request's ensemble-size schedule N → growth·N → … → Nmax.
+esse::EnsembleSizeController::Params sizer_params(const SimRequestSpec& spec) {
+  return {spec.initial_members, spec.growth, spec.max_members,
+          spec.min_members};
 }
 
-/// Hierarchy level of the idx-th dispatched member (level-major, fine
-/// level first — the same canonical order the real runner's gids use).
-std::size_t level_of_index(const SimRequestSpec& spec, std::size_t idx) {
-  std::size_t off = 0;
-  for (std::size_t l = 0; l < spec.members_per_level.size(); ++l) {
-    off += spec.members_per_level[l];
-    if (idx < off) return l;
-  }
-  return spec.members_per_level.empty() ? 0
-                                        : spec.members_per_level.size() - 1;
+/// The request's member mix as the real runner's MultilevelParams: its
+/// level layout, planned total and per-level costs (coarsen = 2, so a
+/// level-l member costs 2^(−3l) of a fine one).
+esse::MultilevelParams multilevel_plan(const SimRequestSpec& spec) {
+  esse::MultilevelParams plan;
+  plan.levels = spec.levels;
+  plan.members_per_level = spec.members_per_level;
+  return plan;
 }
 
 /// Admission work units: planned member cost relative to one fine
 /// member — the sim analogue of workflow::forecast_work_units.
-double spec_work_units(const SimRequestSpec& spec) {
-  if (!multilevel(spec))
-    return static_cast<double>(spec.max_members) + spec.surrogate_cost_ratio;
-  double units = spec.surrogate_cost_ratio;
-  for (std::size_t l = 0; l < spec.members_per_level.size(); ++l) {
-    units += static_cast<double>(spec.members_per_level[l]) *
-             std::pow(spec.level_cost_ratio, static_cast<double>(l));
-  }
-  return units;
+double spec_work_units(const SimRequestSpec& spec,
+                       const esse::MultilevelParams& plan) {
+  return plan.enabled() ? plan.total_cost_units()
+                        : static_cast<double>(spec.max_members);
 }
 
 }  // namespace
@@ -58,8 +52,6 @@ SimForecastService::SimForecastService(mtc::Simulator& sim,
       admission_(config.admission) {
   ESSEX_REQUIRE(config_.max_inflight >= 1,
                 "sim service needs >= 1 inflight slot");
-  ESSEX_REQUIRE(config_.min_slots_per_request >= 1,
-                "member-slot floor must be >= 1");
   sched_.set_completion_hook([this](const mtc::JobRecord& rec) {
     auto it = job_owner_.find(rec.id);
     if (it == job_owner_.end()) return;  // not ours (foreign job)
@@ -105,39 +97,26 @@ std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
     return id;
   };
 
-  // Structural validation (the sim analogue of workflow::validate).
+  // Structural validation: the real runner's ensemble and member-mix
+  // checks, plus the twin's own modelled-convergence and core knobs.
+  const esse::MultilevelParams plan = multilevel_plan(spec);
   {
-    std::ostringstream os;
-    if (spec.initial_members < 2) {
-      os << "spec.initial_members: ensemble needs >= 2 members";
-    } else if (!(spec.growth > 1.0)) {
-      os << "spec.growth: growth factor must exceed 1";
-    } else if (spec.max_members < spec.initial_members) {
-      os << "spec.max_members: Nmax must be >= the initial size";
-    } else if (spec.min_members > spec.max_members) {
-      os << "spec.min_members: floor must be <= Nmax";
-    } else if (spec.converge_at < 1) {
-      os << "spec.converge_at: modelled convergence needs >= 1 member";
-    } else if (spec.levels < 1) {
-      os << "spec.levels: hierarchy needs at least the fine level";
-    } else if (multilevel(spec) &&
-               spec.members_per_level.size() != spec.levels) {
-      os << "spec.members_per_level: must name a member count for every "
-            "level";
-    } else if (multilevel(spec) && spec.members_per_level[0] < 2) {
-      os << "spec.members_per_level: the fine level needs >= 2 members";
-    } else if (multilevel(spec) && !(spec.level_cost_ratio > 0.0 &&
-                                     spec.level_cost_ratio <= 1.0)) {
-      os << "spec.level_cost_ratio: cost discount must lie in (0, 1]";
-    } else if (spec.fine_cores < 1) {
-      os << "spec.fine_cores: a fine member needs >= 1 core";
-    } else if (!(spec.surrogate_cost_ratio >= 0.0 &&
-                 spec.surrogate_cost_ratio <= 1.0)) {
-      os << "spec.surrogate_cost_ratio: surrogate cost must lie in [0, 1]";
+    std::vector<workflow::ValidationIssue> issues;
+    workflow::validate_ensemble(
+        sizer_params(spec), plan,
+        {"spec.initial_members", "spec.growth", "spec.max_members",
+         "spec.min_members", "spec"},
+        issues);
+    if (spec.converge_at < 1) {
+      issues.push_back({"spec.converge_at",
+                        "modelled convergence needs >= 1 member"});
     }
-    const std::string msg = os.str();
-    if (!msg.empty()) {
-      return record_rejection(RejectReason::kInvalidRequest, msg);
+    if (spec.fine_cores < 1) {
+      issues.push_back({"spec.fine_cores", "a fine member needs >= 1 core"});
+    }
+    if (!issues.empty()) {
+      return record_rejection(RejectReason::kInvalidRequest,
+                              workflow::describe(issues));
     }
   }
 
@@ -145,7 +124,7 @@ std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
   ticket.priority = spec.priority;
   ticket.deadline_s = spec.deadline_s;
   ticket.expected_cost_s = spec.expected_cost_s;
-  ticket.work_units = spec_work_units(spec);
+  ticket.work_units = spec_work_units(spec, plan);
   ServerLoad load;
   load.now_s = now;
   load.queued = queue_.size();
@@ -188,14 +167,14 @@ void SimForecastService::pump() {
 
 void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
                                double submitted_s) {
-  Active a(spec);
+  Active a(spec, sizer_params(spec), multilevel_plan(spec));
   a.id = id;
   a.submitted_s = submitted_s;
   a.started_s = sim_.now();
-  if (multilevel(spec)) {
+  if (a.plan.enabled()) {
     // Fixed plan: every planned (level, member) runs unless convergence
     // cancels the tail; the goal counts completions across all levels.
-    a.goal = std::min(spec.converge_at, total_planned(spec));
+    a.goal = std::min(spec.converge_at, a.plan.total_members());
     a.completed_per_level.assign(spec.levels, 0);
   } else {
     a.goal = std::min(spec.converge_at, spec.max_members);
@@ -214,7 +193,7 @@ void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
 
 std::size_t SimForecastService::pool_cap(const Active& a) const {
   // Multilevel plans are fixed budgets: no headroom, no growth stages.
-  if (multilevel(a.spec)) return total_planned(a.spec);
+  if (a.plan.enabled()) return a.plan.total_members();
   return a.sizer.pool_target(config_.pool_headroom);
 }
 
@@ -228,9 +207,9 @@ void SimForecastService::submit_member(Active& a) {
   std::size_t level = 0;
   double cost = member_cost_s(config_.shape);
   std::size_t cores = 1;
-  if (multilevel(a.spec)) {
-    level = level_of_index(a.spec, a.dispatched);
-    cost *= std::pow(a.spec.level_cost_ratio, static_cast<double>(level));
+  if (a.plan.enabled()) {
+    level = a.plan.level_of(a.dispatched);
+    cost *= a.plan.cost_ratio(level);
     // Fine members may reserve several cores; coarse members are always
     // 1-core so backfill packs them into slots fine members leave idle.
     cores = level == 0 ? a.spec.fine_cores : 1;
@@ -278,7 +257,7 @@ void SimForecastService::on_member_done(std::uint64_t request_id,
     // Pool drained without reaching the goal: grow toward Nmax or give
     // up with what landed (the real runner's unconverged fallback). A
     // multilevel plan is its own budget — nothing left to grow.
-    if (multilevel(a.spec) || a.sizer.at_max()) {
+    if (a.plan.enabled() || a.sizer.at_max()) {
       begin_finish(a);
       return;
     }
@@ -292,8 +271,7 @@ void SimForecastService::on_member_done(std::uint64_t request_id,
 }
 
 void SimForecastService::maybe_shrink_for_deadline(Active& a) {
-  if (!config_.shrink_under_deadline_pressure) return;
-  if (multilevel(a.spec)) return;  // fixed plan; no growth stages to undo
+  if (a.plan.enabled()) return;  // fixed plan; no growth stages to undo
   if (!std::isfinite(a.spec.deadline_s)) return;
   if (a.sizer.at_min()) return;
   const double cost = member_cost_s(config_.shape);
@@ -359,7 +337,8 @@ void SimForecastService::finalize(std::uint64_t id) {
 
   ++stats_.completed;
   if (!out.deadline_met) ++stats_.deadline_missed;
-  estimator_.observe(a.done_s - a.started_s, spec_work_units(a.spec));
+  estimator_.observe(a.done_s - a.started_s,
+                     spec_work_units(a.spec, a.plan));
   if (telemetry::Sink* sink = config_.sink) {
     sink->count("service.done");
     if (!out.deadline_met) sink->count("service.deadline_missed");
@@ -380,7 +359,7 @@ void SimForecastService::rebalance_slots() {
   if (active_.empty()) return;
   const std::size_t total = sched_.schedulable_cores();
   const std::size_t base =
-      std::max(config_.min_slots_per_request, total / active_.size());
+      std::max(kMinSlotsPerRequest, total / active_.size());
   for (auto& [id, a] : active_) {
     const std::size_t old = a.slots;
     if (base == old) continue;

@@ -25,9 +25,11 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "esse/convergence.hpp"
+#include "esse/multilevel.hpp"
 #include "mtc/job.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
@@ -48,11 +50,6 @@ struct SimServiceConfig {
   mtc::EsseJobShape shape;
   /// M = headroom × N when filling a request's member pool.
   double pool_headroom = 1.1;
-  /// Floor of any running request's member-slot budget.
-  std::size_t min_slots_per_request = 2;
-  /// Shrink the ensemble target of a deadline-pressed request instead of
-  /// letting it blow its deadline (EnsembleSizeController::shrink()).
-  bool shrink_under_deadline_pressure = true;
   /// Telemetry (nullable, not owned): `service.*` series stamped with
   /// simulated seconds — the same names the real server records.
   telemetry::Sink* sink = nullptr;
@@ -75,22 +72,17 @@ struct SimRequestSpec {
   /// 1 = single-fidelity (fields below ignored). With levels > 1 the
   /// member plan is fixed: members_per_level jobs per level, fine level
   /// first, dispatched level-major — no ensemble growth or deadline
-  /// shrink (the plan IS the budget, mirroring the real runner).
+  /// shrink (the plan IS the budget, mirroring the real runner). A
+  /// level-l member costs MultilevelParams::cost_ratio(l) = 2^(−3l) of a
+  /// fine one: factor-2 horizontal coarsening under an advective CFL
+  /// (¼ points × ½ steps per level).
   std::size_t levels = 1;
   /// Planned members per level, fine (level 0) first; size == levels.
   std::vector<std::size_t> members_per_level;
-  /// Per-level cost discount: a level-l member costs
-  /// member_cost × level_cost_ratio^l. Default 1/8 = factor-2 horizontal
-  /// coarsening under an advective CFL (¼ points × ½ steps).
-  double level_cost_ratio = 0.125;
   /// Cores a fine member job reserves; coarse members always take 1, so
   /// the backfill scheduler packs them into slots a fine member leaves
-  /// idle (ISSUE: nested-jobs policy).
+  /// idle (nested-jobs policy).
   std::size_t fine_cores = 1;
-  /// Multi-model surrogate cost relative to one fine member (the sim
-  /// analogue of the coarse companion forecast a kMultiModel cycle adds).
-  /// 0 = no surrogate; must lie in [0, 1].
-  double surrogate_cost_ratio = 0.0;
 };
 
 /// Terminal record of one request (admitted or rejected).
@@ -152,6 +144,7 @@ class SimForecastService {
     double submitted_s = 0.0;
     double started_s = 0.0;
     esse::EnsembleSizeController sizer;
+    esse::MultilevelParams plan;  ///< level layout and per-level costs
     std::size_t goal = 0;   ///< members needed to finish (may shrink)
     std::size_t slots = 0;  ///< member-slot budget (elasticity)
     std::size_t dispatched = 0;
@@ -165,10 +158,10 @@ class SimForecastService {
     bool degraded = false;
     double done_s = 0.0;  ///< time the goal was met/abandoned
 
-    explicit Active(const SimRequestSpec& s)
-        : spec(s), sizer(esse::EnsembleSizeController::Params{
-                       s.initial_members, s.growth, s.max_members,
-                       s.min_members}) {}
+    Active(const SimRequestSpec& s,
+           const esse::EnsembleSizeController::Params& ensemble,
+           esse::MultilevelParams p)
+        : spec(s), sizer(ensemble), plan(std::move(p)) {}
   };
 
   void pump();  ///< start queued requests while inflight slots remain

@@ -137,12 +137,13 @@ DifferentialReport run_differential_oracle(std::uint64_t seed,
     const la::Vector at_forecast = probe.apply(serial.central_forecast);
     for (std::size_t i = 0; i < set.size(); ++i)
       set[i].value = at_forecast[i] + value_rng.normal(0.0, set[i].noise_std);
-    obs::ObsOperator h(sc.grid, std::move(set));
+    const esse::ObsSet obs_set =
+        esse::ObsSet::from_operator(obs::ObsOperator(sc.grid, std::move(set)));
 
-    const esse::AnalysisResult a_serial =
-        esse::analyze(serial.central_forecast, serial.forecast_subspace, h);
+    const esse::AnalysisResult a_serial = esse::analyze(
+        serial.central_forecast, serial.forecast_subspace, obs_set);
     const esse::AnalysisResult a_mtc =
-        esse::analyze(mtc.central_forecast, mtc.forecast_subspace, h);
+        esse::analyze(mtc.central_forecast, mtc.forecast_subspace, obs_set);
     rep.posterior_rms_diff =
         la::rms_diff(a_serial.posterior_state, a_mtc.posterior_state);
     if (rep.posterior_rms_diff > kPosteriorTolerance) {

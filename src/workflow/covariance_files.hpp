@@ -1,7 +1,7 @@
 // ESSEX: the §4.1 three-file covariance protocol, on real files.
 //
-// TripleBufferStore (covariance_store.hpp) captures the protocol's
-// semantics in memory; this class is the literal artifact: "three files,
+// In memory the differ's versioned AnomalyView (esse/differ.hpp) already
+// is the safe snapshot; this class is the literal artifact: "three files,
 // a safe one for SVD to use and a live alternating pair for diff to
 // write to, with the safe one being updated by the appropriate member of
 // the pair". The writer alternates between <base>.live.a and

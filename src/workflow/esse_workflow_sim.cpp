@@ -1,12 +1,12 @@
 #include "workflow/esse_workflow_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <memory>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "esse/convergence.hpp"
 #include "mtc/execution_backend.hpp"
 
 namespace essex::workflow {
@@ -97,6 +97,16 @@ ClusterScheduler::JobBody make_member_body(std::shared_ptr<BodyEnv> env,
         break;
     }
   };
+}
+
+/// The ensemble-size schedule N → growth·N → … → Nmax both drivers
+/// follow (the DES drivers have no shrink floor of their own).
+esse::EnsembleSizeController make_sizer(const EsseWorkflowConfig& cfg) {
+  esse::EnsembleSizeController::Params p;
+  p.initial = cfg.initial_members;
+  p.growth = cfg.growth;
+  p.max_members = cfg.max_members;
+  return esse::EnsembleSizeController(p);
 }
 
 double head_speed(const ClusterScheduler& sched,
@@ -195,7 +205,7 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
   std::shared_ptr<BodyEnv> env;
   WorkflowMetrics metrics;
   std::vector<JobId> member_jobs;
-  std::size_t round_target = 0;
+  esse::EnsembleSizeController sizer;
   std::size_t submitted = 0;
   std::size_t landed_this_round = 0;
   std::size_t expected_this_round = 0;
@@ -204,20 +214,20 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
 
   SerialDriver(Simulator& s, ClusterScheduler& c,
                const EsseWorkflowConfig& config)
-      : sim(s), sched(c), cfg(config) {
+      : sim(s), sched(c), cfg(config), sizer(make_sizer(config)) {
     env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
     env->stats.resize(cfg.max_members + 1);
   }
 
   void start() {
     if (cfg.sink) sched.set_telemetry(cfg.sink);
-    round_target = cfg.initial_members;
     launch_round();
   }
 
   void launch_round() {
     // Fig. 3 bottleneck 1: the perturb/forecast loop must fully finish
     // (including failures) before the diff loop may start.
+    const std::size_t round_target = sizer.target();
     expected_this_round = round_target - submitted;
     landed_this_round = 0;
     auto self = shared_from_this();
@@ -271,15 +281,12 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
       finish();
       return;
     }
-    if (round_target >= cfg.max_members) {
+    if (sizer.at_max()) {
       finish();  // Nmax reached without convergence
       return;
     }
     // Loop back: N → N₂ and run members N+1 … N₂ (Fig. 3).
-    round_target = std::min(
-        cfg.max_members,
-        static_cast<std::size_t>(
-            std::ceil(static_cast<double>(round_target) * cfg.growth)));
+    sizer.grow();
     launch_round();
   }
 
@@ -309,7 +316,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   std::unique_ptr<mtc::SimExecutionBackend> backend;
   std::unique_ptr<mtc::FaultTolerantExecutor> exec;
 
-  std::size_t target = 0;     // N
+  esse::EnsembleSizeController sizer;  // N, grown in stages toward Nmax
   std::size_t submitted = 0;  // members issued to the pool (M)
   std::size_t completed = 0;  // members resolved kDone
   std::size_t diffed = 0;
@@ -327,7 +334,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   ParallelDriver(Simulator& s, ClusterScheduler& c,
                  const EsseWorkflowConfig& config)
-      : sim(s), sched(c), cfg(config) {
+      : sim(s), sched(c), cfg(config), sizer(make_sizer(config)) {
     auto self_env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
     self_env->stats.resize(cfg.max_members + 1);
     env = self_env;
@@ -336,8 +343,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   void start() {
     if (cfg.sink) sched.set_telemetry(cfg.sink);
-    target = cfg.initial_members;
-    next_check = std::min(cfg.svd_stride, target);
+    next_check = std::min(cfg.svd_stride, sizer.target());
     auto self = shared_from_this();
     env->on_output_home = [self](std::size_t m) {
       self->on_member_output(m);
@@ -373,9 +379,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
   }
 
   std::size_t pool_size() const {
-    const auto m = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(target) * cfg.pool_headroom));
-    return std::min(m, cfg.max_members);
+    return sizer.pool_target(cfg.pool_headroom);
   }
 
   void submit_up_to_pool() {
@@ -464,15 +468,11 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     // the event queue drain (capping here would re-fire the SVD forever).
     next_check += cfg.svd_stride;
     // Staged pool growth: enlarge before the pipeline can drain (§4.1).
-    if (diffed + cfg.svd_stride >= pool_size() &&
-        target < cfg.max_members) {
-      target = std::min(
-          cfg.max_members,
-          static_cast<std::size_t>(
-              std::ceil(static_cast<double>(target) * cfg.growth)));
+    if (diffed + cfg.svd_stride >= pool_size() && !sizer.at_max()) {
+      sizer.grow();
       if (cfg.sink)
         cfg.sink->event("workflow.pool_grown", sim.now(),
-                        static_cast<double>(target));
+                        static_cast<double>(sizer.target()));
       submit_up_to_pool();
     }
     poke_svd();
@@ -573,9 +573,8 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     if (cfg.sink) {
       cfg.sink->gauge_set(
           "fault.degradation",
-          target > 0 ? static_cast<double>(fs.members_lost) /
-                           static_cast<double>(target)
-                     : 0.0);
+          static_cast<double>(fs.members_lost) /
+              static_cast<double>(sizer.target()));
     }
     // Break the shared_ptr cycles through the hooks so the driver is
     // reclaimed once run_parallel_esse returns.
@@ -590,9 +589,6 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 WorkflowMetrics run_serial_esse(mtc::Simulator& sim,
                                 mtc::ClusterScheduler& sched,
                                 const EsseWorkflowConfig& config) {
-  ESSEX_REQUIRE(config.initial_members >= 2, "need at least two members");
-  ESSEX_REQUIRE(config.max_members >= config.initial_members,
-                "Nmax must be >= N");
   auto driver = std::make_shared<SerialDriver>(sim, sched, config);
   driver->start();
   sim.run();
@@ -603,9 +599,6 @@ WorkflowMetrics run_serial_esse(mtc::Simulator& sim,
 WorkflowMetrics run_parallel_esse(mtc::Simulator& sim,
                                   mtc::ClusterScheduler& sched,
                                   const EsseWorkflowConfig& config) {
-  ESSEX_REQUIRE(config.initial_members >= 2, "need at least two members");
-  ESSEX_REQUIRE(config.max_members >= config.initial_members,
-                "Nmax must be >= N");
   ESSEX_REQUIRE(config.pool_headroom >= 1.0, "pool headroom must be >= 1");
   auto driver = std::make_shared<ParallelDriver>(sim, sched, config);
   driver->start();

@@ -16,8 +16,8 @@ namespace essex::workflow {
 
 namespace {
 
-void check(std::vector<ValidationIssue>& issues, bool ok, const char* field,
-           const char* message) {
+void check(std::vector<ValidationIssue>& issues, bool ok,
+           const std::string& field, const char* message) {
   if (!ok) issues.push_back({field, message});
 }
 
@@ -40,16 +40,13 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
             cp.convergence.similarity_threshold <= 1.0,
         "config.cycle.convergence.similarity_threshold",
         "similarity threshold must lie in (0, 1]");
-  check(issues, cp.ensemble.initial >= 2, "config.cycle.ensemble.initial",
-        "initial ensemble size must be >= 2");
-  check(issues, cp.ensemble.growth > 1.0, "config.cycle.ensemble.growth",
-        "growth factor must exceed 1");
-  check(issues, cp.ensemble.max_members >= cp.ensemble.initial,
-        "config.cycle.ensemble.max_members",
-        "Nmax must be >= the initial size");
-  check(issues, cp.ensemble.min_members <= cp.ensemble.max_members,
-        "config.cycle.ensemble.min_members",
-        "min_members floor must be <= Nmax");
+  validate_ensemble(cp.ensemble, cp.multilevel,
+                    {"config.cycle.ensemble.initial",
+                     "config.cycle.ensemble.growth",
+                     "config.cycle.ensemble.max_members",
+                     "config.cycle.ensemble.min_members",
+                     "config.cycle.multilevel"},
+                    issues);
   check(issues, cp.perturbation.white_noise >= 0.0,
         "config.cycle.perturbation.white_noise",
         "white-noise stddev must be >= 0");
@@ -67,54 +64,7 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
         "tile count must be >= 1");
   check(issues, cp.tiling.tiles_y >= 1, "config.cycle.tiling.tiles_y",
         "tile count must be >= 1");
-  // Multilevel member-mix constraints (DESIGN.md §15); grid-dependent
-  // coarsenability checks live on the request overload.
-  const esse::MultilevelParams& ml = cp.multilevel;
-  check(issues, ml.levels >= 1, "config.cycle.multilevel.levels",
-        "hierarchy needs at least the fine level");
-  if (ml.enabled()) {
-    check(issues, ml.coarsen >= 2, "config.cycle.multilevel.coarsen",
-          "coarsening factor must be >= 2");
-    if (ml.members_per_level.size() != ml.levels) {
-      issues.push_back({"config.cycle.multilevel.members_per_level",
-                        "must name a member count for every level"});
-    } else {
-      check(issues, ml.members_per_level[0] >= 2,
-            "config.cycle.multilevel.members_per_level",
-            "the fine level needs >= 2 members");
-      bool level_sizes_ok = true;
-      for (std::size_t n : ml.members_per_level)
-        if (n == 1) level_sizes_ok = false;
-      check(issues, level_sizes_ok,
-            "config.cycle.multilevel.members_per_level",
-            "a used level needs >= 2 members (weights divide by n_l - 1)");
-    }
-    if (!ml.level_weights.empty()) {
-      if (ml.level_weights.size() != ml.members_per_level.size()) {
-        issues.push_back({"config.cycle.multilevel.level_weights",
-                          "must match members_per_level in size"});
-      } else {
-        bool nonneg = true;
-        double used_sum = 0.0;
-        for (std::size_t l = 0; l < ml.level_weights.size(); ++l) {
-          if (ml.level_weights[l] < 0.0) nonneg = false;
-          if (ml.members_per_level[l] > 0) used_sum += ml.level_weights[l];
-        }
-        check(issues, nonneg, "config.cycle.multilevel.level_weights",
-              "pooling weights must be >= 0");
-        check(issues, used_sum > 0.0,
-              "config.cycle.multilevel.level_weights",
-              "weights over the used levels must not all vanish");
-      }
-    }
-    if (!ml.cost_ratios.empty()) {
-      bool ratios_ok = ml.cost_ratios.size() == ml.levels;
-      if (ratios_ok)
-        for (double r : ml.cost_ratios)
-          if (!(r > 0.0)) ratios_ok = false;
-      check(issues, ratios_ok, "config.cycle.multilevel.cost_ratios",
-            "cost ratios must cover every level and be positive");
-    }
+  if (cp.multilevel.enabled()) {
     check(issues, !cp.localization.enabled,
           "config.cycle.multilevel.levels",
           "multilevel ensembles do not compose with localized analysis "
@@ -143,6 +93,65 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
           "pseudo-observation variance floor must be >= 0");
   }
   return issues;
+}
+
+void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
+                       const esse::MultilevelParams& ml,
+                       const EnsembleFields& fields,
+                       std::vector<ValidationIssue>& issues) {
+  check(issues, ensemble.initial >= 2, fields.initial,
+        "initial ensemble size must be >= 2");
+  check(issues, ensemble.growth > 1.0, fields.growth,
+        "growth factor must exceed 1");
+  check(issues, ensemble.max_members >= ensemble.initial,
+        fields.max_members, "Nmax must be >= the initial size");
+  check(issues, ensemble.min_members <= ensemble.max_members,
+        fields.min_members, "min_members floor must be <= Nmax");
+  // Multilevel member-mix constraints (DESIGN.md §15); grid-dependent
+  // coarsenability checks live on the request overload.
+  const std::string prefix = std::string(fields.multilevel) + ".";
+  const std::string levels = prefix + "levels";
+  const std::string per_level = prefix + "members_per_level";
+  check(issues, ml.levels >= 1, levels,
+        "hierarchy needs at least the fine level");
+  if (!ml.enabled()) return;
+  check(issues, ml.coarsen >= 2, prefix + "coarsen",
+        "coarsening factor must be >= 2");
+  if (ml.members_per_level.size() != ml.levels) {
+    issues.push_back({per_level, "must name a member count for every level"});
+  } else {
+    check(issues, ml.members_per_level[0] >= 2, per_level,
+          "the fine level needs >= 2 members");
+    bool level_sizes_ok = true;
+    for (std::size_t n : ml.members_per_level)
+      if (n == 1) level_sizes_ok = false;
+    check(issues, level_sizes_ok, per_level,
+          "a used level needs >= 2 members (weights divide by n_l - 1)");
+  }
+  if (!ml.level_weights.empty()) {
+    const std::string weights = prefix + "level_weights";
+    if (ml.level_weights.size() != ml.members_per_level.size()) {
+      issues.push_back({weights, "must match members_per_level in size"});
+    } else {
+      bool nonneg = true;
+      double used_sum = 0.0;
+      for (std::size_t l = 0; l < ml.level_weights.size(); ++l) {
+        if (ml.level_weights[l] < 0.0) nonneg = false;
+        if (ml.members_per_level[l] > 0) used_sum += ml.level_weights[l];
+      }
+      check(issues, nonneg, weights, "pooling weights must be >= 0");
+      check(issues, used_sum > 0.0, weights,
+            "weights over the used levels must not all vanish");
+    }
+  }
+  if (!ml.cost_ratios.empty()) {
+    bool ratios_ok = ml.cost_ratios.size() == ml.levels;
+    if (ratios_ok)
+      for (double r : ml.cost_ratios)
+        if (!(r > 0.0)) ratios_ok = false;
+    check(issues, ratios_ok, prefix + "cost_ratios",
+          "cost ratios must cover every level and be positive");
+  }
 }
 
 std::vector<ValidationIssue> validate(const ForecastRequest& request) {

@@ -2,11 +2,11 @@
 //
 // Runs actual ocean-model ensemble members on a thread pool with the MTC
 // semantics of §4.1: a task pool of size M ≥ N, a continuously-updated
-// differ, an SVD/convergence thread reading snapshots through the
-// triple-buffer covariance store, cancellation of queued members on
-// convergence, and staged pool growth. This is the scientific counterpart
-// of the DES driver in esse_workflow_sim.hpp — same structure, real
-// numbers.
+// differ, an SVD/convergence thread reading the differ's copy-free
+// canonical snapshots (the in-memory "safe file"), cancellation of
+// queued members on convergence, and staged pool growth. This is the
+// scientific counterpart of the DES driver in esse_workflow_sim.hpp —
+// same structure, real numbers.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,6 @@
 #include "esse/error_subspace.hpp"
 #include "mtc/fault.hpp"
 #include "ocean/model.hpp"
-#include "workflow/covariance_store.hpp"
 
 namespace essex::telemetry {
 class Sink;
@@ -82,6 +81,24 @@ struct ValidationIssue {
 /// Returns an empty vector when the config is well-formed.
 std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config);
 
+/// Where a request keeps its ensemble-size and member-mix knobs: the
+/// dotted field paths the shared checks below report issues under.
+struct EnsembleFields {
+  const char* initial;
+  const char* growth;
+  const char* max_members;
+  const char* min_members;
+  const char* multilevel;  ///< prefix of the MultilevelParams members
+};
+
+/// The ensemble-size schedule and multilevel member-mix checks, shared by
+/// the real runner (validate above) and its DES twin. Appends one issue
+/// per violated constraint, named after the caller's own fields.
+void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
+                       const esse::MultilevelParams& multilevel,
+                       const EnsembleFields& fields,
+                       std::vector<ValidationIssue>& issues);
+
 /// Check the full request: the config's constraints plus the
 /// state-vs-subspace dimension agreement.
 std::vector<ValidationIssue> validate(const ForecastRequest& request);
@@ -100,7 +117,7 @@ double forecast_work_units(const ForecastRequest& request);
 
 /// Run the uncertainty forecast with the Fig. 4 pipeline on real threads.
 /// Returns the unified forecast result; `result.mtc` carries the MTC
-/// accounting (pool size, cancellations, SVD runs, store versions) fed by
+/// accounting (pool size, cancellations, SVD runs, fault outcomes) fed by
 /// the recorded metrics.
 ///
 /// Since the ForecastService redesign this is a thin convenience wrapper:
@@ -118,8 +135,8 @@ double forecast_work_units(const ForecastRequest& request);
 /// (ensemble sizes k·svd_min_new_members) over the canonical contiguous
 /// member-id prefix, so which members feed each check — and which check
 /// declares convergence — never depends on scheduling. Only the wall-
-/// clock fields of `result.mtc` (timings, store versions, retry counts
-/// under real faults) remain timing-dependent.
+/// clock fields of `result.mtc` (timings, retry counts under real
+/// faults) remain timing-dependent.
 esse::ForecastResult run_parallel_forecast(const ForecastRequest& request);
 
 }  // namespace essex::workflow

@@ -272,11 +272,11 @@ TEST(AnalysisMethods, AnalysisNeverHurtsForAnyMethod) {
 }
 
 TEST(AnalysisMethods, AdaptersHonorTheThreadOption) {
-  // Regression for the adapter gap: the pre-PR forwarding adapters
-  // dropped AnalysisOptions::threads on the floor for the global path —
-  // every analyze_linear() call ran the HE build serially no matter what
-  // the caller asked for. The "analysis.threads" gauge records the
-  // worker count actually used, so it is the observable.
+  // Regression for the adapter gap: the linear front end once dropped
+  // AnalysisOptions::threads on the floor for the global path — every
+  // call ran the HE build serially no matter what the caller asked for.
+  // The "analysis.threads" gauge records the worker count actually
+  // used, so it is the observable.
   Rng rng(0xad4f7e2ULL);
   const Gen<SurrogatePair> gen = gen_surrogate_pair(equivalence_opts());
   const SurrogatePair sp = gen.create(rng);
@@ -291,16 +291,16 @@ TEST(AnalysisMethods, AdaptersHonorTheThreadOption) {
   esse::AnalysisOptions options;
   options.threads = obs.size();  // every worker gets at least one row
   options.sink = &sink;
-  const esse::AnalysisResult threaded =
-      esse::analyze_linear(sp.forecast, sp.subspace, linear, options);
+  const esse::AnalysisResult threaded = esse::analyze(
+      sp.forecast, sp.subspace, esse::ObsSet::from_linear(linear), options);
   EXPECT_EQ(sink.metrics().value("analysis.threads"),
             static_cast<double>(obs.size()))
-      << "analyze_linear ignored AnalysisOptions::threads";
+      << "the linear front end ignored AnalysisOptions::threads";
 
   // And the parallel HE build is bitwise-equal to the serial one,
   // through both the linear adapter and the native ObsSet entry point.
-  const esse::AnalysisResult serial =
-      esse::analyze_linear(sp.forecast, sp.subspace, linear, {});
+  const esse::AnalysisResult serial = esse::analyze(
+      sp.forecast, sp.subspace, esse::ObsSet::from_linear(linear), {});
   EXPECT_EQ(esse::analysis_digest(threaded), esse::analysis_digest(serial));
   esse::AnalysisOptions direct = options;
   direct.sink = nullptr;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "testkit/temp_dir.hpp"
 
 namespace essex {
 namespace {
@@ -236,7 +236,8 @@ TEST(Table, CsvRoundTripQuotesSeparators) {
   Table t("csv");
   t.set_header({"name", "value"});
   t.add_row({"with,comma", "1"});
-  const std::string path = "/tmp/essex_test_table.csv";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("test_table.csv");
   t.write_csv(path);
   std::ifstream f(path);
   std::string line;
@@ -244,7 +245,6 @@ TEST(Table, CsvRoundTripQuotesSeparators) {
   EXPECT_EQ(line, "name,value");
   std::getline(f, line);
   EXPECT_EQ(line, "\"with,comma\",1");
-  std::remove(path.c_str());
 }
 
 // ---- field I/O -------------------------------------------------------------
@@ -276,7 +276,8 @@ TEST(Field2D, AtBoundsChecked) {
 
 TEST(FieldIo, PgmHasCorrectHeaderAndSize) {
   Field2D f = make_ramp(8, 5);
-  const std::string path = "/tmp/essex_test.pgm";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("test.pgm");
   write_pgm(f, path);
   std::ifstream in(path, std::ios::binary);
   std::string magic;
@@ -291,19 +292,18 @@ TEST(FieldIo, PgmHasCorrectHeaderAndSize) {
   std::vector<char> px(w * h);
   in.read(px.data(), static_cast<std::streamsize>(px.size()));
   EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(w * h));
-  std::remove(path.c_str());
 }
 
 TEST(FieldIo, CsvGridHasRowPerY) {
   Field2D f = make_ramp(3, 4);
-  const std::string path = "/tmp/essex_test_field.csv";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("test_field.csv");
   write_field_csv(f, path);
   std::ifstream in(path);
   std::string line;
   int lines = 0;
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, 5);  // header + 4 rows
-  std::remove(path.c_str());
 }
 
 TEST(FieldIo, AsciiMapDownsamplesAndAnnotates) {

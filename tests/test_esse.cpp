@@ -507,7 +507,7 @@ TEST_F(AnalysisFixture, ReducesInnovationAndVariance) {
       obs::sst_swath(sc->grid, truth_state, 2, 0.0, 0.05, obs_rng);
   obs::ObsOperator h(sc->grid, set);
 
-  AnalysisResult res = analyze(forecast, sub, h);
+  AnalysisResult res = analyze(forecast, sub, ObsSet::from_operator(h));
   EXPECT_LT(res.posterior_innovation_rms, res.prior_innovation_rms);
   EXPECT_LT(res.posterior_trace, res.prior_trace);
   EXPECT_GT(res.posterior_trace, 0.0);
@@ -525,7 +525,7 @@ TEST_F(AnalysisFixture, MovesStateTowardTruth) {
   Rng obs_rng(23);
   auto set = obs::sst_swath(sc->grid, truth_state, 2, 0.0, 0.02, obs_rng);
   obs::ObsOperator h(sc->grid, set);
-  AnalysisResult res = analyze(forecast, sub, h);
+  AnalysisResult res = analyze(forecast, sub, ObsSet::from_operator(h));
   EXPECT_LT(la::rms_diff(res.posterior_state, truth),
             la::rms_diff(forecast, truth));
 }
@@ -537,7 +537,8 @@ TEST_F(AnalysisFixture, PosteriorSubspaceStaysOrthonormal) {
   Rng obs_rng(25);
   auto set = obs::sst_swath(sc->grid, truth_state, 3, 0.0, 0.1, obs_rng);
   obs::ObsOperator h(sc->grid, set);
-  AnalysisResult res = analyze(sc->initial.pack(), sub, h);
+  AnalysisResult res =
+      analyze(sc->initial.pack(), sub, ObsSet::from_operator(h));
   const la::Matrix& e = res.posterior_subspace.modes();
   la::Matrix ete = la::matmul_at_b(e, e);
   for (std::size_t i = 0; i < ete.rows(); ++i)
@@ -557,7 +558,7 @@ TEST_F(AnalysisFixture, PerfectObsDominateWeakPrior) {
   Rng obs_rng(27);
   auto set = obs::sst_swath(sc->grid, truth_state, 2, 0.0, 1e-4, obs_rng);
   obs::ObsOperator h(sc->grid, set);
-  AnalysisResult res = analyze(forecast, sub, h);
+  AnalysisResult res = analyze(forecast, sub, ObsSet::from_operator(h));
   EXPECT_LT(res.posterior_innovation_rms, 0.05 * res.prior_innovation_rms);
 }
 
@@ -565,12 +566,13 @@ TEST_F(AnalysisFixture, ValidatesInputs) {
   Rng rng(28);
   ErrorSubspace sub = make_subspace(2, rng);
   obs::ObsOperator empty_h(sc->grid, {});
-  EXPECT_THROW(analyze(sc->initial.pack(), sub, empty_h),
+  EXPECT_THROW(analyze(sc->initial.pack(), sub, ObsSet::from_operator(empty_h)),
                PreconditionError);
   Rng obs_rng(29);
   auto set = obs::sst_swath(sc->grid, sc->initial, 4, 0.0, 0.1, obs_rng);
   obs::ObsOperator h(sc->grid, set);
-  EXPECT_THROW(analyze(la::Vector(3), sub, h), PreconditionError);
+  EXPECT_THROW(analyze(la::Vector(3), sub, ObsSet::from_operator(h)),
+               PreconditionError);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 namespace tk = essex::testkit;
 using essex::Rng;
 using essex::esse::ErrorSubspace;
+using essex::esse::ObsSet;
 using essex::la::Matrix;
 using essex::la::Vector;
 
@@ -287,9 +288,10 @@ TEST(AnalysisEdgeCases, ZeroObservationsAreRejectedCleanly) {
                                         /*dim_lo=*/packed_forecast.size(),
                                         /*dim_hi=*/packed_forecast.size(),
                                     }).create(rng),
-                                    empty_h),
+                                    ObsSet::from_operator(empty_h)),
                essex::PreconditionError);
-  EXPECT_THROW(essex::esse::analyze_linear(forecast, subspace, {}),
+  EXPECT_THROW(essex::esse::analyze(forecast, subspace,
+                                    ObsSet::from_linear({})),
                essex::PreconditionError);
 }
 
@@ -318,7 +320,8 @@ TEST(AnalysisEdgeCases, RankDeficientSubspacesAssimilateWithoutBlowup) {
           ob.variance = 0.25;
           obs.push_back(ob);
         }
-        const auto a = essex::esse::analyze_linear(forecast, s, obs);
+        const auto a =
+            essex::esse::analyze(forecast, s, ObsSet::from_linear(obs));
         if (a.posterior_trace > a.prior_trace + 1e-9) return false;
         if (a.posterior_trace < 0) return false;
         for (double v : a.posterior_state)

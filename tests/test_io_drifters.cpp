@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -14,6 +13,7 @@
 #include "obs/drifters.hpp"
 #include "ocean/monterey.hpp"
 #include "ocean/state_io.hpp"
+#include "testkit/temp_dir.hpp"
 
 namespace essex {
 namespace {
@@ -26,31 +26,31 @@ TEST(StateIo, RoundTripPreservesEveryField) {
   Rng rng(1);
   for (auto& v : s.u) v = rng.normal();
   for (auto& v : s.ssh) v = rng.normal();
-  const std::string path = "/tmp/essex_state_io_test.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("state_io_test.esxf");
   ocean::save_state(path, sc.grid, s);
   ocean::OceanState back = ocean::load_state(path, sc.grid);
   EXPECT_DOUBLE_EQ(ocean::state_distance(s, back), 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(StateIo, RejectsWrongGridShape) {
   ocean::Scenario sc = ocean::make_monterey_scenario(16, 14, 4);
-  const std::string path = "/tmp/essex_state_io_shape.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("state_io_shape.esxf");
   ocean::save_state(path, sc.grid, sc.initial);
   ocean::Scenario other = ocean::make_monterey_scenario(20, 14, 4);
   EXPECT_THROW(ocean::load_state(path, other.grid), Error);
-  std::remove(path.c_str());
 }
 
 TEST(StateIo, RejectsGarbageFile) {
-  const std::string path = "/tmp/essex_state_io_garbage.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("state_io_garbage.esxf");
   {
     std::ofstream f(path);
     f << "this is not a product file";
   }
   ocean::Scenario sc = ocean::make_monterey_scenario(16, 14, 4);
   EXPECT_THROW(ocean::load_state(path, sc.grid), Error);
-  std::remove(path.c_str());
 }
 
 TEST(StateIo, RejectsMissingFile) {
@@ -60,7 +60,8 @@ TEST(StateIo, RejectsMissingFile) {
 
 TEST(StateIo, RejectsTruncatedFile) {
   ocean::Scenario sc = ocean::make_monterey_scenario(16, 14, 4);
-  const std::string path = "/tmp/essex_state_io_trunc.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("state_io_trunc.esxf");
   ocean::save_state(path, sc.grid, sc.initial);
   // Chop the file in half.
   std::ifstream in(path, std::ios::binary);
@@ -72,7 +73,6 @@ TEST(StateIo, RejectsTruncatedFile) {
     out.write(all.data(), static_cast<std::streamsize>(all.size() / 2));
   }
   EXPECT_THROW(ocean::load_state(path, sc.grid), Error);
-  std::remove(path.c_str());
 }
 
 // ---- subspace round trip ---------------------------------------------------------
@@ -83,7 +83,8 @@ TEST(SubspaceIo, RoundTripPreservesModesAndSigmas) {
   for (auto& v : e.data()) v = rng.normal();
   la::orthonormalize_columns(e);
   esse::ErrorSubspace sub(e, {5, 4, 3, 2, 1});
-  const std::string path = "/tmp/essex_subspace_io_test.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("subspace_io_test.esxf");
   esse::save_subspace(path, sub);
   esse::ErrorSubspace back = esse::load_subspace(path);
   EXPECT_EQ(back.dim(), sub.dim());
@@ -93,7 +94,6 @@ TEST(SubspaceIo, RoundTripPreservesModesAndSigmas) {
   la::Matrix diff = back.modes();
   diff -= sub.modes();
   EXPECT_DOUBLE_EQ(diff.max_abs(), 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(SubspaceIo, EveryHeaderTruncationThrowsTheTruncationError) {
@@ -107,7 +107,8 @@ TEST(SubspaceIo, EveryHeaderTruncationThrowsTheTruncationError) {
   for (auto& v : e.data()) v = rng.normal();
   la::orthonormalize_columns(e);
   esse::ErrorSubspace sub(e, {3, 2, 1});
-  const std::string path = "/tmp/essex_subspace_io_short.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("subspace_io_short.esxf");
   esse::save_subspace(path, sub);
   std::ifstream in(path, std::ios::binary);
   std::string all((std::istreambuf_iterator<char>(in)),
@@ -126,7 +127,6 @@ TEST(SubspaceIo, EveryHeaderTruncationThrowsTheTruncationError) {
     out.write(all.data(), static_cast<std::streamsize>(all.size() - 8));
   }
   EXPECT_THROW(esse::load_subspace(path), Error);
-  std::remove(path.c_str());
 }
 
 TEST(SubspaceIo, StreamAndFileVariantsProduceIdenticalBytes) {
@@ -137,7 +137,8 @@ TEST(SubspaceIo, StreamAndFileVariantsProduceIdenticalBytes) {
   for (auto& v : e.data()) v = rng.normal();
   la::orthonormalize_columns(e);
   esse::ErrorSubspace sub(e, {4, 3, 2, 1});
-  const std::string path = "/tmp/essex_subspace_io_stream.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("subspace_io_stream.esxf");
   esse::save_subspace(path, sub);
   std::ifstream in(path, std::ios::binary);
   std::string file_bytes((std::istreambuf_iterator<char>(in)),
@@ -153,15 +154,14 @@ TEST(SubspaceIo, StreamAndFileVariantsProduceIdenticalBytes) {
   la::Matrix diff = loaded.modes();
   diff -= sub.modes();
   EXPECT_DOUBLE_EQ(diff.max_abs(), 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(SubspaceIo, StateFileIsNotASubspace) {
   ocean::Scenario sc = ocean::make_monterey_scenario(16, 14, 4);
-  const std::string path = "/tmp/essex_subspace_kind.esxf";
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("subspace_kind.esxf");
   ocean::save_state(path, sc.grid, sc.initial);
   EXPECT_THROW(esse::load_subspace(path), Error);
-  std::remove(path.c_str());
 }
 
 // ---- drifters ----------------------------------------------------------------------

@@ -215,12 +215,14 @@ TEST(GaspariCohn, MatchesTheTextbookShape) {
 }
 
 // ---------------------------------------------------------------------
-// Adapter equivalence: the redesigned entry point is the old one.
+// ObsSet front ends: lowering a gridded operator or generic linear
+// stencils into an ObsSet feeds the one analyze() entry point.
 
 TEST(ObsSetAdapters, OperatorWrapperIsBitwiseIdenticalToUnifiedCall) {
   AnalysisFixture fx(0xA11CEULL);
-  const esse::AnalysisResult wrapped =
-      esse::analyze(fx.forecast, fx.subspace, *fx.h);
+  // Lowering at the call site equals the fixture's pre-lowered set.
+  const esse::AnalysisResult wrapped = esse::analyze(
+      fx.forecast, fx.subspace, esse::ObsSet::from_operator(*fx.h));
   const esse::AnalysisResult unified =
       esse::analyze(fx.forecast, fx.subspace, fx.obs_set);
   EXPECT_TRUE(bitwise_equal(wrapped.posterior_state, unified.posterior_state));
@@ -244,19 +246,16 @@ TEST(ObsSetAdapters, LinearWrapperIsBitwiseIdenticalToUnifiedCall) {
     lo.variance = e.variance;
     linear.push_back(std::move(lo));
   }
-  const esse::AnalysisResult wrapped =
-      esse::analyze_linear(fx.forecast, fx.subspace, linear);
-  const esse::AnalysisResult unified = esse::analyze(
-      fx.forecast, fx.subspace, esse::ObsSet::from_linear(linear));
-  EXPECT_TRUE(bitwise_equal(wrapped.posterior_state, unified.posterior_state));
-  EXPECT_TRUE(bitwise_equal(wrapped.posterior_subspace.sigmas(),
-                            unified.posterior_subspace.sigmas()));
-  // And the unpositioned adapter agrees with the positioned one on the
+  // The unpositioned linear set agrees with the positioned one on the
   // same stencils: position only matters once localization is on.
+  const esse::AnalysisResult unpositioned = esse::analyze(
+      fx.forecast, fx.subspace, esse::ObsSet::from_linear(linear));
   const esse::AnalysisResult positioned =
       esse::analyze(fx.forecast, fx.subspace, fx.obs_set);
   EXPECT_TRUE(
-      bitwise_equal(unified.posterior_state, positioned.posterior_state));
+      bitwise_equal(unpositioned.posterior_state, positioned.posterior_state));
+  EXPECT_TRUE(bitwise_equal(unpositioned.posterior_subspace.sigmas(),
+                            positioned.posterior_subspace.sigmas()));
 }
 
 // ---------------------------------------------------------------------

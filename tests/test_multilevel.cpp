@@ -403,7 +403,8 @@ mtc::ClusterSpec small_cluster(std::size_t nodes, std::size_t cores) {
   spec.name = "ml";
   for (std::size_t i = 0; i < nodes; ++i) {
     mtc::NodeSpec n;
-    n.name = "n" + std::to_string(i);
+    n.name = "n";
+    n.name += std::to_string(i);
     n.cores = cores;
     spec.nodes.push_back(n);
   }

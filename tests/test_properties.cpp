@@ -64,7 +64,8 @@ TEST_P(AnalysisSweep, PosteriorNeverInflatesAndAlwaysFitsDataBetter) {
   for (std::size_t i = 0; i < set.size(); ++i) set[i].value = clean[i];
   obs::ObsOperator h(sc.grid, set);
 
-  esse::AnalysisResult res = esse::analyze(forecast, sub, h);
+  esse::AnalysisResult res =
+      esse::analyze(forecast, sub, esse::ObsSet::from_operator(h));
   // Variance contraction: tr(P_a) <= tr(P_f), strictly with informative
   // observations.
   EXPECT_LE(res.posterior_trace, res.prior_trace * (1.0 + 1e-12));
@@ -98,7 +99,8 @@ TEST(AnalysisProperties, NoisierObsContractLess) {
     ob.value = 13.0;
     ob.noise_std = noise;
     obs::ObsOperator h(sc.grid, {ob});
-    const auto res = esse::analyze(forecast, sub, h);
+    const auto res =
+        esse::analyze(forecast, sub, esse::ObsSet::from_operator(h));
     EXPECT_GT(res.posterior_trace, prev_posterior);
     prev_posterior = res.posterior_trace;
   }

@@ -475,7 +475,7 @@ TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
       workflow::run_parallel_forecast(quick_request());
 
   ServiceConfig cfg;
-  cfg.min_workers = cfg.max_workers = cfg.initial_workers = 2;
+  cfg.min_workers = cfg.max_workers = 2;
   cfg.max_inflight = 2;
   cfg.elastic = false;
   ForecastService svc(cfg);

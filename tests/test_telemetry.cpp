@@ -4,7 +4,6 @@
 // the drivers' return structs.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +16,7 @@
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
 #include "workflow/esse_workflow_sim.hpp"
+#include "testkit/temp_dir.hpp"
 
 namespace essex::telemetry {
 namespace {
@@ -175,18 +175,6 @@ TEST(Recorder, ConcurrentAppendsAreComplete) {
 
 // ---- sink + exporters ---------------------------------------------------------
 
-struct TempDir {
-  std::filesystem::path path;
-  TempDir() {
-    path = std::filesystem::temp_directory_path() / "essex_telemetry_test";
-    std::filesystem::remove_all(path);
-  }
-  ~TempDir() { std::filesystem::remove_all(path); }
-  std::string file(const std::string& name) const {
-    return (path / name).string();
-  }
-};
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
@@ -195,7 +183,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(Sink, WritesJsonWithMetricsEventsAndSpans) {
-  TempDir tmp;
+  testkit::TempDir tmp;
   Sink sink("unit");
   sink.count("jobs", 3.0);
   sink.gauge_set("util", 0.25);
@@ -219,7 +207,7 @@ TEST(Sink, WritesJsonWithMetricsEventsAndSpans) {
 }
 
 TEST(Sink, WritesMetricsAndEventsCsv) {
-  TempDir tmp;
+  testkit::TempDir tmp;
   Sink sink("csv");
   sink.count("done", 2.0);
   sink.event("tick", 1.0, 0.5);
@@ -233,7 +221,7 @@ TEST(Sink, WritesMetricsAndEventsCsv) {
 }
 
 TEST(Sessions, MultipleSinksLandInOneJsonArray) {
-  TempDir tmp;
+  testkit::TempDir tmp;
   Sink a("sge");
   Sink b("condor");
   a.count("jobs", 1.0);

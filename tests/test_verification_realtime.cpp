@@ -23,6 +23,7 @@
 #include "workflow/esse_workflow_sim.hpp"
 #include "workflow/covariance_files.hpp"
 #include "workflow/realtime_driver.hpp"
+#include "testkit/temp_dir.hpp"
 
 namespace essex {
 namespace {
@@ -306,14 +307,16 @@ la::Matrix ortho_for_files(std::size_t m, std::size_t k, Rng& rng) {
 }
 
 TEST(CovarianceFiles, EmptyUntilFirstPromote) {
-  workflow::CovarianceFileStore store("/tmp/essex_cov_empty");
+  testkit::TempDir tmp;
+  workflow::CovarianceFileStore store(tmp.file("cov"));
   store.cleanup();
   EXPECT_FALSE(store.read_safe().has_value());
   store.cleanup();
 }
 
 TEST(CovarianceFiles, PublishPromotesAtomicallyAndRoundTrips) {
-  workflow::CovarianceFileStore store("/tmp/essex_cov_rt");
+  testkit::TempDir tmp;
+  workflow::CovarianceFileStore store(tmp.file("cov"));
   store.cleanup();
   Rng rng(9);
   esse::ErrorSubspace sub(ortho_for_files(30, 3, rng), {3, 2, 1});
@@ -326,7 +329,8 @@ TEST(CovarianceFiles, PublishPromotesAtomicallyAndRoundTrips) {
 }
 
 TEST(CovarianceFiles, AlternatingPairNeverLeavesStaleLiveFiles) {
-  workflow::CovarianceFileStore store("/tmp/essex_cov_alt");
+  testkit::TempDir tmp;
+  workflow::CovarianceFileStore store(tmp.file("cov"));
   store.cleanup();
   Rng rng(10);
   for (int v = 1; v <= 5; ++v) {
@@ -342,7 +346,8 @@ TEST(CovarianceFiles, AlternatingPairNeverLeavesStaleLiveFiles) {
 
 TEST(CovarianceFiles, FailedPromotionLeavesTheLivePairReadable) {
   namespace fs = std::filesystem;
-  workflow::CovarianceFileStore store("/tmp/essex_cov_fail");
+  testkit::TempDir tmp;
+  workflow::CovarianceFileStore store(tmp.file("cov"));
   store.cleanup();
   Rng rng(12);
   esse::ErrorSubspace sub(ortho_for_files(24, 2, rng), {2.0, 1.0});
@@ -359,7 +364,7 @@ TEST(CovarianceFiles, FailedPromotionLeavesTheLivePairReadable) {
   // still be readable — the §4.1 protocol's point is that a broken
   // promotion never corrupts what the writer already staged.
   const esse::ErrorSubspace live =
-      esse::load_subspace("/tmp/essex_cov_fail.live.a");
+      esse::load_subspace(tmp.file("cov.live.a"));
   EXPECT_NEAR(esse::subspace_similarity(live, sub), 1.0, 1e-12);
   // A reader polling the safe path sees "nothing promoted", not garbage.
   EXPECT_FALSE(store.read_safe().has_value());
@@ -375,7 +380,8 @@ TEST(CovarianceFiles, FailedPromotionLeavesTheLivePairReadable) {
 }
 
 TEST(CovarianceFiles, ConcurrentReaderNeverSeesTornSnapshot) {
-  workflow::CovarianceFileStore store("/tmp/essex_cov_race");
+  testkit::TempDir tmp;
+  workflow::CovarianceFileStore store(tmp.file("cov"));
   store.cleanup();
   Rng rng(11);
   std::atomic<bool> stop{false};

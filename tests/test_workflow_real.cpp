@@ -1,94 +1,16 @@
-// Tests of the real-thread MTC pieces: the triple-buffer covariance
-// store (race-freedom property) and the in-process Fig. 4 runner.
+// Tests of the in-process Fig. 4 runner on real threads.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
 #include "ocean/monterey.hpp"
-#include "workflow/covariance_store.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace essex::workflow {
 namespace {
-
-// ---- triple-buffer store ------------------------------------------------------
-
-struct Payload {
-  std::vector<int> data;
-};
-
-TEST(TripleBufferStore, EmptyUntilFirstPromote) {
-  TripleBufferStore<Payload> store;
-  auto snap = store.read();
-  EXPECT_EQ(snap.version, 0u);
-  EXPECT_EQ(snap.data, nullptr);
-}
-
-TEST(TripleBufferStore, UpdateStartsFromLatestPublishedContent) {
-  TripleBufferStore<Payload> store;
-  store.update([](Payload& p) { p.data.push_back(1); });
-  store.update([](Payload& p) { p.data.push_back(2); });
-  store.update([](Payload& p) { p.data.push_back(3); });
-  auto snap = store.read();
-  EXPECT_EQ(snap.version, 3u);
-  ASSERT_TRUE(snap.data);
-  EXPECT_EQ(snap.data->data, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TripleBufferStore, SnapshotsAreImmutableUnderLaterWrites) {
-  TripleBufferStore<Payload> store;
-  store.update([](Payload& p) { p.data = {1, 2}; });
-  auto snap = store.read();
-  store.update([](Payload& p) { p.data.push_back(3); });
-  EXPECT_EQ(snap.data->data, (std::vector<int>{1, 2}));  // unchanged
-  EXPECT_EQ(store.read().data->data.size(), 3u);
-}
-
-TEST(TripleBufferStore, ConcurrentReadersNeverSeeTornData) {
-  // Property: a payload written as {v, v, ..., v} must always be read as
-  // all-equal — exactly the guarantee the paper's safe/live file pair
-  // provides for the covariance matrix.
-  TripleBufferStore<Payload> store;
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::thread writer([&] {
-    for (int v = 1; v <= 3000; ++v) {
-      store.update([v](Payload& p) { p.data.assign(64, v); });
-    }
-    stop = true;
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      std::uint64_t last_version = 0;
-      while (!stop.load()) {
-        auto snap = store.read();
-        if (!snap.data) continue;
-        // Versions are monotone.
-        if (snap.version < last_version) ++torn;
-        last_version = snap.version;
-        const auto& d = snap.data->data;
-        for (std::size_t i = 1; i < d.size(); ++i) {
-          if (d[i] != d[0]) {
-            ++torn;
-            break;
-          }
-        }
-      }
-    });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(store.version(), 3000u);
-}
-
-// ---- the real parallel runner -------------------------------------------------
 
 struct RunnerFixture : ::testing::Test {
   void SetUp() override {
@@ -117,7 +39,6 @@ TEST_F(RunnerFixture, ProducesConvergedForecastSubspace) {
   EXPECT_GT(res.members_run, 4u);
   EXPECT_GT(res.forecast_subspace.rank(), 0u);
   ASSERT_TRUE(res.mtc.has_value());
-  EXPECT_GT(res.mtc->store_versions, 0u);
   EXPECT_GE(res.mtc->svd_runs, 1u);
 }
 
