@@ -87,6 +87,11 @@ struct InstanceExpect {
   double cores;
 };
 
+// Names each case after its instance type. Without this, gtest prints the
+// raw bytes of the struct, whose `name` pointer changes from run to run, so
+// the discovered test names would not be stable.
+void PrintTo(const InstanceExpect& e, std::ostream* os) { *os << e.name; }
+
 class Ec2Table2 : public ::testing::TestWithParam<InstanceExpect> {};
 
 TEST_P(Ec2Table2, ModelReproducesMeasuredTimes) {
