@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "workflow/determinism_probe.hpp"
+#include "service/determinism_probe.hpp"
 
 #ifndef ESSEX_GOLDEN_DIR
 #define ESSEX_GOLDEN_DIR "."
@@ -49,16 +49,16 @@ int main(int argc, char** argv) {
     std::cout << runs.back().digest << "  " << label << "\n";
   };
 
-  record("threads=1", workflow::golden_digest(1));
-  record("threads=4", workflow::golden_digest(4));
-  record("threads=8", workflow::golden_digest(8));
+  record("threads=1", service::golden_digest(1));
+  record("threads=4", service::golden_digest(4));
+  record("threads=8", service::golden_digest(8));
   record("threads=4 shuffle=reversed",
-         workflow::golden_digest(4, [](std::size_t id) {
+         service::golden_digest(4, [](std::size_t id) {
            std::this_thread::sleep_for(
                std::chrono::milliseconds((23 - id % 24) / 4));
          }));
   record("threads=4 shuffle=strided",
-         workflow::golden_digest(4, [](std::size_t id) {
+         service::golden_digest(4, [](std::size_t id) {
            std::this_thread::sleep_for(
                std::chrono::milliseconds((id * 37 + 11) % 7));
          }));
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
   // Per-method analysis digests (DESIGN.md §16): every registered
   // AnalysisMethod must produce one digest across thread counts and an
   // adversarial observation-assembly shuffle.
-  const auto analysis1 = workflow::golden_analysis_digests(1);
-  const auto analysis4 = workflow::golden_analysis_digests(4);
-  const auto shuffled = workflow::golden_analysis_digests(
+  const auto analysis1 = service::golden_analysis_digests(1);
+  const auto analysis4 = service::golden_analysis_digests(4);
+  const auto shuffled = service::golden_analysis_digests(
       4, {}, /*obs_order_seed=*/0x0b5e7a11ULL);
   bool methods_agree = true;
   for (const auto& [method, digest] : analysis1) {
-    const std::string key = std::string(workflow::kGoldenRunKey) + "-" +
+    const std::string key = std::string(service::kGoldenRunKey) + "-" +
                             esse::to_string(method);
     std::cout << digest << "  " << key << "\n";
     if (analysis4.at(method) != digest) methods_agree = false;
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << golden_path << "\n";
       return 1;
     }
-    out << runs.front().digest << "  " << workflow::kGoldenRunKey << "\n";
+    out << runs.front().digest << "  " << service::kGoldenRunKey << "\n";
     std::cout << "wrote " << golden_path << "\n";
 
     // The per-method digests live in their own file so the historical
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const auto& [method, digest] : analysis1) {
-      mout << digest << "  " << workflow::kGoldenRunKey << "-"
+      mout << digest << "  " << service::kGoldenRunKey << "-"
            << esse::to_string(method) << "\n";
     }
     std::cout << "wrote " << methods_path << "\n";

@@ -52,11 +52,11 @@ int main() {
     t.add_row({name, m.converged ? "yes" : "no",
                Table::num(m.makespan_s / 60.0, 1),
                Table::num(m.makespan_s / base.makespan_s, 2),
-               std::to_string(m.members_failed),
-               std::to_string(m.members_evicted),
-               std::to_string(m.members_retried),
+               std::to_string(m.attempts_failed),
+               std::to_string(m.evictions),
+               std::to_string(m.retries),
                std::to_string(m.speculative_launched),
-               std::to_string(m.members_lost),
+               std::to_string(m.ledger.members_lost),
                m.degraded ? "yes" : "no"});
   };
   add_row("failure-free", base);
@@ -109,11 +109,11 @@ int main() {
   // Acceptance criteria for the outage scenario.
   const double overhead = outage.makespan_s / base.makespan_s;
   const bool enough_evictions =
-      outage.members_evicted * 20 >= 600;  // >= 5 % of the ensemble
+      outage.evictions * 20 >= 600;  // >= 5 % of the ensemble
   const bool ok = outage.converged && enough_evictions &&
-                  outage.members_lost == 0 && overhead < 2.0;
-  std::cout << "\nacceptance: evicted=" << outage.members_evicted
-            << " (need >= 30), lost=" << outage.members_lost
+                  outage.ledger.members_lost == 0 && overhead < 2.0;
+  std::cout << "\nacceptance: evicted=" << outage.evictions
+            << " (need >= 30), lost=" << outage.ledger.members_lost
             << ", overhead=" << Table::num(overhead, 2) << "x (need < 2)"
             << " -> " << (ok ? "PASS" : "FAIL") << '\n'
             << "series in results/bench_fault_recovery.csv, telemetry in "

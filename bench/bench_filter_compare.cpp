@@ -38,6 +38,7 @@
 #include "esse/obs_set.hpp"
 #include "ocean/model.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace {
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
   cfg.cycle.ensemble = {members, 2.0, 3 * members};
   cfg.cycle.convergence = {0.90, members};
   cfg.cycle.max_rank = 8;
-  const esse::ForecastResult fc = workflow::run_parallel_forecast(
+  const esse::ForecastResult fc = service::run_parallel_forecast(
       workflow::ForecastRequest{model, sc.initial, prior, 0.0, cfg});
   std::printf("forecast: %zu members, rank %zu\n", fc.members_run,
               fc.forecast_subspace.rank());

@@ -39,6 +39,7 @@
 #include "esse/error_subspace.hpp"
 #include "ocean/model.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace {
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
                            std::uint64_t seed) {
     cfg.cycle.perturbation.seed = seed;
     const double t0 = cpu_seconds();
-    esse::ForecastResult res = workflow::run_parallel_forecast(
+    esse::ForecastResult res = service::run_parallel_forecast(
         workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
     const double t1 = cpu_seconds();
     return std::pair<esse::ForecastResult, double>{std::move(res), t1 - t0};

@@ -45,7 +45,7 @@ int main() {
     const WorkflowMetrics m = run_cfg(cfg, sp);
     f.add_row({Table::num(p, 2), m.converged ? "yes" : "no",
                Table::num(m.makespan_s / 60.0, 1),
-               std::to_string(m.members_failed),
+               std::to_string(m.attempts_failed),
                std::to_string(m.members_diffed)});
   }
   f.print(std::cout);
@@ -68,7 +68,7 @@ int main() {
     const WorkflowMetrics m = run_cfg(cfg, mtc::sge_params());
     c.add_row({p.name, Table::num(m.makespan_s / 60.0, 1),
                std::to_string(m.members_diffed),
-               std::to_string(m.members_cancelled),
+               std::to_string(m.attempts_cancelled),
                Table::num(m.wasted_cpu_seconds / 3600.0, 1)});
   }
   c.print(std::cout);

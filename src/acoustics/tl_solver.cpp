@@ -34,6 +34,10 @@ Field2D TLField::to_field() const {
 
 namespace {
 
+constexpr double kMaxAngleDeg = 20.0;   ///< half-width of the ray fan
+constexpr double kSurfaceLossDb = 0.5;  ///< per surface bounce
+constexpr double kBeamWidthM = 4.0;     ///< Gaussian deposition width
+
 /// Sample the slice sound speed with bilinear interpolation at
 /// (range_m, depth_m).
 double c_at(const SoundSpeedSlice& s, double range_m, double depth_m) {
@@ -80,7 +84,7 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
   // Intensity accumulation grid (linear power units relative to 1 m).
   std::vector<double> intensity(g.n_range * g.n_depth, 0.0);
 
-  const double a0 = params.max_angle_deg * std::numbers::pi / 180.0;
+  const double a0 = kMaxAngleDeg * std::numbers::pi / 180.0;
   // Per-ray solid-angle weight: fan of n_rays over 2*a0.
   const double ray_weight = 2.0 * a0 / static_cast<double>(params.n_rays);
 
@@ -107,7 +111,7 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
       if (z < 0.0) {
         z = -z;
         theta = -theta;
-        loss_db += params.surface_loss_db;
+        loss_db += kSurfaceLossDb;
       } else if (z > g.max_depth_m) {
         z = 2.0 * g.max_depth_m - z;
         theta = -theta;
@@ -121,9 +125,9 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
       const auto ir = static_cast<std::size_t>(
           std::clamp(r / dr, 0.0, static_cast<double>(g.n_range - 1)));
       const double amp = std::pow(10.0, -loss_db / 10.0) / r * ray_weight;
-      const double w2 = params.beam_width_m * params.beam_width_m;
+      const double w2 = kBeamWidthM * kBeamWidthM;
       const long izc = std::lround(z / dz);
-      const long spread = std::max(1L, std::lround(2.0 * params.beam_width_m / dz));
+      const long spread = std::max(1L, std::lround(2.0 * kBeamWidthM / dz));
       for (long dzi = -spread; dzi <= spread; ++dzi) {
         const long izl = izc + dzi;
         if (izl < 0 || izl >= static_cast<long>(g.n_depth)) continue;
@@ -139,7 +143,7 @@ TLField compute_tl(const SoundSpeedSlice& slice, const TLParams& params) {
   // Normalise deposition so a cell crossed by the full fan at range r has
   // intensity ≈ 1/r: divide by the Gaussian mass per cell column.
   const double gauss_mass =
-      params.beam_width_m * std::sqrt(2.0 * std::numbers::pi) / dz;
+      kBeamWidthM * std::sqrt(2.0 * std::numbers::pi) / dz;
 
   TLField out;
   out.geometry = g;

@@ -20,11 +20,8 @@ namespace essex::acoustics {
 struct TLParams {
   double source_depth_m = 30.0;
   double frequency_khz = 1.0;
-  std::size_t n_rays = 181;         ///< fan across ±max_angle
-  double max_angle_deg = 20.0;
+  std::size_t n_rays = 181;         ///< fan across ±20°
   double bottom_loss_db = 6.0;      ///< per bottom bounce
-  double surface_loss_db = 0.5;     ///< per surface bounce
-  double beam_width_m = 4.0;        ///< Gaussian deposition width
   double max_tl_db = 120.0;         ///< floor for unreachable cells
 };
 

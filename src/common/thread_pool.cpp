@@ -18,14 +18,9 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lk(mu_);
     shutting_down_ = true;
   }
-  cancel_flag_.store(true, std::memory_order_relaxed);
   cv_.notify_all();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
-  }
-  // Fail any tasks never started.
-  for (auto& item : queue_) {
-    item.done.set_exception(std::make_exception_ptr(TaskCancelled{}));
   }
 }
 
@@ -73,33 +68,10 @@ std::size_t ThreadPool::thread_count() const {
   return live_;
 }
 
-std::future<void> ThreadPool::submit(
-    std::function<void(const std::atomic<bool>&)> task) {
-  ESSEX_REQUIRE(task != nullptr, "cannot submit an empty task");
-  Item item;
-  item.fn = std::move(task);
-  std::future<void> fut = item.done.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ESSEX_REQUIRE(!shutting_down_, "cannot submit to a destroyed pool");
-    queue_.push_back(std::move(item));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   ESSEX_REQUIRE(task != nullptr, "cannot submit an empty task");
-  return submit([t = std::move(task)](const std::atomic<bool>&) { t(); });
-}
-
-std::future<void> ThreadPool::submit(
-    std::function<void(const std::atomic<bool>&)> task, CancelToken token) {
-  ESSEX_REQUIRE(task != nullptr, "cannot submit an empty task");
-  ESSEX_REQUIRE(token != nullptr, "token overload needs a token");
   Item item;
   item.fn = std::move(task);
-  item.token = std::move(token);
   std::future<void> fut = item.done.get_future();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -108,18 +80,6 @@ std::future<void> ThreadPool::submit(
   }
   cv_.notify_one();
   return fut;
-}
-
-void ThreadPool::cancel_pending() {
-  std::deque<Item> discarded;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    discarded.swap(queue_);
-  }
-  cancel_flag_.store(true, std::memory_order_relaxed);
-  for (auto& item : discarded) {
-    item.done.set_exception(std::make_exception_ptr(TaskCancelled{}));
-  }
 }
 
 void ThreadPool::wait_idle() {
@@ -152,16 +112,11 @@ void ThreadPool::worker_loop(std::size_t index) {
       queue_.pop_front();
       ++active_;
     }
-    if (item.token && item.token->load(std::memory_order_relaxed)) {
-      item.done.set_exception(std::make_exception_ptr(TaskCancelled{}));
-    } else {
-      const std::atomic<bool>& flag = item.token ? *item.token : cancel_flag_;
-      try {
-        item.fn(flag);
-        item.done.set_value();
-      } catch (...) {
-        item.done.set_exception(std::current_exception());
-      }
+    try {
+      item.fn();
+      item.done.set_value();
+    } catch (...) {
+      item.done.set_exception(std::current_exception());
     }
     {
       std::lock_guard<std::mutex> lk(mu_);

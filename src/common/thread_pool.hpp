@@ -1,12 +1,13 @@
-// ESSEX: fixed-size worker pool used by the RealExecutor.
+// ESSEX: elastic FIFO worker pool.
 //
 // The paper's parallel ESSE treats ensemble members as independent
 // "singleton" jobs drained from a pool (§4.1). In-process we model the
-// same thing with a work queue + worker threads; cancellation mirrors the
-// paper's "remaining ensemble members are canceled" on convergence.
+// same thing with a work queue + worker threads. The pool knows nothing
+// about cancellation: a member attempt's fate (cancelled before start,
+// cancelled mid-run) is decided by mtc::ThreadExecutionBackend, which
+// wraps each attempt in a closure that checks its own token.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -17,16 +18,13 @@
 
 namespace essex {
 
-/// Elastic thread pool with FIFO dispatch and cooperative cancellation.
-/// The worker count can be resized at runtime (ForecastService elasticity):
-/// growing spawns workers that immediately join the running queue, and
-/// shrinking retires workers after their current task — in-flight work is
-/// never interrupted by a resize.
+/// Elastic thread pool with FIFO dispatch. The worker count can be
+/// resized at runtime (ForecastService elasticity): growing spawns
+/// workers that immediately join the running queue, and shrinking retires
+/// workers after their current task — in-flight work is never interrupted
+/// by a resize.
 class ThreadPool {
  public:
-  /// Per-task cancellation handle (see the CancelToken submit overload).
-  using CancelToken = std::shared_ptr<std::atomic<bool>>;
-
   /// Spawn `n_threads` workers (>= 1).
   explicit ThreadPool(std::size_t n_threads);
   ~ThreadPool();
@@ -39,26 +37,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task; returns a future for its completion. Tasks receive a
-  /// stop flag they may poll for cooperative cancellation.
-  std::future<void> submit(std::function<void(const std::atomic<bool>&)> task);
-
-  /// Convenience overload for tasks that ignore cancellation.
+  /// Enqueue a task; returns a future for its completion (carrying the
+  /// task's exception, if it threw). Every queued task runs: the
+  /// destructor drains the queue before joining.
   std::future<void> submit(std::function<void()> task);
 
-  /// Per-task cancellation: the task's stop flag is `*token` instead of
-  /// the pool-wide flag. If the token is raised before the task starts,
-  /// the worker skips it (TaskCancelled through the future); raised
-  /// mid-run it is visible to the task for cooperative early exit.
-  std::future<void> submit(std::function<void(const std::atomic<bool>&)> task,
-                           CancelToken token);
-
-  /// Discard tasks not yet started and raise the cancellation flag that
-  /// running tasks can poll. Pending futures complete exceptionally with
-  /// TaskCancelled.
-  void cancel_pending();
-
-  /// Block until every queued task has finished (or been cancelled).
+  /// Block until every queued task has finished.
   void wait_idle();
 
   /// Live (non-retired) worker threads.
@@ -67,19 +51,10 @@ class ThreadPool {
   /// Number of tasks queued but not yet started.
   std::size_t queued() const;
 
-  /// Exception delivered through futures of tasks discarded by
-  /// cancel_pending().
-  struct TaskCancelled : std::exception {
-    const char* what() const noexcept override {
-      return "ESSEX thread pool task cancelled before start";
-    }
-  };
-
  private:
   struct Item {
-    std::function<void(const std::atomic<bool>&)> fn;
+    std::function<void()> fn;
     std::promise<void> done;
-    CancelToken token;  ///< null = pool-wide cancel flag
   };
 
   void worker_loop(std::size_t index);
@@ -90,7 +65,6 @@ class ThreadPool {
   std::deque<Item> queue_;
   std::size_t active_ = 0;
   bool shutting_down_ = false;
-  std::atomic<bool> cancel_flag_{false};
   /// All threads ever spawned; retired slots are joined and left
   /// default-constructed by resize()'s reap, so the vector only grows by
   /// the net resize delta, not per churn event.

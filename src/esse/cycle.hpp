@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/member_ledger.hpp"
 #include "esse/analysis.hpp"
 #include "esse/convergence.hpp"
 #include "esse/differ.hpp"
@@ -70,23 +71,21 @@ struct CycleParams {
 };
 
 /// MTC execution accounting attached to a forecast by task-parallel
-/// runners (workflow::run_parallel_forecast); absent for the serial
-/// block-synchronous driver.
-struct MtcAccounting {
-  std::size_t members_submitted = 0;  ///< pool size M issued (M ≥ N)
-  std::size_t members_cancelled = 0;  ///< killed on convergence (§4.1)
+/// runners (service::run_parallel_forecast); absent for the serial
+/// block-synchronous driver. The inherited ledger is the executor's:
+/// members_submitted is the pool size M issued (M ≥ N), and every
+/// submitted member is done, cancelled or lost.
+struct MtcAccounting : MemberLedger {
+  /// Submitted members the forecast does not use (members_submitted −
+  /// members_run): cancelled on convergence (§4.1), past the deciding
+  /// milestone, or lost.
+  std::size_t members_unused = 0;
   std::size_t svd_runs = 0;           ///< decoupled SVD invocations
-  // Fault-layer accounting (zero for failure-free runs).
-  std::size_t members_failed = 0;     ///< attempts that threw/were injected
-  std::size_t members_retried = 0;    ///< re-submissions issued
+  // Fault-layer attempt tallies (zero for failure-free runs).
+  std::size_t attempts_failed = 0;    ///< attempts that threw/were injected
+  std::size_t retries = 0;            ///< re-submissions issued
   std::size_t speculative_launched = 0;
   std::size_t speculative_won = 0;
-  // Member-level final outcomes: every submitted member ends in exactly
-  // one bucket, so members_done + members_cancelled_final + members_lost
-  // == members_submitted (the testkit conservation oracle).
-  std::size_t members_done = 0;            ///< resolved kDone
-  std::size_t members_cancelled_final = 0; ///< resolved kCancelled
-  std::size_t members_lost = 0;       ///< retries exhausted, member gone
   bool degraded = false;              ///< converged with N′ < N members
 };
 

@@ -12,6 +12,18 @@
 
 namespace essex::esse {
 
+namespace {
+
+/// A diverged member (NaN/Inf anywhere) would poison the Gram cache,
+/// every later SVD and the digest, so it is refused before it is stored.
+void require_finite(const la::Vector& column) {
+  ESSEX_REQUIRE(std::all_of(column.begin(), column.end(),
+                            [](double x) { return std::isfinite(x); }),
+                "non-finite ensemble member column");
+}
+
+}  // namespace
+
 la::Matrix AnomalyView::materialize() const {
   const std::size_t n = columns.size();
   la::Matrix a(state_dim, n);
@@ -138,6 +150,7 @@ void Differ::add_member(std::size_t member_id, const la::Vector& forecast,
                         double weight) {
   ESSEX_REQUIRE(forecast.size() == central_.size(),
                 "member forecast dimension mismatch");
+  require_finite(forecast);
   const std::span<double> anom = arena_->allocate(central_.size());
   if (weight == 1.0) {
     for (std::size_t i = 0; i < anom.size(); ++i)
@@ -152,6 +165,7 @@ void Differ::add_member(std::size_t member_id, const la::Vector& forecast,
 void Differ::add_anomaly(std::size_t member_id, const la::Vector& anomaly) {
   ESSEX_REQUIRE(anomaly.size() == central_.size(),
                 "anomaly column dimension mismatch");
+  require_finite(anomaly);
   const std::span<double> anom = arena_->allocate(central_.size());
   for (std::size_t i = 0; i < anom.size(); ++i) anom[i] = anomaly[i];
   absorb(member_id, anom);
@@ -218,6 +232,7 @@ void Differ::rewrite_member(std::size_t member_id,
                             const la::Vector& forecast) {
   ESSEX_REQUIRE(forecast.size() == central_.size(),
                 "member forecast dimension mismatch");
+  require_finite(forecast);
   // Fresh arena span; the old one is abandoned, not freed, so readers
   // holding views cut before the rewrite stay valid.
   const std::span<double> anom = arena_->allocate(central_.size());

@@ -141,7 +141,8 @@ class Differ {
   /// Absorb the forecast of member `member_id`, computing the new Gram
   /// border against all stored anomalies (O(m·k), outside the lock —
   /// concurrent writers only serialise for the O(1) append). Any arrival
-  /// order is accepted; duplicate ids are rejected. `weight` scales the
+  /// order is accepted; duplicate ids and columns holding a NaN or Inf
+  /// are rejected (PreconditionError, store unchanged). `weight` scales the
   /// stored anomaly column (the multilevel per-level pooling factor,
   /// DESIGN.md §15); the default 1.0 takes the exact single-level path.
   void add_member(std::size_t member_id, const la::Vector& forecast,

@@ -1,7 +1,7 @@
 #include "esse/subspace_io.hpp"
 
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -11,53 +11,16 @@
 
 namespace essex::esse {
 
-namespace {
-
-using ocean::esxf::kKindSubspace;
-using ocean::esxf::kMagic;
-using ocean::esxf::kVersion;
-
-void write_u32(std::ostream& f, std::uint32_t v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void write_u64(std::ostream& f, std::uint64_t v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-// A file cut off mid-header must surface as the truncation error right
-// at the short read. Reading into a zero-initialised value and carrying
-// on would hand later checks garbage — a header that happens to decode
-// as dim=0 reads as "corrupt", but one that decodes plausibly would
-// sail through to a misleading failure (or none at all).
-std::uint32_t read_u32(std::istream& f, const std::string& name) {
-  std::uint32_t v = 0;
-  f.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!f) throw Error("truncated product file: " + name);
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& f, const std::string& name) {
-  std::uint64_t v = 0;
-  f.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!f) throw Error("truncated product file: " + name);
-  return v;
-}
-
-}  // namespace
+namespace esxf = ocean::esxf;
 
 void save_subspace(std::ostream& out, const ErrorSubspace& subspace) {
   ESSEX_REQUIRE(!subspace.empty(), "cannot save an empty subspace");
-  out.write(kMagic, 4);
-  write_u32(out, kVersion);
-  write_u32(out, kKindSubspace);
-  write_u64(out, subspace.dim());
-  write_u64(out, subspace.rank());
-  out.write(reinterpret_cast<const char*>(subspace.sigmas().data()),
-            static_cast<std::streamsize>(subspace.rank() * sizeof(double)));
-  out.write(reinterpret_cast<const char*>(subspace.modes().data().data()),
-            static_cast<std::streamsize>(subspace.modes().data().size() *
-                                         sizeof(double)));
+  esxf::write_header(out, esxf::kKindSubspace);
+  esxf::write_u64(out, subspace.dim());
+  esxf::write_u64(out, subspace.rank());
+  esxf::write_doubles(out, subspace.sigmas().data(), subspace.rank());
+  esxf::write_doubles(out, subspace.modes().data().data(),
+                      subspace.modes().data().size());
 }
 
 void save_subspace(const std::string& path, const ErrorSubspace& subspace) {
@@ -68,29 +31,25 @@ void save_subspace(const std::string& path, const ErrorSubspace& subspace) {
 }
 
 ErrorSubspace load_subspace(std::istream& f, const std::string& name) {
-  char magic[4];
-  f.read(magic, 4);
-  if (!f || std::memcmp(magic, kMagic, 4) != 0) {
-    throw Error("not an ESSEX product file: " + name);
-  }
-  if (read_u32(f, name) != kVersion) {
-    throw Error("unsupported product version in " + name);
-  }
-  if (read_u32(f, name) != kKindSubspace) {
-    throw Error("wrong product kind in " + name);
-  }
-  const std::uint64_t dim = read_u64(f, name);
-  const std::uint64_t rank = read_u64(f, name);
+  esxf::read_header(f, esxf::kKindSubspace, name);
+  const std::uint64_t dim = esxf::read_u64(f, name);
+  const std::uint64_t rank = esxf::read_u64(f, name);
   if (dim == 0 || rank == 0 || rank > dim) {
     throw Error("corrupt subspace header in " + name);
   }
+  esxf::require_doubles(f, rank, 1, name);
   la::Vector sigmas(rank);
-  f.read(reinterpret_cast<char*>(sigmas.data()),
-         static_cast<std::streamsize>(rank * sizeof(double)));
+  esxf::read_doubles(f, sigmas.data(), rank, name);
+  for (std::size_t i = 0; i < sigmas.size(); ++i) {
+    // Same descending tolerance as the ErrorSubspace constructor.
+    if (!std::isfinite(sigmas[i]) || sigmas[i] < 0.0 ||
+        (i > 0 && sigmas[i] > sigmas[i - 1] * (1.0 + 1e-12))) {
+      throw Error("corrupt subspace sigmas in " + name);
+    }
+  }
+  esxf::require_doubles(f, dim, rank, name);
   la::Matrix modes(dim, rank);
-  f.read(reinterpret_cast<char*>(modes.data().data()),
-         static_cast<std::streamsize>(modes.data().size() * sizeof(double)));
-  if (!f) throw Error("truncated product file: " + name);
+  esxf::read_doubles(f, modes.data().data(), modes.data().size(), name);
   return ErrorSubspace(std::move(modes), std::move(sigmas));
 }
 

@@ -11,6 +11,11 @@ namespace essex::mtc {
 
 namespace {
 
+constexpr double kBootLatencyS = 120.0;  ///< request → slots usable
+constexpr double kPollIntervalS = 60.0;  ///< demand evaluation cadence
+/// Boot one instance per this many queued-but-unserved jobs.
+constexpr std::size_t kJobsPerInstanceBoot = 8;
+
 struct Instance {
   SimTime requested_at = 0;
   SimTime usable_at = 0;
@@ -82,8 +87,6 @@ AutoscaleResult run_autoscaled_batch(const EsseJobShape& shape,
                                      const AutoscalerParams& params) {
   ESSEX_REQUIRE(members >= 1, "need at least one member");
   ESSEX_REQUIRE(params.max_instances >= 1, "need a positive instance cap");
-  ESSEX_REQUIRE(params.jobs_per_instance_boot >= 1,
-                "jobs_per_instance_boot must be >= 1");
 
   auto fleet = std::make_shared<Fleet>();
   fleet->shape = shape;
@@ -113,14 +116,13 @@ AutoscaleResult run_autoscaled_batch(const EsseJobShape& shape,
     if (outstanding > capacity) {
       const std::size_t deficit = outstanding - capacity;
       std::size_t to_boot =
-          (deficit + params.jobs_per_instance_boot - 1) /
-          params.jobs_per_instance_boot;
+          (deficit + kJobsPerInstanceBoot - 1) / kJobsPerInstanceBoot;
       to_boot = std::min(to_boot,
                          params.max_instances - fleet->live_instances());
       for (std::size_t b = 0; b < to_boot; ++b) {
         Instance inst;
         inst.requested_at = fleet->sim.now();
-        inst.usable_at = fleet->sim.now() + params.boot_latency_s;
+        inst.usable_at = fleet->sim.now() + kBootLatencyS;
         fleet->instances.push_back(inst);
         ++fleet->boots;
         fleet->sim.at(inst.usable_at, [fleet] { fleet->start_jobs(); });
@@ -139,7 +141,6 @@ AutoscaleResult run_autoscaled_batch(const EsseJobShape& shape,
       if (inst.terminated || inst.busy > 0) continue;
       if (fleet->sim.now() < inst.usable_at) continue;
       if (fleet->pending > 0) continue;  // still work to pull
-      if (fleet->live_instances() <= params.min_instances) break;
       inst.terminated = true;
       inst.terminated_at = fleet->sim.now();
       if (params.sink)
@@ -147,7 +148,7 @@ AutoscaleResult run_autoscaled_batch(const EsseJobShape& shape,
                            static_cast<double>(fleet->live_instances()));
     }
 
-    fleet->sim.after(params.poll_interval_s, poll);
+    fleet->sim.after(kPollIntervalS, poll);
   };
 
   fleet->sim.after(0.0, poll);

@@ -29,11 +29,6 @@ namespace essex::mtc {
 struct AutoscalerParams {
   InstanceType instance;
   std::size_t max_instances = 20;  ///< the paper's default EC2 cap
-  std::size_t min_instances = 0;
-  double boot_latency_s = 120.0;   ///< request → slots usable
-  double poll_interval_s = 60.0;   ///< demand evaluation cadence
-  /// Boot one instance per this many queued-but-unserved jobs.
-  std::size_t jobs_per_instance_boot = 8;
   /// Optional telemetry sink (nullable, not owned): records the
   /// `autoscaler.*` series — boot/terminate events with the live fleet
   /// size (simulated time), plus the AutoscaleResult summary as

@@ -129,40 +129,48 @@ TaskId ThreadExecutionBackend::submit(std::size_t member,
     rec.submitted = now();
     rec.token = token;
     tasks_.emplace(id, std::move(rec));
+    ++outstanding_;
   }
-  auto fut = pool_.submit(
-      [this, id, member, attempt](const std::atomic<bool>& cancelled) {
-        if (!begin_task(id)) return;  // cancelled first; report already out
-        bool threw = false;
-        try {
-          fn_(member, attempt, cancelled);
-        } catch (...) {
-          threw = true;
-        }
-        finish_task(id, threw);
-      },
-      token);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    futures_.push_back(std::move(fut));
+  try {
+    pool_.submit([this, id, member, attempt, token] {
+      try {
+        run_task(id, member, attempt, *token);
+      } catch (...) {
+        retire_task();  // a throwing report hook must not stall the drain
+        throw;
+      }
+      retire_task();
+    });
+  } catch (...) {
+    retire_task();
+    throw;
   }
   return id;
 }
 
+void ThreadExecutionBackend::retire_task() {
+  // Notify under the lock: once drain_tasks() can see zero, this worker
+  // never touches the backend again.
+  std::lock_guard<std::mutex> lk(mu_);
+  if (--outstanding_ == 0) retired_cv_.notify_all();
+}
+
 void ThreadExecutionBackend::drain_tasks() {
-  // Submits may race the first swaps (a retry timer landing late), so
-  // keep draining until a pass finds nothing new.
-  for (;;) {
-    std::vector<std::future<void>> futs;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (futures_.empty()) return;
-      futs.swap(futures_);
-    }
-    // wait() never throws; a skipped (cancelled-before-start) task parks
-    // TaskCancelled in the future, which we deliberately never get().
-    for (auto& f : futs) f.wait();
+  std::unique_lock<std::mutex> lk(mu_);
+  retired_cv_.wait(lk, [this] { return outstanding_ == 0; });
+}
+
+void ThreadExecutionBackend::run_task(TaskId id, std::size_t member,
+                                      std::size_t attempt,
+                                      const std::atomic<bool>& cancelled) {
+  if (!begin_task(id)) return;  // cancelled first; report already out
+  bool threw = false;
+  try {
+    fn_(member, attempt, cancelled);
+  } catch (...) {
+    threw = true;
   }
+  finish_task(id, threw);
 }
 
 bool ThreadExecutionBackend::begin_task(TaskId id) {
@@ -208,7 +216,7 @@ void ThreadExecutionBackend::cancel(TaskId id) {
     rec.cancel_requested = true;
     rec.token->store(true, std::memory_order_relaxed);
     if (rec.state == TaskState::kQueued) {
-      // The worker will skip the task (or begin_task will refuse it);
+      // begin_task will refuse the attempt when a worker picks it up;
       // the terminal report is ours to emit.
       rec.state = TaskState::kFinished;
       rec.outcome = TaskOutcome::kCancelled;

@@ -14,7 +14,10 @@
 //    outage model.
 //  * ThreadExecutionBackend wraps the in-process ThreadPool: tasks are
 //    real member closures, exceptions become TaskOutcome::kFailed, time
-//    is the wall clock and timers run on a dedicated timer thread.
+//    is the wall clock and timers run on a dedicated timer thread. It is
+//    the only place an attempt's cancellation is decided: each attempt
+//    carries its own token, and an attempt cancelled before it starts
+//    never runs its closure.
 #pragma once
 
 #include <atomic>
@@ -27,7 +30,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "mtc/fault.hpp"
@@ -111,7 +113,8 @@ class SimExecutionBackend final : public ExecutionBackend {
 };
 
 /// ExecutionBackend over the in-process ThreadPool: member closures,
-/// exception capture, cooperative cancellation and a timer thread.
+/// exception capture, per-attempt cancellation tokens and a timer
+/// thread.
 class ThreadExecutionBackend final : public ExecutionBackend {
  public:
   /// Runs (member, attempt) to completion; throwing reports kFailed.
@@ -131,16 +134,16 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   void set_report_hook(ReportHook hook) override;
 
   /// Block until every attempt submitted through this backend has fully
-  /// retired from the pool — ran to completion, or was skipped by a
+  /// retired from the pool — ran to completion, or was skipped by its
   /// worker after cancellation. Unlike ThreadPool::wait_idle() this waits
   /// only on *this backend's* tasks, so concurrent forecasts sharing one
   /// persistent pool (ForecastService) tear down independently. After it
   /// returns, no pool worker can re-enter this backend.
   void drain_tasks();
 
-  /// Join the timer thread and drop pending timers. Call after
-  /// drain_tasks() and before destroying whatever the report hook points
-  /// at.
+  /// Join the timer thread and drop pending timers. Call before
+  /// drain_tasks(), so no timer can submit an attempt the drain misses,
+  /// and before destroying whatever the report hook points at.
   void shutdown_timers();
 
  private:
@@ -156,8 +159,11 @@ class ThreadExecutionBackend final : public ExecutionBackend {
     std::shared_ptr<std::atomic<bool>> token;
   };
 
+  void run_task(TaskId id, std::size_t member, std::size_t attempt,
+                const std::atomic<bool>& cancelled);
   bool begin_task(TaskId id);
   void finish_task(TaskId id, bool threw);
+  void retire_task();
   TaskReport poll_locked(TaskId id) const;
   void timer_loop();
 
@@ -168,7 +174,8 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   mutable std::mutex mu_;
   std::unordered_map<TaskId, TaskRec> tasks_;
   TaskId next_id_ = 1;
-  std::vector<std::future<void>> futures_;  ///< one per submitted attempt
+  std::size_t outstanding_ = 0;  ///< attempts not yet retired from the pool
+  std::condition_variable retired_cv_;
 
   // Timer thread state.
   std::mutex timer_mu_;

@@ -31,6 +31,11 @@ std::string to_string(TaskOutcome o) {
 
 namespace {
 
+/// Growth of the retry backoff per consecutive failure.
+constexpr double kBackoffFactor = 2.0;
+/// Cap on concurrent speculative backup copies.
+constexpr std::size_t kMaxSpeculative = 64;
+
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
@@ -43,12 +48,18 @@ double quantile(std::vector<double> xs, double q) {
 
 }  // namespace
 
+void record_final(MemberLedger& ledger, TaskOutcome outcome) {
+  switch (outcome) {
+    case TaskOutcome::kDone: ++ledger.members_done; break;
+    case TaskOutcome::kCancelled: ++ledger.members_cancelled_final; break;
+    default: ++ledger.members_lost; break;
+  }
+}
+
 FaultTolerantExecutor::FaultTolerantExecutor(ExecutionBackend& backend,
                                              FaultPolicy policy,
                                              telemetry::Sink* sink)
     : backend_(backend), policy_(std::move(policy)), sink_(sink) {
-  ESSEX_REQUIRE(policy_.backoff_factor >= 1.0,
-                "backoff factor must be >= 1");
   ESSEX_REQUIRE(policy_.backoff_jitter >= 0.0 &&
                     policy_.backoff_jitter < 1.0,
                 "backoff jitter must be in [0, 1)");
@@ -74,6 +85,7 @@ void FaultTolerantExecutor::run_member(std::size_t member) {
                   "member already submitted to the fault layer");
     members_.emplace(member,
                      MemberState(Rng(policy_.seed, member + 1)));
+    ++stats_.ledger.members_submitted;
   }
   launch(member, /*speculative=*/false);
 }
@@ -169,8 +181,8 @@ void FaultTolerantExecutor::check_stragglers() {
     std::lock_guard<std::mutex> lk(mu_);
     if (!policy_.speculate || shutdown_ || draining_) return;
     if (durations_.size() < policy_.straggler_min_samples) return;
-    if (speculative_live_ >= policy_.max_speculative) return;
-    budget = policy_.max_speculative - speculative_live_;
+    if (speculative_live_ >= kMaxSpeculative) return;
+    budget = kMaxSpeculative - speculative_live_;
     threshold =
         policy_.straggler_multiple * quantile(durations_, 0.95);
     for (const auto& [member, st] : members_) {
@@ -252,17 +264,12 @@ void FaultTolerantExecutor::on_timeout(std::size_t member,
 }
 
 void FaultTolerantExecutor::resolve_locked(MemberState& st,
-                                           std::size_t /*member*/,
                                            TaskOutcome outcome) {
   st.resolved = true;
-  ++members_resolved_;
-  if (outcome == TaskOutcome::kDone) {
-    ++stats_.members_done;
-  } else if (outcome == TaskOutcome::kCancelled) {
-    ++stats_.members_cancelled;
-  } else {
-    ++stats_.members_lost;
-    if (sink_) sink_->count("fault.members_lost");
+  record_final(stats_.ledger, outcome);
+  if (sink_ && outcome != TaskOutcome::kDone &&
+      outcome != TaskOutcome::kCancelled) {
+    sink_->count("fault.members_lost");
   }
 }
 
@@ -309,14 +316,14 @@ void FaultTolerantExecutor::on_report(const TaskReport& report) {
       for (const Attempt& other : st.live) {
         if (other.id != 0) cancels.push_back(other.id);
       }
-      resolve_locked(st, report.member, TaskOutcome::kDone);
+      resolve_locked(st, TaskOutcome::kDone);
       action = Action::kResolved;
       final_outcome = TaskOutcome::kDone;
       hook = member_hook_;
     } else {
       switch (outcome) {
         case TaskOutcome::kFailed:
-          ++stats_.failed_attempts;
+          ++stats_.attempts_failed;
           if (sink_) sink_->count("fault.failed_attempts");
           break;
         case TaskOutcome::kEvicted:
@@ -341,12 +348,12 @@ void FaultTolerantExecutor::on_report(const TaskReport& report) {
                                  policy_.backoff_jitter)
                 : 0.0;
         backoff = policy_.backoff_base_s *
-                  std::pow(policy_.backoff_factor,
+                  std::pow(kBackoffFactor,
                            static_cast<double>(st.failed_attempts - 1)) *
                   (1.0 + spread);
         action = Action::kRetry;
       } else {
-        resolve_locked(st, report.member, outcome);
+        resolve_locked(st, outcome);
         action = Action::kResolved;
         final_outcome = outcome;
         hook = member_hook_;
@@ -395,7 +402,7 @@ void FaultTolerantExecutor::cancel_member(std::size_t member) {
     for (const Attempt& a : st.live) {
       if (a.id != 0) cancels.push_back(a.id);
     }
-    resolve_locked(st, member, TaskOutcome::kCancelled);
+    resolve_locked(st, TaskOutcome::kCancelled);
     hook = member_hook_;
   }
   for (TaskId id : cancels) backend_.cancel(id);
@@ -404,6 +411,8 @@ void FaultTolerantExecutor::cancel_member(std::size_t member) {
 
 void FaultTolerantExecutor::cancel_all() {
   std::vector<TaskId> cancels;
+  std::vector<std::size_t> cancelled;
+  MemberHook hook;
   {
     std::lock_guard<std::mutex> lk(mu_);
     shutdown_ = true;
@@ -413,9 +422,17 @@ void FaultTolerantExecutor::cancel_all() {
       for (const Attempt& a : st.live) {
         if (a.id != 0) cancels.push_back(a.id);
       }
+      if (!st.resolved) {
+        resolve_locked(st, TaskOutcome::kCancelled);
+        cancelled.push_back(member);
+      }
     }
+    hook = member_hook_;
   }
   for (TaskId id : cancels) backend_.cancel(id);
+  if (hook) {
+    for (std::size_t m : cancelled) hook(m, TaskOutcome::kCancelled);
+  }
 }
 
 void FaultTolerantExecutor::enter_drain_mode() {
@@ -461,11 +478,6 @@ FaultTolerantExecutor::live_members() const {
 FaultStats FaultTolerantExecutor::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-std::size_t FaultTolerantExecutor::members_resolved() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return members_resolved_;
 }
 
 }  // namespace essex::mtc

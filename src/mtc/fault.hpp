@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/member_ledger.hpp"
 #include "common/rng.hpp"
 
 namespace essex::telemetry {
@@ -70,11 +71,10 @@ struct TaskReport {
 struct FaultPolicy {
   /// Re-submissions allowed per member beyond the first attempt.
   std::size_t max_retries = 3;
-  /// Exponential backoff before a retry: base × factor^(failures-1),
+  /// Exponential backoff before a retry: base × 2^(failures-1),
   /// jittered ±`backoff_jitter` fraction from the member's own RNG
   /// stream so synchronized failures do not resubmit in lock-step.
   double backoff_base_s = 5.0;
-  double backoff_factor = 2.0;
   double backoff_jitter = 0.5;
   /// Per-task timeout as a multiple of the expected attempt runtime
   /// (the calibrated EsseJobShape runtime in the DES); 0 disables.
@@ -85,7 +85,6 @@ struct FaultPolicy {
   bool speculate = true;
   double straggler_multiple = 2.0;
   std::size_t straggler_min_samples = 16;
-  std::size_t max_speculative = 64;  ///< concurrent backup copies cap
   /// How often the straggler scan runs; 0 = expected runtime / 4.
   double straggler_check_interval_s = 0.0;
   /// Graceful-degradation floor N′: the analysis may proceed with fewer
@@ -124,20 +123,22 @@ struct FaultInjection {
 
 /// Everything the fault layer counted, for metrics structs and benches.
 struct FaultStats {
-  std::size_t failed_attempts = 0;  ///< attempts that ended kFailed
+  std::size_t attempts_failed = 0;  ///< attempts that ended kFailed
   std::size_t evictions = 0;        ///< attempts that ended kEvicted
   std::size_t timeouts = 0;         ///< attempts killed by the timeout
   std::size_t retries = 0;          ///< re-submissions issued
   std::size_t speculative_launched = 0;
   std::size_t speculative_won = 0;  ///< backup finished before original
-  // Member-level final outcomes. Every dispatched member resolves to
-  // exactly one of these, so for any run
-  //   members_done + members_cancelled + members_lost == dispatched —
-  // the conservation invariant the testkit scenario oracle checks.
-  std::size_t members_done = 0;       ///< resolved kDone
-  std::size_t members_cancelled = 0;  ///< resolved kCancelled
-  std::size_t members_lost = 0;       ///< retries exhausted, member gone
+  /// Member-level final outcomes. Once cancel_all() has run, every
+  /// member passed to run_member() is in exactly one bucket.
+  MemberLedger ledger;
 };
+
+/// Book a member's final outcome: kDone is done, kCancelled is
+/// cancelled, and any failure outcome is a lost member. The executor
+/// resolves through this, and so do the drivers that run one attempt
+/// per member with no retry layer.
+void record_final(MemberLedger& ledger, TaskOutcome outcome);
 
 class ExecutionBackend;
 
@@ -165,7 +166,9 @@ class FaultTolerantExecutor {
   /// Resolve `member` as kCancelled and cancel its live attempts.
   void cancel_member(std::size_t member);
 
-  /// Cancel everything and refuse any further launches (teardown).
+  /// Teardown: refuse further launches, cancel every live attempt and
+  /// resolve every still-unresolved member as kCancelled (member hook
+  /// included), so the ledger conserves as soon as this returns.
   void cancel_all();
 
   /// Stop issuing retries and speculative copies, let live attempts run
@@ -180,7 +183,6 @@ class FaultTolerantExecutor {
   std::vector<std::pair<std::size_t, TaskReport>> live_members() const;
 
   FaultStats stats() const;
-  std::size_t members_resolved() const;
 
   /// Scan running attempts against the p95 straggler threshold and
   /// launch speculative copies. Normally self-armed via backend timers;
@@ -213,8 +215,7 @@ class FaultTolerantExecutor {
   void arm_straggler_timer();
   double expected_runtime_locked() const;
   double straggler_interval_locked() const;
-  void resolve_locked(MemberState& st, std::size_t member,
-                      TaskOutcome outcome);
+  void resolve_locked(MemberState& st, TaskOutcome outcome);
 
   ExecutionBackend& backend_;
   FaultPolicy policy_;
@@ -229,7 +230,6 @@ class FaultTolerantExecutor {
   std::size_t live_attempts_ = 0;
   std::size_t retries_pending_ = 0;
   std::size_t speculative_live_ = 0;
-  std::size_t members_resolved_ = 0;
   bool draining_ = false;
   bool shutdown_ = false;
   bool straggler_timer_armed_ = false;

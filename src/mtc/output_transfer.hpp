@@ -30,7 +30,6 @@ struct OutputReturnConfig {
   OutputTransfer strategy = OutputTransfer::kPushImmediate;
   double file_bytes = 11e6;        ///< per member (§5.4.2)
   double gateway_bps = 50e6;       ///< WAN bandwidth site → home
-  double site_fs_bps = 500e6;      ///< site-shared filesystem (two-stage)
   /// Per-connection startup cost (scp/gsiftp handshake). Pull and the
   /// two-stage agent reuse one channel; pushes pay it per member.
   double connection_setup_s = 1.0;

@@ -1,4 +1,4 @@
-#include "workflow/determinism_probe.hpp"
+#include "service/determinism_probe.hpp"
 
 #include <utility>
 #include <vector>
@@ -7,9 +7,9 @@
 #include "esse/repro.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
-#include "workflow/parallel_runner.hpp"
+#include "service/forecast_service.hpp"
 
-namespace essex::workflow {
+namespace essex::service {
 
 esse::ForecastResult golden_forecast(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
@@ -19,7 +19,7 @@ esse::ForecastResult golden_forecast(
   const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
 
-  ParallelRunnerConfig cfg;
+  workflow::ParallelRunnerConfig cfg;
   cfg.cycle.forecast_hours = 3.0;
   cfg.cycle.threads = threads;
   cfg.cycle.ensemble = {8, 2.0, 48};
@@ -28,7 +28,7 @@ esse::ForecastResult golden_forecast(
   cfg.svd_min_new_members = 4;
   cfg.arrival_hook = std::move(arrival_hook);
   return run_parallel_forecast(
-      ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 }
 
 std::string golden_digest(std::size_t threads,
@@ -45,7 +45,7 @@ esse::ForecastResult golden_tiled_forecast(
   const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
 
-  ParallelRunnerConfig cfg;
+  workflow::ParallelRunnerConfig cfg;
   cfg.cycle.forecast_hours = 3.0;
   cfg.cycle.threads = threads;
   cfg.cycle.ensemble = {8, 2.0, 48};
@@ -59,7 +59,7 @@ esse::ForecastResult golden_tiled_forecast(
   cfg.svd_min_new_members = 4;
   cfg.arrival_hook = std::move(arrival_hook);
   return run_parallel_forecast(
-      ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 }
 
 std::string golden_tiled_digest(std::size_t threads,
@@ -76,7 +76,7 @@ esse::ForecastResult golden_multilevel_forecast(
   const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
 
-  ParallelRunnerConfig cfg;
+  workflow::ParallelRunnerConfig cfg;
   cfg.cycle.forecast_hours = 3.0;
   cfg.cycle.threads = threads;
   cfg.cycle.ensemble = {8, 2.0, 48};
@@ -88,7 +88,7 @@ esse::ForecastResult golden_multilevel_forecast(
   cfg.svd_min_new_members = 4;
   cfg.arrival_hook = std::move(arrival_hook);
   return run_parallel_forecast(
-      ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 }
 
 std::string golden_multilevel_digest(
@@ -164,4 +164,4 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
   return digests;
 }
 
-}  // namespace essex::workflow
+}  // namespace essex::service

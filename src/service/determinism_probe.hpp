@@ -15,7 +15,7 @@
 
 #include "esse/cycle.hpp"
 
-namespace essex::workflow {
+namespace essex::service {
 
 /// Stable key the golden run's digest is recorded under in
 /// tests/golden/determinism.sha256 (sha256sum line format).
@@ -23,7 +23,7 @@ inline constexpr const char* kGoldenRunKey = "fig4-gyre12x10x3-seed11";
 
 /// Execute the canonical golden run on `threads` worker threads.
 /// `arrival_hook` (optional) is installed as
-/// ParallelRunnerConfig::arrival_hook to impose an adversarial
+/// workflow::ParallelRunnerConfig::arrival_hook to impose an adversarial
 /// absorption order; the result must not depend on it.
 esse::ForecastResult golden_forecast(
     std::size_t threads,
@@ -76,4 +76,4 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook = {},
     std::uint64_t obs_order_seed = 0);
 
-}  // namespace essex::workflow
+}  // namespace essex::service

@@ -412,29 +412,26 @@ double deadline_from_timeline(const workflow::ForecastTimeline& timeline,
   return now_s + budget_h * service_seconds_per_hour;
 }
 
-}  // namespace essex::service
-
-namespace essex::workflow {
-
-esse::ForecastResult run_parallel_forecast(const ForecastRequest& request) {
+esse::ForecastResult run_parallel_forecast(
+    const workflow::ForecastRequest& request) {
   {
-    const auto issues = validate(request);
-    if (!issues.empty()) throw PreconditionError(describe(issues));
+    const auto issues = workflow::validate(request);
+    if (!issues.empty()) throw PreconditionError(workflow::describe(issues));
   }
   // One-shot mode: a private single-request service with a fixed pool of
   // cycle.threads workers and elasticity off reproduces the pre-service
   // runner exactly (same pool size, same core), so the determinism
   // digests hold bitwise.
-  service::ServiceConfig sc;
+  ServiceConfig sc;
   const std::size_t workers =
       std::max<std::size_t>(request.config.cycle.threads, 1);
   sc.min_workers = sc.max_workers = workers;
   sc.max_inflight = 1;
   sc.elastic = false;
   sc.admission.enforce_deadlines = false;
-  service::ForecastService svc(sc);
-  service::ForecastHandle handle = svc.submit({.forecast = request});
+  ForecastService svc(sc);
+  ForecastHandle handle = svc.submit({.forecast = request});
   return handle.take_result();
 }
 
-}  // namespace essex::workflow
+}  // namespace essex::service

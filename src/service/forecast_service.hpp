@@ -231,4 +231,27 @@ double deadline_from_timeline(const workflow::ForecastTimeline& timeline,
                               std::size_t k, double now_s,
                               double service_seconds_per_hour);
 
+/// Run the uncertainty forecast with the Fig. 4 pipeline on real threads.
+/// Returns the unified forecast result; `result.mtc` carries the MTC
+/// accounting (pool size, cancellations, SVD runs, fault outcomes) fed by
+/// the recorded metrics.
+///
+/// Since the ForecastService redesign this is a thin convenience wrapper:
+/// it validates the request (throwing PreconditionError on issues, as it
+/// always has), stands up a one-request ForecastService sized to
+/// `config.cycle.threads`, and blocks on the handle — so every caller,
+/// bench and testkit oracle exercises the service path.
+///
+/// Determinism contract (DESIGN.md §10): for a fixed configuration and
+/// seed the returned central forecast, subspace, convergence history and
+/// members_run are bitwise identical for any thread count and any member
+/// completion order. Convergence is checked on a fixed milestone schedule
+/// (ensemble sizes k·svd_min_new_members) over the canonical contiguous
+/// member-id prefix, so which members feed each check — and which check
+/// declares convergence — never depends on scheduling. Only the wall-
+/// clock fields of `result.mtc` (timings, retry counts under real
+/// faults) remain timing-dependent.
+esse::ForecastResult run_parallel_forecast(
+    const workflow::ForecastRequest& request);
+
 }  // namespace essex::service

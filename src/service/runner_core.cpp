@@ -31,11 +31,12 @@ la::Vector run_member(const ocean::OceanModel& model,
   return state.pack();
 }
 
-/// Teardown in the one legal order — stop launching and cancel live
-/// attempts, drain THIS request's tasks off the shared pool, then join
-/// the timer thread — on every exit path, including exceptions thrown
-/// mid-loop. Without this guard a throwing SVD would unwind the differ
-/// and condition variables while member workers still reference them.
+/// Teardown in the one legal order — resolve every member and cancel
+/// live attempts, join the timer thread (no retry can launch after it),
+/// then drain THIS request's tasks off the shared pool — on every exit
+/// path, including exceptions thrown mid-loop. Without this guard a
+/// throwing SVD would unwind the differ and condition variables while
+/// member workers still reference them.
 struct Teardown {
   mtc::FaultTolerantExecutor& exec;
   mtc::ThreadExecutionBackend& backend;
@@ -45,8 +46,8 @@ struct Teardown {
     if (done) return;
     done = true;
     exec.cancel_all();
-    backend.drain_tasks();
     backend.shutdown_timers();
+    backend.drain_tasks();
   }
   ~Teardown() { run(); }
 };
@@ -304,28 +305,21 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
         model, request.initial, t0_hours, cp.forecast_hours, cp.analysis);
     if (sink) sink->count("runner.surrogate_runs");
   }
-  acct.members_submitted = submitted;
-  acct.members_cancelled = submitted - out.members_run;
-  acct.members_done = fstats.members_done;
-  // Members still unresolved when cancel_all() tore the pool down ended
-  // cancelled; fold them in so member outcomes conserve against the
-  // submitted count.
-  acct.members_cancelled_final =
-      fstats.members_cancelled + (submitted - exec.members_resolved());
-  acct.members_failed = fstats.failed_attempts;
-  acct.members_retried = fstats.retries;
+  static_cast<MemberLedger&>(acct) = fstats.ledger;
+  acct.members_unused = acct.members_submitted - out.members_run;
+  acct.attempts_failed = fstats.attempts_failed;
+  acct.retries = fstats.retries;
   acct.speculative_launched = fstats.speculative_launched;
   acct.speculative_won = fstats.speculative_won;
-  acct.members_lost = fstats.members_lost;
-  acct.degraded = out.converged && fstats.members_lost > 0;
+  acct.degraded = out.converged && acct.members_lost > 0;
   if (sink) {
     sink->count("runner.members_submitted",
                 static_cast<double>(acct.members_submitted));
     sink->count("runner.members_cancelled",
-                static_cast<double>(acct.members_cancelled));
+                static_cast<double>(acct.members_unused));
     sink->count("runner.svd_runs", static_cast<double>(acct.svd_runs));
     sink->count("runner.members_retried",
-                static_cast<double>(acct.members_retried));
+                static_cast<double>(acct.retries));
     sink->count("runner.members_lost",
                 static_cast<double>(acct.members_lost));
     sink->gauge_set("runner.converged", out.converged ? 1.0 : 0.0);

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "mtc/execution_backend.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace essex::service {
@@ -200,7 +201,8 @@ std::size_t SimForecastService::pool_cap(const Active& a) const {
 void SimForecastService::fill(Active& a) {
   if (a.finishing) return;
   const std::size_t cap = pool_cap(a);
-  while (a.outstanding < a.slots && a.dispatched < cap) submit_member(a);
+  while (a.outstanding < a.slots && a.ledger.members_submitted < cap)
+    submit_member(a);
 }
 
 void SimForecastService::submit_member(Active& a) {
@@ -208,7 +210,7 @@ void SimForecastService::submit_member(Active& a) {
   double cost = member_cost_s(config_.shape);
   std::size_t cores = 1;
   if (a.plan.enabled()) {
-    level = a.plan.level_of(a.dispatched);
+    level = a.plan.level_of(a.ledger.members_submitted);
     cost *= a.plan.cost_ratio(level);
     // Fine members may reserve several cores; coarse members are always
     // 1-core so backfill packs them into slots fine members leave idle.
@@ -222,7 +224,7 @@ void SimForecastService::submit_member(Active& a) {
   job_owner_.emplace(jid, a.id);
   job_level_.emplace(jid, level);
   a.live_jobs.push_back(jid);
-  ++a.dispatched;
+  ++a.ledger.members_submitted;
   ++a.outstanding;
 }
 
@@ -234,26 +236,26 @@ void SimForecastService::on_member_done(std::uint64_t request_id,
   Active& a = it->second;
   ESSEX_ASSERT(a.outstanding > 0, "member resolution with none outstanding");
   --a.outstanding;
-  switch (status) {
-    case mtc::JobStatus::kDone:
-      ++a.completed;
-      if (level < a.completed_per_level.size()) ++a.completed_per_level[level];
-      break;
-    case mtc::JobStatus::kFailed: ++a.failed; break;
-    default: ++a.cancelled; break;  // kCancelled / kEvicted
+  // One attempt per member and no retry layer: a failed or evicted job
+  // is a lost member.
+  const mtc::TaskOutcome outcome = mtc::to_outcome(status);
+  mtc::record_final(a.ledger, outcome);
+  if (outcome == mtc::TaskOutcome::kDone &&
+      level < a.completed_per_level.size()) {
+    ++a.completed_per_level[level];
   }
   if (a.finishing) return;  // draining; begin_finish() finalises
 
-  if (a.completed >= a.goal) {
+  if (a.ledger.members_done >= a.goal) {
     begin_finish(a);
     return;
   }
   maybe_shrink_for_deadline(a);
-  if (a.completed >= a.goal) {
+  if (a.ledger.members_done >= a.goal) {
     begin_finish(a);
     return;
   }
-  if (a.outstanding == 0 && a.dispatched >= pool_cap(a)) {
+  if (a.outstanding == 0 && a.ledger.members_submitted >= pool_cap(a)) {
     // Pool drained without reaching the goal: grow toward Nmax or give
     // up with what landed (the real runner's unconverged fallback). A
     // multilevel plan is its own budget — nothing left to grow.
@@ -276,7 +278,8 @@ void SimForecastService::maybe_shrink_for_deadline(Active& a) {
   if (a.sizer.at_min()) return;
   const double cost = member_cost_s(config_.shape);
   const double slots = static_cast<double>(std::max<std::size_t>(a.slots, 1));
-  const double remaining = static_cast<double>(a.goal - a.completed);
+  const double remaining =
+      static_cast<double>(a.goal - a.ledger.members_done);
   const double eta_s = sim_.now() + std::ceil(remaining / slots) * cost;
   if (eta_s <= a.spec.deadline_s) return;
   // Blowing the deadline at the current target: walk the ensemble back a
@@ -326,12 +329,9 @@ void SimForecastService::finalize(std::uint64_t id) {
   out.submitted_s = a.submitted_s;
   out.started_s = a.started_s;
   out.finished_s = a.done_s;
-  out.members_dispatched = a.dispatched;
-  out.members_completed = a.completed;
-  out.members_cancelled = a.cancelled;
-  out.members_failed = a.failed;
+  out.ledger = a.ledger;
   out.members_completed_per_level = a.completed_per_level;
-  out.converged = a.completed >= a.spec.converge_at;
+  out.converged = a.ledger.members_done >= a.spec.converge_at;
   out.degraded = a.degraded;
   out.deadline_met = a.done_s <= a.spec.deadline_s;
 
@@ -383,14 +383,9 @@ void SimForecastService::rebalance_slots() {
 }
 
 long long SimForecastService::leaked_members() const {
-  long long leaked = 0;
-  for (const auto& out : outcomes_) {
-    leaked += static_cast<long long>(out.members_dispatched) -
-              static_cast<long long>(out.members_completed) -
-              static_cast<long long>(out.members_cancelled) -
-              static_cast<long long>(out.members_failed);
-  }
-  return leaked;
+  return std::count_if(
+      outcomes_.begin(), outcomes_.end(),
+      [](const SimRequestOutcome& out) { return !out.ledger.conserves(); });
 }
 
 }  // namespace essex::service

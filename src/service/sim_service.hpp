@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/member_ledger.hpp"
 #include "esse/convergence.hpp"
 #include "esse/multilevel.hpp"
 #include "mtc/job.hpp"
@@ -95,12 +96,9 @@ struct SimRequestOutcome {
   double submitted_s = 0.0;
   double started_s = 0.0;
   double finished_s = 0.0;
-  // Member-level conservation (the zero-leak invariant):
-  //   completed + cancelled + failed == dispatched  at finalisation.
-  std::size_t members_dispatched = 0;
-  std::size_t members_completed = 0;
-  std::size_t members_cancelled = 0;
-  std::size_t members_failed = 0;
+  /// How each dispatched member job ended; conserves at finalisation (the
+  /// zero-leak invariant). Failed and evicted jobs are lost members.
+  MemberLedger ledger;
   /// Per-level completion counts (fine first); empty when levels == 1.
   std::vector<std::size_t> members_completed_per_level;
   bool converged = false;
@@ -133,8 +131,8 @@ class SimForecastService {
   ServiceStats stats() const { return stats_; }
   const RuntimeEstimator& estimator() const { return estimator_; }
 
-  /// Sum over finalised outcomes of dispatched − completed − cancelled −
-  /// failed: 0 iff every member job leaked nowhere.
+  /// Finalised outcomes whose member ledger does not conserve: 0 iff no
+  /// member job leaked.
   long long leaked_members() const;
 
  private:
@@ -147,11 +145,8 @@ class SimForecastService {
     esse::MultilevelParams plan;  ///< level layout and per-level costs
     std::size_t goal = 0;   ///< members needed to finish (may shrink)
     std::size_t slots = 0;  ///< member-slot budget (elasticity)
-    std::size_t dispatched = 0;
+    MemberLedger ledger;
     std::size_t outstanding = 0;  ///< member jobs on the cluster now
-    std::size_t completed = 0;
-    std::size_t cancelled = 0;
-    std::size_t failed = 0;
     std::vector<std::size_t> completed_per_level;  ///< sized when levels > 1
     std::vector<mtc::JobId> live_jobs;  ///< this request's cluster jobs
     bool finishing = false;  ///< goal met/abandoned; draining cancels

@@ -12,6 +12,7 @@
 #include "linalg/stats.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "testkit/generators.hpp"
 #include "workflow/parallel_runner.hpp"
 #include "workflow/serial_reference.hpp"
@@ -45,7 +46,7 @@ DifferentialReport run_differential_oracle(std::uint64_t seed,
   const esse::ForecastResult serial =
       workflow::run_serial_reference_forecast(request);
   request.config.cycle.threads = threads;
-  const esse::ForecastResult mtc = workflow::run_parallel_forecast(request);
+  const esse::ForecastResult mtc = service::run_parallel_forecast(request);
 
   DifferentialReport rep;
   rep.serial_members = serial.members_run;

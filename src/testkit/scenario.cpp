@@ -15,6 +15,7 @@
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "testkit/generators.hpp"
 #include "workflow/parallel_runner.hpp"
 
@@ -178,7 +179,7 @@ esse::ForecastResult run_science_forecast(const ScenarioSpec& spec,
     cfg.fault.timeout_multiple = 0.0;
     cfg.fault.backoff_base_s = 0.01;
   }
-  return workflow::run_parallel_forecast(
+  return service::run_parallel_forecast(
       workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 }
 
@@ -208,36 +209,18 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   // scenario's backend dimension.
   {
     OracleCheck c{"member-accounting", true, ""};
-    std::ostringstream detail;
-    if (spec.backend == BackendKind::kSim) {
-      const auto& m = out.des;
-      const std::size_t resolved =
-          m.members_completed + m.members_cancelled_final + m.members_lost;
-      if (resolved != m.members_dispatched) {
-        c.ok = false;
-        detail << "DES leg: completed " << m.members_completed << " + cancelled "
-               << m.members_cancelled_final << " + lost " << m.members_lost
-               << " != dispatched " << m.members_dispatched;
-      }
-    } else {
-      const auto& acct = out.science.mtc;
-      if (!acct) {
-        c.ok = false;
-        detail << "science leg carries no MTC accounting";
-      } else {
-        const std::size_t resolved = acct->members_done +
-                                     acct->members_cancelled_final +
-                                     acct->members_lost;
-        if (resolved != acct->members_submitted) {
-          c.ok = false;
-          detail << "thread leg: done " << acct->members_done << " + cancelled "
-                 << acct->members_cancelled_final << " + lost "
-                 << acct->members_lost << " != submitted "
-                 << acct->members_submitted;
-        }
-      }
+    const bool sim = spec.backend == BackendKind::kSim;
+    const MemberLedger* ledger =
+        sim ? &out.des.ledger
+            : (out.science.mtc ? &*out.science.mtc : nullptr);
+    if (!ledger) {
+      c.ok = false;
+      c.detail = "science leg carries no MTC accounting";
+    } else if (!ledger->conserves()) {
+      c.ok = false;
+      c.detail = std::string(sim ? "DES" : "thread") +
+                 " leg does not conserve: " + to_string(*ledger);
     }
-    c.detail = detail.str();
     out.oracles.push_back(std::move(c));
   }
 

@@ -13,6 +13,10 @@ namespace essex::workflow {
 
 namespace {
 
+/// Input volume prestaged to each remote resource (charged to the EC2
+/// bill; Grid prestage is free but takes gateway time before start).
+constexpr double kPrestageInputBytes = 1.5e9;
+
 using mtc::ClusterScheduler;
 using mtc::ClusterSpec;
 using mtc::JobContext;
@@ -112,7 +116,7 @@ AugmentationResult run_augmented_ensemble(const AugmentationConfig& config) {
         mtc::sge_params());
     p.fs_factor = g.site.fs_factor;
     p.start_delay_s = g.site.sample_queue_wait(rng) +
-                      config.prestage_input_bytes / g.site.gateway_bps;
+                      kPrestageInputBytes / g.site.gateway_bps;
     pools.push_back(std::move(p));
   }
   if (config.cloud_pool) {
@@ -133,7 +137,7 @@ AugmentationResult run_augmented_ensemble(const AugmentationConfig& config) {
                                                  mtc::sge_params());
     p.fs_factor = c.instance.fs_factor;
     p.start_delay_s = c.provisioning_latency_s +
-                      config.prestage_input_bytes / 30e6;
+                      kPrestageInputBytes / 30e6;
     pools.push_back(std::move(p));
   }
 
@@ -227,7 +231,7 @@ AugmentationResult run_augmented_ensemble(const AugmentationConfig& config) {
   if (config.cloud_pool) {
     const auto& c = *config.cloud_pool;
     mtc::BillingMeter meter;
-    meter.charge_transfer_in(config.prestage_input_bytes);
+    meter.charge_transfer_in(kPrestageInputBytes);
     const auto& cloud_outcome = result.pools.back();
     meter.charge_transfer_out(
         static_cast<double>(cloud_outcome.members_completed) *

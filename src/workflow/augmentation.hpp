@@ -41,9 +41,6 @@ struct AugmentationConfig {
   mtc::ClusterSpec home;
   std::vector<GridPoolConfig> grid_pools;
   std::optional<CloudPoolConfig> cloud_pool;
-  /// Input volume prestaged to each remote resource (charged to the EC2
-  /// bill; Grid prestage is free but takes gateway time before start).
-  double prestage_input_bytes = 1.5e9;
   std::uint64_t seed = 7;
 };
 

@@ -116,38 +116,8 @@ double head_speed(const ClusterScheduler& sched,
   return sched.cluster().nodes[cfg.master_node].cpu_speed;
 }
 
-void fill_common_metrics(const ClusterScheduler& sched,
-                         const std::vector<JobId>& member_jobs,
-                         const std::vector<MemberStats>& stats,
-                         WorkflowMetrics& m) {
-  // Serial driver: one job per member, so job-level and member-level
-  // accounting coincide.
-  m.members_dispatched = member_jobs.size();
-  for (JobId id : member_jobs) {
-    const JobRecord& r = sched.record(id);
-    switch (r.status) {
-      case JobStatus::kDone:
-        ++m.members_completed;
-        break;
-      case JobStatus::kFailed:
-      case JobStatus::kEvicted:
-        ++m.members_failed;
-        // No retry layer in the Fig.-3 driver: a failed job is a lost
-        // member.
-        ++m.members_lost;
-        break;
-      case JobStatus::kCancelled:
-      case JobStatus::kQueued:
-      case JobStatus::kRunning:
-        ++m.members_cancelled;
-        ++m.members_cancelled_final;
-        // Wasted work = core occupancy of a killed member (its partial
-        // segments burnt real node time even though cpu accounting only
-        // credits completed segments).
-        if (r.started > 0) m.wasted_cpu_seconds += r.finished - r.started;
-        break;
-    }
-  }
+/// Mean busy fraction of the pert phase over the members that ran it.
+double pert_utilization(const std::vector<MemberStats>& stats) {
   double util_sum = 0;
   std::size_t util_n = 0;
   for (const auto& s : stats) {
@@ -156,8 +126,34 @@ void fill_common_metrics(const ClusterScheduler& sched,
       ++util_n;
     }
   }
-  m.pert_cpu_utilization =
-      util_n ? util_sum / static_cast<double>(util_n) : 0;
+  return util_n ? util_sum / static_cast<double>(util_n) : 0;
+}
+
+void fill_serial_metrics(const ClusterScheduler& sched,
+                         const std::vector<JobId>& member_jobs,
+                         const std::vector<MemberStats>& stats,
+                         WorkflowMetrics& m) {
+  // One job per member and no retry layer: the job's status is the
+  // member's final outcome, and a failed or evicted job is a lost member.
+  m.ledger.members_submitted = member_jobs.size();
+  for (JobId id : member_jobs) {
+    const JobRecord& r = sched.record(id);
+    const TaskOutcome outcome = r.status == JobStatus::kQueued ||
+                                        r.status == JobStatus::kRunning
+                                    ? TaskOutcome::kCancelled
+                                    : mtc::to_outcome(r.status);
+    mtc::record_final(m.ledger, outcome);
+    if (outcome == TaskOutcome::kCancelled) {
+      ++m.attempts_cancelled;
+      // Wasted work = core occupancy of a killed member (its partial
+      // segments burnt real node time even though cpu accounting only
+      // credits completed segments).
+      if (r.started > 0) m.wasted_cpu_seconds += r.finished - r.started;
+    } else if (outcome != TaskOutcome::kDone) {
+      ++m.attempts_failed;
+    }
+  }
+  m.pert_cpu_utilization = pert_utilization(stats);
 }
 
 /// Publish the workflow's §5 figures into the telemetry session so the
@@ -174,21 +170,20 @@ void publish_workflow_metrics(telemetry::Sink* sink,
   sink->gauge_set("workflow.wasted_cpu_seconds", m.wasted_cpu_seconds);
   sink->gauge_set("workflow.svd_idle_wait_s", m.svd_idle_wait_s);
   sink->count("workflow.members_completed",
-              static_cast<double>(m.members_completed));
+              static_cast<double>(m.ledger.members_done));
   sink->count("workflow.members_cancelled",
-              static_cast<double>(m.members_cancelled));
+              static_cast<double>(m.attempts_cancelled));
   sink->count("workflow.members_failed",
-              static_cast<double>(m.members_failed));
+              static_cast<double>(m.attempts_failed));
   sink->count("workflow.members_diffed",
               static_cast<double>(m.members_diffed));
   sink->count("workflow.svd_runs", static_cast<double>(m.svd_runs));
   sink->count("workflow.nfs_bytes_moved", m.nfs_bytes_moved);
-  sink->count("workflow.members_retried",
-              static_cast<double>(m.members_retried));
+  sink->count("workflow.members_retried", static_cast<double>(m.retries));
   sink->count("workflow.members_evicted",
-              static_cast<double>(m.members_evicted));
+              static_cast<double>(m.evictions));
   sink->count("workflow.members_lost",
-              static_cast<double>(m.members_lost));
+              static_cast<double>(m.ledger.members_lost));
   sink->gauge_set("workflow.degraded", m.degraded ? 1.0 : 0.0);
   const double denom =
       m.makespan_s * static_cast<double>(sched.schedulable_cores());
@@ -295,7 +290,7 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
     done = true;
     metrics.makespan_s = sim.now();
     sched.set_completion_hook(nullptr);
-    fill_common_metrics(sched, member_jobs, env->stats, metrics);
+    fill_serial_metrics(sched, member_jobs, env->stats, metrics);
     metrics.nfs_bytes_moved = sched.nfs().bytes_moved();
     publish_workflow_metrics(cfg.sink, sched, metrics);
   }
@@ -318,7 +313,6 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
 
   esse::EnsembleSizeController sizer;  // N, grown in stages toward Nmax
   std::size_t submitted = 0;  // members issued to the pool (M)
-  std::size_t completed = 0;  // members resolved kDone
   std::size_t diffed = 0;
   std::size_t last_svd_n = 0;
   std::deque<std::size_t> diff_queue;
@@ -360,8 +354,9 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
         expected_runtime);
     exec = std::make_unique<mtc::FaultTolerantExecutor>(*backend, cfg.fault,
                                                         cfg.sink);
-    exec->set_member_hook([self](std::size_t member, TaskOutcome outcome) {
-      self->on_member_resolved(member, outcome);
+    exec->set_member_hook([self](std::size_t, TaskOutcome) {
+      self->last_activity = self->sim.now();
+      self->maybe_drained();
     });
     exec->set_report_observer([self](const TaskReport&) {
       self->last_activity = self->sim.now();
@@ -395,12 +390,6 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     // order (§4.1's fix for bottleneck 2: bookkeeping, not ordering).
     diff_queue.push_back(member);
     pump_differ();
-  }
-
-  void on_member_resolved(std::size_t /*member*/, TaskOutcome outcome) {
-    last_activity = sim.now();
-    if (outcome == TaskOutcome::kDone) ++completed;
-    maybe_drained();
   }
 
   void pump_differ() {
@@ -525,21 +514,14 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     metrics.members_diffed = diffed;
     exec->cancel_all();
     const mtc::FaultStats fs = exec->stats();
-    metrics.members_dispatched = submitted;
-    metrics.members_completed = completed;
-    // Members still unresolved at teardown were killed by cancel_all();
-    // fold them into the final-cancelled tally so member outcomes always
-    // conserve against the dispatched count.
-    metrics.members_cancelled_final =
-        fs.members_cancelled + (submitted - exec->members_resolved());
-    metrics.members_retried = fs.retries;
-    metrics.members_evicted = fs.evictions;
-    metrics.members_lost = fs.members_lost;
+    metrics.ledger = fs.ledger;
+    metrics.retries = fs.retries;
+    metrics.evictions = fs.evictions;
     metrics.speculative_launched = fs.speculative_launched;
     metrics.speculative_won = fs.speculative_won;
     // Graceful degradation: the subspace converged, but with fewer
     // members than planned because some exhausted their retries.
-    metrics.degraded = metrics.converged && fs.members_lost > 0;
+    metrics.degraded = metrics.converged && fs.ledger.members_lost > 0;
     // Per-attempt accounting straight off the scheduler's records (every
     // job this driver runs on the scheduler is a member attempt).
     for (const JobRecord& r : sched.records()) {
@@ -547,33 +529,24 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
         case JobStatus::kDone:
           break;
         case JobStatus::kFailed:
-          ++metrics.members_failed;
+          ++metrics.attempts_failed;
           break;
         case JobStatus::kEvicted:
           if (r.started > 0) metrics.wasted_cpu_seconds += r.finished - r.started;
           break;
         default:  // cancelled (incl. timed-out and losing speculative)
-          ++metrics.members_cancelled;
+          ++metrics.attempts_cancelled;
           if (r.started > 0) metrics.wasted_cpu_seconds += r.finished - r.started;
           break;
       }
     }
-    double util_sum = 0;
-    std::size_t util_n = 0;
-    for (const auto& s : env->stats) {
-      if (s.pert_cpu > 0) {
-        util_sum += s.pert_cpu / std::max(s.pert_cpu + s.pert_io, 1e-9);
-        ++util_n;
-      }
-    }
-    metrics.pert_cpu_utilization =
-        util_n ? util_sum / static_cast<double>(util_n) : 0;
+    metrics.pert_cpu_utilization = pert_utilization(env->stats);
     metrics.nfs_bytes_moved = sched.nfs().bytes_moved();
     publish_workflow_metrics(cfg.sink, sched, metrics);
     if (cfg.sink) {
       cfg.sink->gauge_set(
           "fault.degradation",
-          static_cast<double>(fs.members_lost) /
+          static_cast<double>(fs.ledger.members_lost) /
               static_cast<double>(sizer.target()));
     }
     // Break the shared_ptr cycles through the hooks so the driver is

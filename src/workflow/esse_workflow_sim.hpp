@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/member_ledger.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/fault.hpp"
 #include "mtc/job.hpp"
@@ -75,23 +76,17 @@ struct EsseWorkflowConfig {
 struct WorkflowMetrics {
   double makespan_s = 0;            ///< workflow start → all results used
   double converged_at_s = 0;        ///< time the convergence test passed
-  /// Distinct ensemble members issued to the pool. Member-level outcomes
-  /// must conserve: completed + cancelled_members + lost == dispatched
-  /// (the testkit scenario oracle enforces this on every run).
-  std::size_t members_dispatched = 0;
-  std::size_t members_completed = 0;
-  /// Members whose *final* outcome was cancellation (convergence kill or
-  /// spared-policy kill) — member-level, unlike `members_cancelled`,
-  /// which counts cancelled attempts.
-  std::size_t members_cancelled_final = 0;
-  std::size_t members_cancelled = 0;  ///< cancelled attempts (parallel)
-  std::size_t members_failed = 0;     ///< failed attempts (parallel)
+  /// Distinct members issued to the pool and how each one ended (the
+  /// testkit scenario oracle checks it conserves on every run).
+  MemberLedger ledger;
+  std::size_t attempts_cancelled = 0;  ///< incl. timed-out, losing backups
+  /// Failed attempts; the serial driver also counts evicted jobs here.
+  std::size_t attempts_failed = 0;
   std::size_t members_diffed = 0;
   std::size_t svd_runs = 0;
-  // Fault-layer accounting (parallel driver only).
-  std::size_t members_retried = 0;       ///< re-submissions issued
-  std::size_t members_evicted = 0;       ///< attempts lost to node outages
-  std::size_t members_lost = 0;          ///< retries exhausted, member gone
+  // Fault-layer attempt tallies (parallel driver only).
+  std::size_t retries = 0;               ///< re-submissions issued
+  std::size_t evictions = 0;             ///< attempts lost to node outages
   std::size_t speculative_launched = 0;  ///< straggler backup copies
   std::size_t speculative_won = 0;
   /// Converged with fewer members than planned (graceful degradation).

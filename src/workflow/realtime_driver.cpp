@@ -1,6 +1,7 @@
 #include "workflow/realtime_driver.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "linalg/stats.hpp"
@@ -8,6 +9,20 @@
 #include "obs/observation.hpp"
 
 namespace essex::workflow {
+
+namespace {
+
+/// Initial-uncertainty bootstrap: spin-up length, and the inflation of
+/// its spread (realistic IC error ≫ model noise).
+constexpr double kBootstrapSpinupH = 12.0;
+constexpr double kBootstrapInflation = 5.0;
+/// Multiplicative inflation of the posterior spread handed to the next
+/// cycle — compensates error growth the subspace cannot represent
+/// (unresolved model error).
+constexpr double kCycleInflation = 1.3;
+constexpr std::uint64_t kTruthSeed = 777;
+
+}  // namespace
 
 RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
                                        const ocean::OceanState& initial,
@@ -26,22 +41,22 @@ RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
 
   // Initial error subspace (inflated spin-up spread, DESIGN.md §2).
   esse::ErrorSubspace raw = esse::bootstrap_subspace(
-      model, initial, timeline.t0(), config.bootstrap_spinup_h,
-      config.bootstrap_samples, 0.999, config.max_rank, config.truth_seed);
+      model, initial, timeline.t0(), kBootstrapSpinupH,
+      config.bootstrap_samples, 0.999, config.max_rank, kTruthSeed);
   la::Vector inflated = raw.sigmas();
-  for (auto& s : inflated) s *= config.bootstrap_inflation;
+  for (auto& s : inflated) s *= kBootstrapInflation;
   esse::ErrorSubspace subspace(raw.modes(), inflated);
 
   // Hidden twin truth: displaced initial state + its own model noise.
   ocean::OceanState truth(grid);
   {
-    Rng draw(config.truth_seed, 3);
+    Rng draw(kTruthSeed, 3);
     la::Vector x = climatology;
     la::Vector d = subspace.sample(draw);
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += d[i];
     truth.unpack(x, grid);
   }
-  Rng truth_rng(config.truth_seed, 1);
+  Rng truth_rng(kTruthSeed, 1);
   double truth_time = timeline.t0();
 
   auto truth_at = [&](double t_h) -> const ocean::OceanState& {
@@ -57,7 +72,7 @@ RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
   RealtimeReport report;
   ocean::OceanState analysis_state = initial;
   double analysis_time = timeline.t0();
-  Rng obs_rng(config.truth_seed, 9);
+  Rng obs_rng(kTruthSeed, 9);
 
   for (std::size_t k = 0; k < timeline.procedures().size(); ++k) {
     const double nowcast_h = timeline.nowcast_boundary(k);
@@ -121,7 +136,7 @@ RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
     analysis_state = posterior;
     analysis_time = nowcast_h;
     la::Vector next_sigmas = cycle.analysis.posterior_subspace.sigmas();
-    for (auto& s : next_sigmas) s *= config.cycle_inflation;
+    for (auto& s : next_sigmas) s *= kCycleInflation;
     subspace = esse::ErrorSubspace(cycle.analysis.posterior_subspace.modes(),
                                    next_sigmas);
   }

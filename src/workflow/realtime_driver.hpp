@@ -26,16 +26,9 @@ namespace essex::workflow {
 
 struct RealtimeConfig {
   esse::CycleParams cycle;  ///< per-procedure ensemble numerics
-  /// Initial-uncertainty bootstrap: spin-up length and sample count.
-  double bootstrap_spinup_h = 12.0;
+  /// Initial-uncertainty bootstrap sample count.
   std::size_t bootstrap_samples = 12;
-  double bootstrap_inflation = 5.0;  ///< realistic IC error ≫ model noise
-  /// Multiplicative inflation of the posterior spread handed to the next
-  /// cycle — compensates error growth the subspace cannot represent
-  /// (unresolved model error); 1.0 disables.
-  double cycle_inflation = 1.3;
   std::size_t max_rank = 12;
-  std::uint64_t truth_seed = 777;
 };
 
 /// Scores of one forecast procedure τ_k.

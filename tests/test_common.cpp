@@ -6,7 +6,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -150,47 +149,6 @@ TEST(ThreadPool, FuturePropagatesException) {
   ThreadPool pool(1);
   auto fut = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, CancelPendingDiscardsQueuedTasks) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 10; ++i) {
-    futs.push_back(pool.submit([&ran] { ++ran; }));
-  }
-  pool.cancel_pending();
-  release = true;
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 0);
-  int cancelled = 0;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (const ThreadPool::TaskCancelled&) {
-      ++cancelled;
-    }
-  }
-  EXPECT_EQ(cancelled, 10);
-}
-
-TEST(ThreadPool, CancelFlagVisibleToRunningTasks) {
-  ThreadPool pool(1);
-  std::atomic<bool> saw_cancel{false};
-  std::atomic<bool> started{false};
-  auto fut = pool.submit([&](const std::atomic<bool>& stop) {
-    started = true;
-    while (!stop.load()) std::this_thread::yield();
-    saw_cancel = true;
-  });
-  while (!started.load()) std::this_thread::yield();
-  pool.cancel_pending();
-  fut.get();
-  EXPECT_TRUE(saw_cancel.load());
 }
 
 TEST(ThreadPool, RejectsZeroWorkersAndNullTasks) {

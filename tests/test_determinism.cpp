@@ -19,13 +19,13 @@
 #include "common/digest.hpp"
 #include "esse/repro.hpp"
 #include "linalg/simd.hpp"
-#include "workflow/determinism_probe.hpp"
+#include "service/determinism_probe.hpp"
 
 #ifndef ESSEX_GOLDEN_DIR
 #define ESSEX_GOLDEN_DIR "."
 #endif
 
-namespace essex::workflow {
+namespace essex::service {
 namespace {
 
 // The digests are identical runs of real multi-second forecasts; compute
@@ -193,7 +193,7 @@ TEST(Determinism, SerializedProductIsSelfConsistent) {
   esse::ForecastResult jittered = res;
   ASSERT_TRUE(jittered.mtc.has_value());
   jittered.mtc->svd_runs += 17;
-  jittered.mtc->members_retried += 3;
+  jittered.mtc->retries += 3;
   EXPECT_EQ(esse::forecast_digest(jittered), esse::forecast_digest(res));
 }
 
@@ -218,4 +218,4 @@ TEST(Determinism, MatchesCheckedInGoldenDigest) {
 }
 
 }  // namespace
-}  // namespace essex::workflow
+}  // namespace essex::service

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -232,6 +233,28 @@ TEST(Differ, AcceptsAnyOrderRejectsDuplicates) {
   EXPECT_EQ(d.count(), 2u);
   EXPECT_THROW(d.add_member(7, la::Vector(5, 3.0)), PreconditionError);
   EXPECT_THROW(d.add_member(1, la::Vector(4, 0.0)), PreconditionError);
+}
+
+TEST(Differ, RejectsNonFiniteColumnsBeforeTheyReachTheStore) {
+  Differ d(la::Vector(4, 1.0));
+  d.add_member(0, la::Vector(4, 2.0));
+  const std::uint64_t version = d.version();
+  const la::Matrix gram = d.view().gram();
+  la::Vector nan_forecast(4, 2.0);
+  nan_forecast[2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(d.add_member(1, nan_forecast), PreconditionError);
+  la::Vector inf_anomaly(4, 0.5);
+  inf_anomaly[0] = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW(d.add_anomaly(1, inf_anomaly), PreconditionError);
+  EXPECT_EQ(d.count(), 1u);
+  EXPECT_EQ(d.contiguous_count(), 1u);
+  EXPECT_EQ(d.version(), version);
+  la::Matrix diff = d.view().gram();
+  diff -= gram;
+  EXPECT_EQ(diff.max_abs(), 0.0);
+  // The id is still free: a finite retry of the member is absorbed.
+  d.add_member(1, la::Vector(4, 3.0));
+  EXPECT_EQ(d.count(), 2u);
 }
 
 TEST(Differ, SnapshotNormalisesBySqrtNm1) {

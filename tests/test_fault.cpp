@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "common/thread_pool.hpp"
 #include "esse/cycle.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/execution_backend.hpp"
@@ -22,6 +28,7 @@
 #include "obs/instruments.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "workflow/esse_workflow_sim.hpp"
 #include "workflow/parallel_runner.hpp"
 
@@ -161,8 +168,8 @@ TEST(FaultExecutor, RetriesWithExponentialBackoffUntilSuccess) {
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kDone);
   const FaultStats st = exec.stats();
   EXPECT_EQ(st.retries, 2u);
-  EXPECT_EQ(st.failed_attempts, 2u);
-  EXPECT_EQ(st.members_lost, 0u);
+  EXPECT_EQ(st.attempts_failed, 2u);
+  EXPECT_EQ(st.ledger.members_lost, 0u);
   EXPECT_TRUE(exec.idle());
 }
 
@@ -190,8 +197,8 @@ TEST(FaultExecutor, MemberLostWhenRetriesExhausted) {
   EXPECT_EQ(be.submissions.size(), 2u);
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kFailed);
-  EXPECT_EQ(exec.stats().members_lost, 1u);
-  EXPECT_EQ(exec.members_resolved(), 1u);
+  EXPECT_EQ(exec.stats().ledger.members_lost, 1u);
+  EXPECT_TRUE(exec.stats().ledger.conserves());
 }
 
 TEST(FaultExecutor, TimeoutBudgetCoversRunTimeNotQueueWait) {
@@ -276,7 +283,7 @@ TEST(FaultExecutor, SpeculativeCopyCancelledWhenOriginalWins) {
   EXPECT_EQ(s.resolved.back().outcome, TaskOutcome::kDone);
   const FaultStats st = s.exec->stats();
   EXPECT_EQ(st.speculative_won, 0u);
-  EXPECT_EQ(st.members_lost, 0u);
+  EXPECT_EQ(st.ledger.members_lost, 0u);
   EXPECT_TRUE(s.exec->idle());
 }
 
@@ -289,12 +296,17 @@ TEST(FaultExecutor, SpeculativeCopyCanWinTheRace) {
   ASSERT_EQ(s.resolved.size(), 3u);
   EXPECT_EQ(s.resolved.back().outcome, TaskOutcome::kDone);
   EXPECT_EQ(s.exec->stats().speculative_won, 1u);
-  EXPECT_EQ(s.exec->members_resolved(), 3u);
+  EXPECT_EQ(s.exec->stats().ledger.members_done, 3u);
+  EXPECT_TRUE(s.exec->stats().ledger.conserves());
 }
 
 TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
   MockBackend be;
   FaultTolerantExecutor exec(be, no_jitter_policy());
+  std::vector<Resolution> resolved;
+  exec.set_member_hook([&](std::size_t m, TaskOutcome o) {
+    resolved.push_back({m, o});
+  });
   for (std::size_t m = 0; m < 3; ++m) exec.run_member(m);
   be.start(be.submissions[0]);
   // Member 1 is waiting out a backoff when the teardown happens.
@@ -302,12 +314,24 @@ TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
   be.finish(be.submissions[1], TaskOutcome::kFailed);
 
   exec.cancel_all();
-  // Both live attempts cancelled; the pending retry evaporates.
+  // Both live attempts cancelled; the pending retry evaporates, and every
+  // member — the one waiting out its backoff included — resolved
+  // cancelled exactly once, so the ledger conserves right away.
   EXPECT_EQ(be.cancelled.size(), 2u);
   EXPECT_TRUE(exec.idle());
+  ASSERT_EQ(resolved.size(), 3u);
+  for (const Resolution& r : resolved) {
+    EXPECT_EQ(r.outcome, TaskOutcome::kCancelled);
+  }
+  const MemberLedger ledger = exec.stats().ledger;
+  EXPECT_EQ(ledger.members_submitted, 3u);
+  EXPECT_EQ(ledger.members_cancelled_final, 3u);
+  EXPECT_TRUE(ledger.conserves());
   be.advance(600.0);
   EXPECT_EQ(be.submissions.size(), 3u);  // no post-shutdown launches
-  EXPECT_EQ(exec.stats().members_lost, 0u);
+  exec.cancel_all();  // idempotent: nothing resolves twice
+  EXPECT_EQ(resolved.size(), 3u);
+  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
 }
 
 TEST(FaultExecutor, DrainModeAbandonsPendingRetriesAsCancelled) {
@@ -326,7 +350,7 @@ TEST(FaultExecutor, DrainModeAbandonsPendingRetriesAsCancelled) {
   // The abandoned retry resolves the member as cancelled — not lost.
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kCancelled);
-  EXPECT_EQ(exec.stats().members_lost, 0u);
+  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
   EXPECT_TRUE(exec.idle());
   be.advance(60.0);
   EXPECT_EQ(be.submissions.size(), 1u);
@@ -347,7 +371,64 @@ TEST(FaultExecutor, CancelMemberResolvesItCancelled) {
   EXPECT_EQ(resolved[0].member, 0u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kCancelled);
   EXPECT_EQ(be.cancelled.size(), 1u);
-  EXPECT_EQ(exec.stats().members_lost, 0u);
+  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
+}
+
+// ---- ThreadExecutionBackend: where an attempt's cancellation is decided ----------
+
+TEST(ThreadExecutionBackend, CancelledAttemptsSkipOrSeeTheirTokenAndDrain) {
+  ThreadPool pool(1);
+  std::atomic<bool> running{false};
+  std::atomic<bool> saw_token{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  ThreadExecutionBackend be(
+      pool, [&](std::size_t member, std::size_t,
+                const std::atomic<bool>& cancelled) {
+        ++ran;
+        if (member != 0) return;
+        running = true;
+        while (!cancelled.load()) std::this_thread::yield();
+        saw_token = true;
+        while (!release.load()) std::this_thread::yield();
+      });
+  std::mutex mu;
+  std::map<TaskId, std::vector<TaskOutcome>> reports;
+  be.set_report_hook([&](const TaskReport& r) {
+    std::lock_guard<std::mutex> lk(mu);
+    reports[r.task].push_back(r.outcome);
+  });
+
+  const TaskId first = be.submit(0, 0);
+  while (!running.load()) std::this_thread::yield();
+  // The pool's only worker is busy, so these attempts are still queued.
+  std::vector<TaskId> queued;
+  for (std::size_t m = 1; m <= 4; ++m) queued.push_back(be.submit(m, 0));
+  for (TaskId id : queued) be.cancel(id);
+  be.cancel(first);
+  while (!saw_token.load()) std::this_thread::yield();
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    be.drain_tasks();
+    drained = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(drained.load());  // the running attempt has not retired
+  release = true;
+  drainer.join();
+
+  // Only the running attempt ever entered its closure; every attempt
+  // reported kCancelled exactly once, and none is left in the pool.
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(pool.queued(), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(reports.size(), 5u);
+  for (const auto& [id, outcomes] : reports) {
+    ASSERT_EQ(outcomes.size(), 1u) << "task " << id;
+    EXPECT_EQ(outcomes[0], TaskOutcome::kCancelled) << "task " << id;
+    EXPECT_EQ(be.poll(id).state, TaskState::kFinished);
+  }
 }
 
 // ---- per-job injection RNG streams (the splittable-key bugfix) -----------------
@@ -490,9 +571,9 @@ TEST(FaultyWorkflow, RetriesRecoverInjectedFailures) {
   sp.faults.seed = 17;
   WorkflowMetrics m = run_faulty(wf_config(), sp);
   EXPECT_TRUE(m.converged);
-  EXPECT_GT(m.members_failed, 0u);
-  EXPECT_GT(m.members_retried, 0u);
-  EXPECT_EQ(m.members_lost, 0u);  // default budget absorbs p=0.2
+  EXPECT_GT(m.attempts_failed, 0u);
+  EXPECT_GT(m.retries, 0u);
+  EXPECT_EQ(m.ledger.members_lost, 0u);  // default budget absorbs p=0.2
   EXPECT_GE(m.members_diffed, 32u);
 }
 
@@ -505,8 +586,8 @@ TEST(FaultyWorkflow, NodeOutagesAreAbsorbedWithZeroLoss) {
   cfg.converge_at = 64;  // longer run → outages certain to strike
   WorkflowMetrics m = run_faulty(cfg, sp);
   EXPECT_TRUE(m.converged);
-  EXPECT_GT(m.members_evicted, 0u);
-  EXPECT_EQ(m.members_lost, 0u);
+  EXPECT_GT(m.evictions, 0u);
+  EXPECT_EQ(m.ledger.members_lost, 0u);
   EXPECT_GE(m.members_diffed, 64u);
 }
 
@@ -518,9 +599,9 @@ TEST(FaultyWorkflow, FaultyRunsAreDeterministic) {
   WorkflowMetrics a = run_faulty(wf_config(), sp);
   WorkflowMetrics b = run_faulty(wf_config(), sp);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.members_retried, b.members_retried);
-  EXPECT_EQ(a.members_evicted, b.members_evicted);
-  EXPECT_EQ(a.members_failed, b.members_failed);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.attempts_failed, b.attempts_failed);
   EXPECT_EQ(a.svd_runs, b.svd_runs);
 }
 
@@ -537,8 +618,8 @@ TEST(FaultyWorkflow, ConvergenceCancellationRacesInjectedFailures) {
   WorkflowMetrics m = run_faulty(cfg, sp);
   EXPECT_TRUE(m.converged);
   EXPECT_GE(m.members_diffed, 32u);
-  EXPECT_GT(m.members_failed, 0u);
-  EXPECT_GT(m.members_cancelled, 0u);
+  EXPECT_GT(m.attempts_failed, 0u);
+  EXPECT_GT(m.attempts_cancelled, 0u);
 }
 
 TEST(FaultyWorkflow, StragglersOnSlowNodesAreSpeculativelyReExecuted) {
@@ -557,7 +638,7 @@ TEST(FaultyWorkflow, StragglersOnSlowNodesAreSpeculativelyReExecuted) {
   EXPECT_TRUE(m.converged);
   EXPECT_GT(m.speculative_launched, 0u);
   EXPECT_GT(m.speculative_won, 0u);  // backups on fast nodes win the race
-  EXPECT_EQ(m.members_lost, 0u);
+  EXPECT_EQ(m.ledger.members_lost, 0u);
   // The backup copies bound the makespan well below the slow node's
   // ~505 s member runtime.
   EXPECT_LT(m.makespan_s, 400.0);
@@ -575,7 +656,7 @@ TEST(FaultyWorkflow, ConvergedRunWithLossesReportsDegraded) {
   cfg.converge_at = 24;
   WorkflowMetrics m = run_faulty(cfg, sp);
   ASSERT_TRUE(m.converged);
-  EXPECT_GT(m.members_lost, 0u);
+  EXPECT_GT(m.ledger.members_lost, 0u);
   EXPECT_TRUE(m.degraded);
 }
 
@@ -621,15 +702,15 @@ TEST_F(FaultRunnerFixture, InjectedFailuresAreRetriedToCompletion) {
   cfg.fault.max_retries = 6;  // loss probability 0.3^7 ≈ 2e-4 per member
   cfg.inject.segment.probability = 0.3;
   cfg.inject.seed = 77;
-  ForecastResult res = workflow::run_parallel_forecast(
+  ForecastResult res = service::run_parallel_forecast(
       workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   EXPECT_GT(res.members_run, 4u);
   ASSERT_TRUE(res.mtc.has_value());
-  EXPECT_GT(res.mtc->members_failed, 0u);
-  EXPECT_GT(res.mtc->members_retried, 0u);
+  EXPECT_GT(res.mtc->attempts_failed, 0u);
+  EXPECT_GT(res.mtc->retries, 0u);
   EXPECT_EQ(res.mtc->members_lost, 0u);
   EXPECT_EQ(res.mtc->members_submitted,
-            res.members_run + res.mtc->members_cancelled);
+            res.members_run + res.mtc->members_unused);
 }
 
 TEST_F(FaultRunnerFixture, AllMembersLostTripsTheDegradationFloor) {
@@ -637,9 +718,33 @@ TEST_F(FaultRunnerFixture, AllMembersLostTripsTheDegradationFloor) {
   cfg.fault.max_retries = 0;
   cfg.inject.segment.probability = 1.0;  // every attempt dies
   EXPECT_THROW(
-      workflow::run_parallel_forecast(workflow::ForecastRequest{
+      service::run_parallel_forecast(workflow::ForecastRequest{
           *model, sc->initial, subspace, 0.0, cfg}),
       essex::Error);
+}
+
+TEST_F(FaultRunnerFixture, NonFiniteMembersAreLostNotAbsorbed) {
+  // A nowcast mode full of NaN makes every perturbed member diverge. The
+  // differ refuses each column, the attempt fails and is retried, every
+  // member ends lost, and the run stops at the degradation floor instead
+  // of returning a non-finite subspace.
+  la::Matrix modes = subspace.modes();
+  for (std::size_t i = 0; i < modes.rows(); ++i)
+    modes(i, 0) = std::numeric_limits<double>::quiet_NaN();
+  const ErrorSubspace poisoned(std::move(modes), subspace.sigmas());
+  workflow::ParallelRunnerConfig cfg = fast_retry_config();
+  cfg.cycle.ensemble = {4, 2.0, 8};
+  cfg.fault.max_retries = 1;
+  try {
+    service::run_parallel_forecast(
+        workflow::ForecastRequest{*model, sc->initial, poisoned, 0.0, cfg});
+    ADD_FAILURE() << "a non-finite ensemble produced a forecast";
+  } catch (const PreconditionError& e) {
+    // Not some downstream numerics failure: nothing reached the SVD.
+    EXPECT_NE(std::string(e.what()).find("degradation floor"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(FaultRunnerFixture, AnalysisRefusesBelowMemberFloor) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/proptest.hpp"
 #include "common/rng.hpp"
 #include "esse/subspace_io.hpp"
 #include "linalg/qr.hpp"
@@ -162,6 +166,129 @@ TEST(SubspaceIo, StateFileIsNotASubspace) {
   const std::string path = tmp.file("subspace_kind.esxf");
   ocean::save_state(path, sc.grid, sc.initial);
   EXPECT_THROW(esse::load_subspace(path), Error);
+}
+
+std::string subspace_bytes(std::uint64_t seed) {
+  Rng rng(seed);
+  la::Matrix e(12, 3);
+  for (auto& v : e.data()) v = rng.normal();
+  la::orthonormalize_columns(e);
+  std::ostringstream out(std::ios::binary);
+  esse::save_subspace(out, esse::ErrorSubspace(e, {3, 2, 1}));
+  return out.str();
+}
+
+/// A subspace header (magic, version, kind, dim, rank) with nothing after.
+std::string subspace_header(std::uint64_t dim, std::uint64_t rank) {
+  std::string bytes = subspace_bytes(1).substr(0, 12);
+  bytes.append(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  bytes.append(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  return bytes;
+}
+
+esse::ErrorSubspace load_subspace_bytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return esse::load_subspace(in);
+}
+
+TEST(SubspaceIo, OversizedHeaderIsRejectedBeforeAllocating) {
+  // dim = rank = 2^32: dim × rank wraps to 0 in 64 bits, and the sigmas
+  // alone would need 32 GiB. Every declared size is checked against the
+  // bytes actually left in the stream.
+  const std::uint64_t huge = std::uint64_t{1} << 32;
+  EXPECT_THROW(load_subspace_bytes(subspace_header(huge, huge) +
+                                   std::string(64, '\0')),
+               Error);
+  EXPECT_THROW(load_subspace_bytes(subspace_header(huge, 1)), Error);
+  EXPECT_THROW(load_subspace_bytes(subspace_header(
+                   std::numeric_limits<std::uint64_t>::max(), 2)),
+               Error);
+}
+
+TEST(SubspaceIo, RejectsNonFiniteNegativeOrIncreasingSigmas) {
+  const std::string good = subspace_bytes(5);  // sigmas 3, 2, 1
+  EXPECT_NO_THROW(load_subspace_bytes(good));
+  struct Corruption {
+    std::size_t index;
+    double value;
+  };
+  for (const Corruption c :
+       {Corruption{0, std::numeric_limits<double>::infinity()},
+        Corruption{1, std::numeric_limits<double>::quiet_NaN()},
+        Corruption{1, -1.0}, Corruption{1, 10.0}}) {
+    std::string bytes = good;
+    // The sigmas follow the 28-byte header.
+    bytes.replace(28 + c.index * sizeof(double), sizeof(double),
+                  reinterpret_cast<const char*>(&c.value), sizeof(double));
+    EXPECT_THROW(load_subspace_bytes(bytes), Error)
+        << "sigma " << c.index << " = " << c.value;
+  }
+}
+
+/// Random bytes, a truncated valid file, or a valid file with a few
+/// bytes overwritten — the inputs a hostile or damaged product file is.
+testkit::Gen<std::string> hostile_bytes(const std::string& valid) {
+  testkit::Gen<std::string> gen;
+  gen.create = [valid](Rng& rng) {
+    switch (rng.uniform_index(3)) {
+      case 0: {
+        std::string bytes(rng.uniform_index(96), '\0');
+        for (char& c : bytes) c = static_cast<char>(rng.uniform_index(256));
+        return bytes;
+      }
+      case 1:
+        return valid.substr(0, rng.uniform_index(valid.size()));
+      default: {
+        std::string bytes = valid;
+        for (int k = 0; k < 4; ++k) {
+          bytes[rng.uniform_index(bytes.size())] =
+              static_cast<char>(rng.uniform_index(256));
+        }
+        return bytes;
+      }
+    }
+  };
+  gen.describe = [](const std::string& b) {
+    return std::to_string(b.size()) + " bytes";
+  };
+  return gen;
+}
+
+TEST(EsxfProperty, LoadersOnlyEverThrowEssexErrorsOnHostileBytes) {
+  // Either the bytes decode, or the loader throws essex::Error — never a
+  // bad_alloc, a length_error or a crash.
+  testkit::PropConfig cfg;
+  cfg.name = "load_subspace on hostile bytes";
+  const auto sub = testkit::check(
+      cfg, hostile_bytes(subspace_bytes(9)), [](const std::string& bytes) {
+        try {
+          load_subspace_bytes(bytes);
+        } catch (const Error&) {
+        }
+      });
+  EXPECT_TRUE(sub.ok) << sub.message;
+
+  ocean::Scenario sc = ocean::make_double_gyre_scenario(8, 8, 2);
+  testkit::TempDir tmp;
+  const std::string path = tmp.file("hostile_state.esxf");
+  ocean::save_state(path, sc.grid, sc.initial);
+  std::ifstream in(path, std::ios::binary);
+  const std::string valid((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  cfg.name = "load_state on hostile bytes";
+  const auto state =
+      testkit::check(cfg, hostile_bytes(valid), [&](const std::string& b) {
+        {
+          std::ofstream out(path, std::ios::binary | std::ios::trunc);
+          out.write(b.data(), static_cast<std::streamsize>(b.size()));
+        }
+        try {
+          ocean::load_state(path, sc.grid);
+        } catch (const Error&) {
+        }
+      });
+  EXPECT_TRUE(state.ok) << state.message;
 }
 
 // ---- drifters ----------------------------------------------------------------------

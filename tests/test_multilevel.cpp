@@ -30,8 +30,9 @@
 #include "ocean/monterey.hpp"
 #include "ocean/state.hpp"
 #include "service/admission.hpp"
+#include "service/determinism_probe.hpp"
+#include "service/forecast_service.hpp"
 #include "service/sim_service.hpp"
-#include "workflow/determinism_probe.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace essex {
@@ -286,12 +287,12 @@ TEST(Multilevel, CollapsesBitwiseOntoSingleLevelWhenAllMembersAreFine) {
   cfg.cycle.convergence = {0.90, 6};
   cfg.cycle.max_rank = 8;
   cfg.svd_min_new_members = 4;
-  const esse::ForecastResult single = workflow::run_parallel_forecast(
+  const esse::ForecastResult single = service::run_parallel_forecast(
       workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 
   cfg.cycle.multilevel.levels = 2;
   cfg.cycle.multilevel.members_per_level = {12, 0};
-  const esse::ForecastResult collapsed = workflow::run_parallel_forecast(
+  const esse::ForecastResult collapsed = service::run_parallel_forecast(
       workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
 
   EXPECT_EQ(esse::forecast_digest(collapsed), esse::forecast_digest(single));
@@ -300,7 +301,7 @@ TEST(Multilevel, CollapsesBitwiseOntoSingleLevelWhenAllMembersAreFine) {
 // ---- the mixed-resolution runner end to end -------------------------------------
 
 TEST(Multilevel, MixedResolutionForecastProducesAFineGridProduct) {
-  const esse::ForecastResult res = workflow::golden_multilevel_forecast(2);
+  const esse::ForecastResult res = service::golden_multilevel_forecast(2);
   const std::size_t fine_m = ocean::OceanState::packed_size(gyre_grid());
   EXPECT_EQ(res.central_forecast.size(), fine_m);
   EXPECT_EQ(res.forecast_subspace.dim(), fine_m);
@@ -428,7 +429,7 @@ TEST(SimServiceMultilevel, CoarseMembersRunAndAccountPerLevel) {
   const service::SimRequestOutcome& out = svc.outcomes()[0];
   EXPECT_EQ(out.state, service::RequestState::kDone);
   EXPECT_TRUE(out.converged);
-  EXPECT_EQ(out.members_completed, 16u);
+  EXPECT_EQ(out.ledger.members_done, 16u);
   ASSERT_EQ(out.members_completed_per_level.size(), 2u);
   EXPECT_EQ(out.members_completed_per_level[0], 4u);
   EXPECT_EQ(out.members_completed_per_level[1], 12u);

@@ -33,7 +33,7 @@ TEST_P(ScenarioOracleTest, AllInvariantOraclesHold) {
   EXPECT_TRUE(out.ok()) << out.failures(spec);
 
   // The run must have been substantial enough for the oracles to bite.
-  EXPECT_GT(out.des.members_dispatched, 0u);
+  EXPECT_GT(out.des.ledger.members_submitted, 0u);
   EXPECT_FALSE(out.des_svd_sizes.empty());
   EXPECT_GT(out.science.members_run, 0u);
   EXPECT_GT(out.observations_used, 0u);

@@ -224,12 +224,37 @@ TEST(SimService, RunsARequestToConvergenceWithoutLeaks) {
   const SimRequestOutcome& out = svc.outcomes()[0];
   EXPECT_EQ(out.state, RequestState::kDone);
   EXPECT_TRUE(out.converged);
-  EXPECT_GE(out.members_completed, 8u);
-  EXPECT_EQ(out.members_dispatched,
-            out.members_completed + out.members_cancelled +
-                out.members_failed);
+  EXPECT_GE(out.ledger.members_done, 8u);
+  EXPECT_TRUE(out.ledger.conserves());
   EXPECT_EQ(svc.leaked_members(), 0);
   EXPECT_GT(out.latency_s(), 0.0);
+}
+
+TEST(SimService, EvictedMembersCountAsLostAndTheLedgerConserves) {
+  // Node outages evict running member jobs. The twin has no retry layer,
+  // so each evicted member is lost — not cancelled — and the ledger
+  // still accounts for every dispatched member.
+  mtc::Simulator sim;
+  mtc::SchedulerParams sp = mtc::sge_params();
+  sp.faults.outage.mtbf_s = 600.0;
+  sp.faults.outage.duration_s = 300.0;
+  mtc::ClusterScheduler sched(sim, tiny_cluster(4, 2), sp);
+  SimForecastService svc(sim, sched, SimServiceConfig{});
+  SimRequestSpec spec;
+  spec.initial_members = 8;
+  spec.max_members = 32;
+  spec.converge_at = 16;
+  sim.at(0.0, [&] { svc.submit(spec); });
+  sim.run();
+  ASSERT_EQ(svc.outcomes().size(), 1u);
+  std::size_t evicted = 0;
+  for (const mtc::JobRecord& r : sched.records())
+    evicted += r.status == mtc::JobStatus::kEvicted ? 1 : 0;
+  ASSERT_GT(evicted, 0u);
+  const MemberLedger& ledger = svc.outcomes()[0].ledger;
+  EXPECT_EQ(ledger.members_lost, evicted);
+  EXPECT_TRUE(ledger.conserves());
+  EXPECT_EQ(svc.leaked_members(), 0);
 }
 
 TEST(SimService, GrowsTheEnsembleWhenTheFirstPoolDrains) {
@@ -245,7 +270,7 @@ TEST(SimService, GrowsTheEnsembleWhenTheFirstPoolDrains) {
   sim.run();
   ASSERT_EQ(svc.outcomes().size(), 1u);
   EXPECT_TRUE(svc.outcomes()[0].converged);
-  EXPECT_GE(svc.outcomes()[0].members_completed, 16u);
+  EXPECT_GE(svc.outcomes()[0].ledger.members_done, 16u);
   EXPECT_EQ(svc.leaked_members(), 0);
 }
 
@@ -315,8 +340,8 @@ TEST(SimService, DeadlinePressureShrinksInsteadOfBlowingTheDeadline) {
   EXPECT_TRUE(out.degraded);
   EXPECT_FALSE(out.converged);  // settled below converge_at ...
   EXPECT_TRUE(out.deadline_met);  // ... but inside the deadline
-  EXPECT_LT(out.members_completed, 16u);
-  EXPECT_GE(out.members_completed, 4u);
+  EXPECT_LT(out.ledger.members_done, 16u);
+  EXPECT_GE(out.ledger.members_done, 4u);
   EXPECT_EQ(svc.leaked_members(), 0);
   EXPECT_EQ(svc.stats().deadline_missed, 0u);
 }
@@ -472,7 +497,7 @@ struct ServiceFixture : ::testing::Test {
 
 TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
   const esse::ForecastResult direct =
-      workflow::run_parallel_forecast(quick_request());
+      run_parallel_forecast(quick_request());
 
   ServiceConfig cfg;
   cfg.min_workers = cfg.max_workers = 2;
@@ -510,7 +535,7 @@ TEST_F(ServiceFixture, InvalidRequestsGetStructuredRejections) {
             std::string::npos);
   EXPECT_THROW(h.result(), PreconditionError);
   // The one-shot wrapper keeps throwing, as it always did.
-  EXPECT_THROW(workflow::run_parallel_forecast(bad), PreconditionError);
+  EXPECT_THROW(run_parallel_forecast(bad), PreconditionError);
 }
 
 TEST_F(ServiceFixture, InfeasibleDeadlinesAreRefusedUpFront) {

@@ -288,7 +288,7 @@ TEST(OpenDapStaging, SlowerThanNfsDirectDueToRequestLatency) {
   const auto dap = run_mode(mtc::InputStaging::kOpenDapRemote);
   EXPECT_GT(dap.makespan_s, nfs.makespan_s + 5.0);  // 10 s latency/job
   EXPECT_LT(dap.pert_cpu_utilization, nfs.pert_cpu_utilization);
-  EXPECT_EQ(dap.members_completed, 16u);
+  EXPECT_EQ(dap.ledger.members_done, 16u);
 }
 
 }  // namespace

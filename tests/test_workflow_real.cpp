@@ -7,6 +7,7 @@
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
 #include "ocean/monterey.hpp"
+#include "service/forecast_service.hpp"
 #include "workflow/parallel_runner.hpp"
 
 namespace essex::workflow {
@@ -34,7 +35,7 @@ TEST_F(RunnerFixture, ProducesConvergedForecastSubspace) {
   cfg.cycle.convergence = {0.90, 6};
   cfg.cycle.max_rank = 8;
   cfg.svd_min_new_members = 4;
-  esse::ForecastResult res = run_parallel_forecast(
+  esse::ForecastResult res = service::run_parallel_forecast(
       ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   EXPECT_GT(res.members_run, 4u);
   EXPECT_GT(res.forecast_subspace.rank(), 0u);
@@ -57,7 +58,7 @@ TEST_F(RunnerFixture, MatchesBlockSynchronousDriverStatistically) {
   ParallelRunnerConfig cfg;
   cfg.cycle = cp;
   cfg.pool_headroom = 1.0;
-  esse::ForecastResult mtc = run_parallel_forecast(
+  esse::ForecastResult mtc = service::run_parallel_forecast(
       ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
 
   ASSERT_EQ(block.members_run, 16u);
@@ -83,18 +84,18 @@ TEST_F(RunnerFixture, CancellationLeavesConsistentCounts) {
   telemetry::Sink sink("runner-cancel");
   ForecastRequest req{*model, sc->initial, subspace, 0.0, cfg};
   req.sink = &sink;
-  esse::ForecastResult res = run_parallel_forecast(req);
+  esse::ForecastResult res = service::run_parallel_forecast(req);
   ASSERT_TRUE(res.mtc.has_value());
   EXPECT_EQ(res.mtc->members_submitted,
-            res.members_run + res.mtc->members_cancelled);
+            res.members_run + res.mtc->members_unused);
   EXPECT_TRUE(res.converged);
-  EXPECT_GT(res.mtc->members_cancelled, 0u);
+  EXPECT_GT(res.mtc->members_unused, 0u);
   // The telemetry session and the accounting agree — the accounting is
   // fed by the same recorded metrics.
   EXPECT_EQ(sink.metrics().value("runner.members_submitted"),
             static_cast<double>(res.mtc->members_submitted));
   EXPECT_EQ(sink.metrics().value("runner.members_cancelled"),
-            static_cast<double>(res.mtc->members_cancelled));
+            static_cast<double>(res.mtc->members_unused));
   EXPECT_EQ(sink.metrics().value("runner.svd_runs"),
             static_cast<double>(res.mtc->svd_runs));
   EXPECT_GT(sink.metrics().histogram_at("runner.member_s").count(), 0u);

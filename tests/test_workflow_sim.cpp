@@ -73,7 +73,7 @@ WorkflowMetrics run(bool parallel, EsseWorkflowConfig cfg,
 TEST(SerialWorkflow, ConvergesAndCompletesAllMembers) {
   WorkflowMetrics m = run(false, test_config());
   EXPECT_TRUE(m.converged);
-  EXPECT_EQ(m.members_completed, 32u);
+  EXPECT_EQ(m.ledger.members_done, 32u);
   EXPECT_EQ(m.members_diffed, 32u);
   EXPECT_GT(m.makespan_s, 0.0);
   EXPECT_EQ(m.svd_runs, 1u);  // one barrier SVD sufficed
@@ -105,7 +105,7 @@ TEST(ParallelWorkflow, GrowthStagesReachNmaxWithoutConvergence) {
   cfg.max_members = 64;
   WorkflowMetrics m = run(true, cfg);
   EXPECT_FALSE(m.converged);
-  EXPECT_EQ(m.members_completed, 64u);
+  EXPECT_EQ(m.ledger.members_done, 64u);
   EXPECT_EQ(m.members_diffed, 64u);
 }
 
@@ -114,7 +114,7 @@ TEST(SerialWorkflow, GrowthLoopsBackThroughStages) {
   cfg.converge_at = 64;
   WorkflowMetrics m = run(false, cfg);
   EXPECT_TRUE(m.converged);
-  EXPECT_EQ(m.members_completed, 64u);
+  EXPECT_EQ(m.ledger.members_done, 64u);
   EXPECT_GE(m.svd_runs, 2u);  // one per round
 }
 
@@ -144,7 +144,7 @@ TEST(CancelPolicies, ImmediateCancelWastesInflightWork) {
   cfg.cancel_policy = CancelPolicy::kCancelImmediately;
   WorkflowMetrics m = run(true, cfg);
   EXPECT_TRUE(m.converged);
-  EXPECT_GT(m.members_cancelled, 0u);
+  EXPECT_GT(m.attempts_cancelled, 0u);
   EXPECT_GT(m.wasted_cpu_seconds, 0.0);
 }
 
@@ -155,7 +155,7 @@ TEST(CancelPolicies, UseAllFinishedDiffsLandedResults) {
   WorkflowMetrics m = run(true, cfg);
   EXPECT_TRUE(m.converged);
   // Every completed member's result is used (diffed).
-  EXPECT_EQ(m.members_diffed, m.members_completed);
+  EXPECT_EQ(m.members_diffed, m.ledger.members_done);
 }
 
 TEST(CancelPolicies, SpareNearFinishUsesMoreMembersThanImmediate) {
@@ -184,7 +184,7 @@ TEST(Deadline, ExpiredForecastStopsAndKeepsPartialEnsemble) {
   EXPECT_TRUE(m.deadline_hit);
   EXPECT_FALSE(m.converged);
   EXPECT_LE(m.makespan_s, 400.0 + 1e-6);
-  EXPECT_LT(m.members_completed, 128u);
+  EXPECT_LT(m.ledger.members_done, 128u);
 }
 
 // ---- failures (§4 point 3) ----------------------------------------------------------------
@@ -196,7 +196,7 @@ TEST(Failures, WorkflowToleratesFailedMembers) {
   sparams.faults.segment.probability = 0.2;
   WorkflowMetrics m = run(true, cfg, sparams);
   EXPECT_TRUE(m.converged);
-  EXPECT_GT(m.members_failed, 0u);
+  EXPECT_GT(m.attempts_failed, 0u);
   EXPECT_GE(m.members_diffed, 24u);
 }
 
