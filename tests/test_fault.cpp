@@ -375,60 +375,114 @@ TEST(FaultExecutor, CancelMemberResolvesItCancelled) {
 }
 
 // ---- ThreadExecutionBackend: where an attempt's cancellation is decided ----------
+//
+// The pool keeps no cancel state of its own: work queued on it is
+// cancelled through the backend, which hands each attempt its own token.
 
-TEST(ThreadExecutionBackend, CancelledAttemptsSkipOrSeeTheirTokenAndDrain) {
-  ThreadPool pool(1);
+/// A one-worker pool whose member-0 attempt occupies the worker: it spins
+/// until its token is set, then until release(), so attempts submitted
+/// after start_blocker() stay queued behind it.
+struct BlockedWorker {
+  ThreadPool pool{1};
   std::atomic<bool> running{false};
   std::atomic<bool> saw_token{false};
-  std::atomic<bool> release{false};
+  std::atomic<bool> released{false};
   std::atomic<int> ran{0};
-  ThreadExecutionBackend be(
-      pool, [&](std::size_t member, std::size_t,
-                const std::atomic<bool>& cancelled) {
+  std::mutex mu;
+  std::map<TaskId, std::vector<TaskOutcome>> reports;
+  ThreadExecutionBackend be{
+      pool, [this](std::size_t member, std::size_t,
+                   const std::atomic<bool>& cancelled) {
         ++ran;
         if (member != 0) return;
         running = true;
         while (!cancelled.load()) std::this_thread::yield();
         saw_token = true;
-        while (!release.load()) std::this_thread::yield();
-      });
-  std::mutex mu;
-  std::map<TaskId, std::vector<TaskOutcome>> reports;
-  be.set_report_hook([&](const TaskReport& r) {
-    std::lock_guard<std::mutex> lk(mu);
-    reports[r.task].push_back(r.outcome);
-  });
+        while (!released.load()) std::this_thread::yield();
+      }};
 
-  const TaskId first = be.submit(0, 0);
-  while (!running.load()) std::this_thread::yield();
-  // The pool's only worker is busy, so these attempts are still queued.
+  BlockedWorker() {
+    be.set_report_hook([this](const TaskReport& r) {
+      std::lock_guard<std::mutex> lk(mu);
+      reports[r.task].push_back(r.outcome);
+    });
+  }
+
+  TaskId start_blocker() {
+    const TaskId id = be.submit(0, 0);
+    while (!running.load()) std::this_thread::yield();
+    return id;
+  }
+
+  /// Cancel the blocker, wait until it has seen its token, let it finish.
+  void finish_blocker(TaskId id) {
+    be.cancel(id);
+    while (!saw_token.load()) std::this_thread::yield();
+    released = true;
+    be.drain_tasks();
+  }
+
+  /// Every attempt reported kCancelled exactly once and is finished.
+  void expect_all_cancelled_once(std::size_t n) {
+    std::lock_guard<std::mutex> lk(mu);
+    ASSERT_EQ(reports.size(), n);
+    for (const auto& [id, outcomes] : reports) {
+      ASSERT_EQ(outcomes.size(), 1u) << "task " << id;
+      EXPECT_EQ(outcomes[0], TaskOutcome::kCancelled) << "task " << id;
+      EXPECT_EQ(be.poll(id).state, TaskState::kFinished);
+    }
+  }
+};
+
+TEST(ThreadPool, CancelPendingDiscardsQueuedTasks) {
+  BlockedWorker w;
+  const TaskId first = w.start_blocker();
   std::vector<TaskId> queued;
-  for (std::size_t m = 1; m <= 4; ++m) queued.push_back(be.submit(m, 0));
-  for (TaskId id : queued) be.cancel(id);
-  be.cancel(first);
-  while (!saw_token.load()) std::this_thread::yield();
+  for (std::size_t m = 1; m <= 4; ++m) queued.push_back(w.be.submit(m, 0));
+  EXPECT_EQ(w.pool.queued(), 4u);
+  for (TaskId id : queued) w.be.cancel(id);
+  w.finish_blocker(first);
+
+  // The queued attempts retired from the pool without entering their
+  // closures.
+  EXPECT_EQ(w.ran.load(), 1);
+  EXPECT_EQ(w.pool.queued(), 0u);
+  w.expect_all_cancelled_once(5);
+}
+
+TEST(ThreadPool, CancelFlagVisibleToRunningTasks) {
+  BlockedWorker w;
+  const TaskId first = w.start_blocker();
+  w.finish_blocker(first);  // returns only once the closure saw its token
+  EXPECT_TRUE(w.saw_token.load());
+  EXPECT_EQ(w.ran.load(), 1);
+  w.expect_all_cancelled_once(1);
+}
+
+TEST(ThreadExecutionBackend, CancelledAttemptsSkipOrSeeTheirTokenAndDrain) {
+  BlockedWorker w;
+  const TaskId first = w.start_blocker();
+  std::vector<TaskId> queued;
+  for (std::size_t m = 1; m <= 4; ++m) queued.push_back(w.be.submit(m, 0));
+  for (TaskId id : queued) w.be.cancel(id);
+  w.be.cancel(first);
+  while (!w.saw_token.load()) std::this_thread::yield();
 
   std::atomic<bool> drained{false};
   std::thread drainer([&] {
-    be.drain_tasks();
+    w.be.drain_tasks();
     drained = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(drained.load());  // the running attempt has not retired
-  release = true;
+  w.released = true;
   drainer.join();
 
   // Only the running attempt ever entered its closure; every attempt
   // reported kCancelled exactly once, and none is left in the pool.
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(pool.queued(), 0u);
-  std::lock_guard<std::mutex> lk(mu);
-  ASSERT_EQ(reports.size(), 5u);
-  for (const auto& [id, outcomes] : reports) {
-    ASSERT_EQ(outcomes.size(), 1u) << "task " << id;
-    EXPECT_EQ(outcomes[0], TaskOutcome::kCancelled) << "task " << id;
-    EXPECT_EQ(be.poll(id).state, TaskState::kFinished);
-  }
+  EXPECT_EQ(w.ran.load(), 1);
+  EXPECT_EQ(w.pool.queued(), 0u);
+  w.expect_all_cancelled_once(5);
 }
 
 // ---- per-job injection RNG streams (the splittable-key bugfix) -----------------
