@@ -9,9 +9,6 @@
 
 namespace essex::esse {
 
-namespace {
-
-/// Integrate one ensemble member from a packed initial condition.
 la::Vector run_member(const ocean::OceanModel& model,
                       const la::Vector& packed_initial, double t0_hours,
                       double forecast_hours, bool stochastic,
@@ -28,8 +25,6 @@ la::Vector run_member(const ocean::OceanModel& model,
   }
   return state.pack();
 }
-
-}  // namespace
 
 la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   const ocean::OceanState& initial,

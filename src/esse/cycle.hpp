@@ -117,6 +117,15 @@ la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   double t0_hours, double forecast_hours,
                                   const AnalysisParams& analysis);
 
+/// Integrate one ensemble member from a packed initial condition for
+/// `forecast_hours`; returns the packed final state. A stochastic member
+/// draws its model noise from a stream keyed by (`seed`, `member_id`),
+/// offset from the perturbation stream of the same member id.
+la::Vector run_member(const ocean::OceanModel& model,
+                      const la::Vector& packed_initial, double t0_hours,
+                      double forecast_hours, bool stochastic,
+                      std::uint64_t seed, std::size_t member_id);
+
 /// Run the ensemble uncertainty forecast: integrate the central state and
 /// `N` perturbed members from `t0_hours` for `forecast_hours`, growing N
 /// per the controller until the subspace converges or Nmax is reached.

@@ -19,7 +19,6 @@ Level detect_max_supported() {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
   return Level::kScalar;
 #else
   return Level::kScalar;
@@ -49,8 +48,6 @@ const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -59,7 +56,6 @@ const char* level_name(Level level) {
 
 std::optional<Level> parse_level(std::string_view name) {
   if (name == "scalar") return Level::kScalar;
-  if (name == "sse2") return Level::kSse2;
   if (name == "avx2") return Level::kAvx2;
   return std::nullopt;
 }
@@ -92,8 +88,6 @@ const KernelTable& kernels_for(Level level) {
   switch (clamp_to_hardware(level)) {
     case Level::kAvx2:
       return detail::avx2_table();
-    case Level::kSse2:
-      return detail::sse2_table();
     case Level::kScalar:
       break;
   }

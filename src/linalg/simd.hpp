@@ -2,10 +2,10 @@
 //
 // Every dense kernel the DA pipeline spends real time in — the differ's
 // Gram borders, AᵀB products, U = A·V recoveries, Jacobi rotations —
-// funnels through the small kernel table below. Three dispatch tiers
-// exist (scalar reference, SSE2, AVX2+FMA); the active tier is picked
-// once at startup from cpuid, overridable with ESSEX_SIMD_LEVEL for
-// testing (values: "scalar", "sse2", "avx2").
+// funnels through the small kernel table below. Two dispatch tiers
+// exist (scalar reference, AVX2+FMA); the active tier is picked once at
+// startup from cpuid, overridable with ESSEX_SIMD_LEVEL for testing
+// (values: "scalar", "avx2").
 //
 // ## The determinism contract (DESIGN.md §10, §13)
 //
@@ -27,10 +27,7 @@
 //    fused multiply-add, and the length%4 tail folded sequentially with
 //    fma afterwards. The AVX2 tier computes exactly this with one ymm
 //    accumulator; the scalar tier mirrors it with std::fma (correctly
-//    rounded by C99, hence bit-identical to the hardware instruction);
-//    the SSE2 tier, which has no fused instruction, delegates
-//    reductions to the scalar reference and vectorizes only the
-//    elementwise kernels.
+//    rounded by C99, hence bit-identical to the hardware instruction).
 //
 // The fixed-shape reduction trees of matmul_at_b_parallel (kReduceRow-
 // Block leaves, DESIGN.md §10) sit ABOVE this layer: kernels here only
@@ -47,11 +44,10 @@ namespace essex::la::simd {
 /// tier below it.
 enum class Level : int {
   kScalar = 0,  ///< canonical reference (std::fma reductions)
-  kSse2 = 1,    ///< SSE2 elementwise kernels, scalar reductions
-  kAvx2 = 2,    ///< AVX2 + FMA everywhere
+  kAvx2 = 1,    ///< AVX2 + FMA everywhere
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* level_name(Level level);
 
 /// Parse a level name (as accepted in ESSEX_SIMD_LEVEL); nullopt for

@@ -6,7 +6,7 @@
 // chain matches the scalar multiply+add loops.
 //
 // Compiled with -mavx2 -mfma -ffp-contract=off on x86; elsewhere the
-// table collapses to the SSE2 tier.
+// table collapses to the scalar reference.
 #include <cmath>
 #include <cstddef>
 
@@ -243,7 +243,7 @@ const KernelTable& avx2_table() {
 
 #else  // !(__AVX2__ && __FMA__)
 
-const KernelTable& avx2_table() { return sse2_table(); }
+const KernelTable& avx2_table() { return scalar_table(); }
 
 #endif
 

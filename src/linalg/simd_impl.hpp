@@ -16,17 +16,12 @@ namespace essex::la::simd::detail {
 /// Canonical reference table (simd.hpp rules 1+2, std::fma reductions).
 const KernelTable& scalar_table();
 
-/// SSE2: vectorized elementwise kernels, scalar-reference reductions.
-/// Falls back to scalar_table() entries when not compiled for x86 SSE2.
-const KernelTable& sse2_table();
-
-/// AVX2+FMA everywhere. Falls back to sse2_table() entries when the
+/// AVX2+FMA everywhere. Falls back to scalar_table() when the
 /// toolchain could not target AVX2.
 const KernelTable& avx2_table();
 
-// Scalar reference kernels, exposed so the SSE2 tier can reuse the
-// canonical reductions and so the property tests can pin any tier
-// against the reference directly.
+// Scalar reference kernels, exposed so the property tests can pin any
+// tier against the reference directly.
 double scalar_dot(const double* x, const double* y, std::size_t n);
 double scalar_sumsq(const double* x, std::size_t n);
 void scalar_dot_block(const double* const* cols, std::size_t ncols,

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
+
+#include "common/error.hpp"
+#include "common/telemetry.hpp"
 
 namespace essex::service {
 
@@ -97,6 +101,108 @@ std::size_t RequestQueue::count_at_or_above(int priority) const {
       std::count_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
         return e.priority >= priority;
       }));
+}
+
+RequestDesk::RequestDesk(AdmissionPolicy policy, std::size_t max_inflight,
+                         telemetry::Sink* sink)
+    : controller_(policy), max_inflight_(max_inflight), sink_(sink) {}
+
+Receipt RequestDesk::refuse(double now_s, Rejection rejection) {
+  ++stats_.submitted;
+  const std::uint64_t id = next_id_++;
+  switch (rejection.reason) {
+    case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
+    case RejectReason::kDeadlineInfeasible: ++stats_.rejected_deadline; break;
+    case RejectReason::kInvalidRequest: ++stats_.rejected_invalid; break;
+    case RejectReason::kShuttingDown: ++stats_.rejected_shutdown; break;
+  }
+  if (sink_) {
+    sink_->count("service.rejected");
+    sink_->count("service.rejected." + to_string(rejection.reason));
+    sink_->event("service.request.rejected", now_s,
+                 static_cast<double>(id));
+  }
+  return {id, std::move(rejection)};
+}
+
+Receipt RequestDesk::admit(double now_s, const AdmissionTicket& ticket) {
+  const ServerLoad load{now_s, queue_.size(),
+                        queue_.count_at_or_above(ticket.priority), inflight_,
+                        max_inflight_};
+  if (auto rej = controller_.decide(ticket, load, estimator_)) {
+    return refuse(now_s, std::move(*rej));
+  }
+  ++stats_.submitted;
+  const std::uint64_t id = next_id_++;
+  queue_.push({id, ticket.priority, ticket.deadline_s});
+  bookings_.emplace(id, Booking{ticket, now_s});
+  ++stats_.admitted;
+  stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
+  if (sink_) {
+    sink_->count("service.admitted");
+    sink_->gauge_set("service.queued", static_cast<double>(queue_.size()));
+    sink_->event("service.request.queued", now_s, static_cast<double>(id));
+  }
+  return {id, std::nullopt};
+}
+
+std::optional<std::uint64_t> RequestDesk::start(double now_s) {
+  if (inflight_ >= max_inflight_) return std::nullopt;
+  const auto entry = queue_.pop();
+  if (!entry) return std::nullopt;
+  ++inflight_;
+  bookings_.at(entry->id).started_s = now_s;
+  if (sink_) {
+    sink_->event("service.request.start", now_s,
+                 static_cast<double>(entry->id));
+    sink_->gauge_set("service.inflight", static_cast<double>(inflight_));
+  }
+  return entry->id;
+}
+
+bool RequestDesk::withdraw(std::uint64_t id) {
+  if (!queue_.erase(id)) return false;
+  bookings_.erase(id);
+  ++stats_.cancelled;
+  if (sink_) sink_->count("service.cancelled");
+  return true;
+}
+
+Booking RequestDesk::finish(std::uint64_t id, RequestState state,
+                            double now_s) {
+  const auto it = bookings_.find(id);
+  ESSEX_ASSERT(it != bookings_.end() && inflight_ > 0,
+               "finish of a request that never started");
+  Booking b = it->second;
+  bookings_.erase(it);
+  --inflight_;
+  b.finished_s = now_s;
+  const bool missed = state == RequestState::kDone && !b.deadline_met();
+  switch (state) {
+    case RequestState::kDone:
+      ++stats_.completed;
+      if (missed) ++stats_.deadline_missed;
+      estimator_.observe(b.finished_s - b.started_s, b.ticket.work_units);
+      break;
+    case RequestState::kFailed: ++stats_.failed; break;
+    default: ++stats_.cancelled; break;
+  }
+  if (sink_) {
+    sink_->count("service." + to_string(state));
+    if (missed) sink_->count("service.deadline_missed");
+    sink_->observe("service.queue_wait_s", b.started_s - b.submitted_s);
+    sink_->observe("service.latency_s", b.finished_s - b.submitted_s);
+    sink_->event("service.request." + to_string(state), b.finished_s,
+                 static_cast<double>(id));
+    sink_->gauge_set("service.inflight", static_cast<double>(inflight_));
+  }
+  return b;
+}
+
+void RequestDesk::resized(std::size_t from, std::size_t to) {
+  if (from != 0 && to > from) ++stats_.pool_grow_events;
+  if (from != 0 && to < from) ++stats_.pool_shrink_events;
+  stats_.peak_workers = std::max(stats_.peak_workers, to);
 }
 
 }  // namespace essex::service

@@ -1,11 +1,13 @@
 // ESSEX: admission control and request queueing for ForecastService.
 //
-// The policy layer is deliberately clock- and backend-free: the same
-// AdmissionController / RequestQueue / RuntimeEstimator triple sits under
-// the real-thread ForecastService (wall clock, persistent ThreadPool) and
-// the DES SimForecastService (simulated clock, ClusterScheduler), so the
-// soak bench over the DES exercises exactly the admission arithmetic the
-// live server runs. A request is either admitted or handed a *structured*
+// The policy layer is deliberately clock- and backend-free: one
+// RequestDesk (AdmissionController, RequestQueue, RuntimeEstimator and
+// the request tallies) sits under both the real-thread ForecastService
+// (wall clock, persistent ThreadPool) and the DES SimForecastService
+// (simulated clock, ClusterScheduler), so the soak bench over the DES
+// exercises exactly the request bookkeeping the live server runs: the
+// same admission arithmetic, dispatch order, tallies and `service.*`
+// telemetry. A request is either admitted or handed a *structured*
 // rejection — the server never aborts on a malformed or infeasible
 // request (paper §2: forecasts are issued against deadlines; a request
 // that cannot meet its deadline is refused up front, not half-run).
@@ -17,6 +19,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
+
+namespace essex::telemetry {
+class Sink;
+}
 
 namespace essex::service {
 
@@ -196,6 +203,75 @@ class RequestQueue {
  private:
   std::set<Entry> entries_;
   std::uint64_t next_seq_ = 1;
+};
+
+/// One admitted request as the desk books it: its admission terms and
+/// the service-clock times of its lifecycle.
+struct Booking {
+  AdmissionTicket ticket;
+  double submitted_s = 0.0;
+  double started_s = 0.0;
+  double finished_s = 0.0;
+
+  bool deadline_met() const { return finished_s <= ticket.deadline_s; }
+};
+
+/// The desk's answer to one submit: the request id and, if refused, why.
+struct Receipt {
+  std::uint64_t id = 0;
+  std::optional<Rejection> rejection;  ///< nullopt = admitted and queued
+};
+
+/// The request lifecycle both servers share: refuse or admit a submit,
+/// start queued requests as inflight slots free up, and close started
+/// ones. It owns the queue, the admission decision, the runtime
+/// estimator, the ServiceStats tallies and the `service.*` telemetry of
+/// those steps. It reads no clock (callers pass the service-clock time)
+/// and takes no lock (the calling server serialises access), so the
+/// real server and the DES twin run it unchanged.
+class RequestDesk {
+ public:
+  /// `sink` is nullable and not owned.
+  RequestDesk(AdmissionPolicy policy, std::size_t max_inflight,
+              telemetry::Sink* sink);
+
+  /// Refuse a submit outright (shutting down, invalid request): tally it
+  /// by reason and record `service.rejected*`.
+  Receipt refuse(double now_s, Rejection rejection);
+  /// Decide a valid submit against the desk's own load. Admitted: queued
+  /// and recorded (`service.admitted`, `service.queued`); refused: as
+  /// refuse().
+  Receipt admit(double now_s, const AdmissionTicket& ticket);
+  /// Start the best queued request if an inflight slot is free; returns
+  /// its id (`service.request.start`, `service.inflight`).
+  std::optional<std::uint64_t> start(double now_s);
+  /// Drop a request that is still queued (cancelled before it started)
+  /// and count it cancelled. False if it is not queued.
+  bool withdraw(std::uint64_t id);
+  /// Close a started request in a terminal state: tally it (kDone also
+  /// feeds the estimator and the deadline-missed count), record the
+  /// queue-wait and latency histograms and `service.request.<state>`,
+  /// and free its slot. Returns its booking.
+  Booking finish(std::uint64_t id, RequestState state, double now_s);
+  /// Tally a worker-count (or member-slot budget) change `from` → `to`;
+  /// `from` == 0 is the initial allocation, not an elasticity event.
+  void resized(std::size_t from, std::size_t to);
+
+  std::size_t inflight() const { return inflight_; }
+  bool idle() const { return queue_.empty() && inflight_ == 0; }
+  const ServiceStats& stats() const { return stats_; }
+  const RuntimeEstimator& estimator() const { return estimator_; }
+
+ private:
+  AdmissionController controller_;
+  RequestQueue queue_;
+  RuntimeEstimator estimator_;
+  ServiceStats stats_;
+  std::unordered_map<std::uint64_t, Booking> bookings_;  ///< queued/running
+  std::size_t max_inflight_;
+  std::size_t inflight_ = 0;
+  std::uint64_t next_id_ = 1;
+  telemetry::Sink* sink_;
 };
 
 }  // namespace essex::service

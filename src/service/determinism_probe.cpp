@@ -11,24 +11,54 @@
 
 namespace essex::service {
 
-esse::ForecastResult golden_forecast(
-    std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
-  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
-  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
-                          sc.initial);
-  const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
-      model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
+namespace {
 
+/// The canonical run's inputs: scenario, model and bootstrap subspace.
+struct GoldenFixture {
+  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
+  ocean::OceanModel model{sc.grid, sc.params, ocean::WindForcing(sc.wind),
+                          sc.initial};
+  esse::ErrorSubspace subspace = esse::bootstrap_subspace(
+      model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
+};
+
+/// The golden variants differ only in these switches.
+enum class Variant { kGlobal, kTiled, kMultilevel };
+
+esse::ForecastResult run_golden(const GoldenFixture& fx, Variant variant,
+                                std::size_t threads,
+                                std::function<void(std::size_t)> arrival_hook) {
   workflow::ParallelRunnerConfig cfg;
   cfg.cycle.forecast_hours = 3.0;
   cfg.cycle.threads = threads;
   cfg.cycle.ensemble = {8, 2.0, 48};
   cfg.cycle.convergence = {0.90, 6};
   cfg.cycle.max_rank = 8;
+  if (variant == Variant::kTiled) {
+    cfg.cycle.localization.enabled = true;
+    cfg.cycle.localization.radius_km = 40.0;
+    cfg.cycle.tiling.tiles_x = 3;
+    cfg.cycle.tiling.tiles_y = 2;
+    cfg.cycle.tiling.halo_cells = 1;
+  }
+  if (variant == Variant::kMultilevel) {
+    cfg.cycle.multilevel.levels = 2;
+    cfg.cycle.multilevel.coarsen = 2;
+    cfg.cycle.multilevel.members_per_level = {8, 16};
+  }
   cfg.svd_min_new_members = 4;
   cfg.arrival_hook = std::move(arrival_hook);
   return run_parallel_forecast(
-      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+      workflow::ForecastRequest{fx.model, fx.sc.initial, fx.subspace, 0.0,
+                                cfg});
+}
+
+}  // namespace
+
+esse::ForecastResult golden_forecast(
+    std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
+  return run_golden(GoldenFixture{}, Variant::kGlobal, threads,
+                    std::move(arrival_hook));
 }
 
 std::string golden_digest(std::size_t threads,
@@ -39,27 +69,8 @@ std::string golden_digest(std::size_t threads,
 
 esse::ForecastResult golden_tiled_forecast(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
-  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
-  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
-                          sc.initial);
-  const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
-      model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
-
-  workflow::ParallelRunnerConfig cfg;
-  cfg.cycle.forecast_hours = 3.0;
-  cfg.cycle.threads = threads;
-  cfg.cycle.ensemble = {8, 2.0, 48};
-  cfg.cycle.convergence = {0.90, 6};
-  cfg.cycle.max_rank = 8;
-  cfg.cycle.localization.enabled = true;
-  cfg.cycle.localization.radius_km = 40.0;
-  cfg.cycle.tiling.tiles_x = 3;
-  cfg.cycle.tiling.tiles_y = 2;
-  cfg.cycle.tiling.halo_cells = 1;
-  cfg.svd_min_new_members = 4;
-  cfg.arrival_hook = std::move(arrival_hook);
-  return run_parallel_forecast(
-      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+  return run_golden(GoldenFixture{}, Variant::kTiled, threads,
+                    std::move(arrival_hook));
 }
 
 std::string golden_tiled_digest(std::size_t threads,
@@ -70,25 +81,8 @@ std::string golden_tiled_digest(std::size_t threads,
 
 esse::ForecastResult golden_multilevel_forecast(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
-  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
-  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
-                          sc.initial);
-  const esse::ErrorSubspace subspace = esse::bootstrap_subspace(
-      model, sc.initial, 0.0, 3.0, 8, 0.99, 6, /*seed=*/11);
-
-  workflow::ParallelRunnerConfig cfg;
-  cfg.cycle.forecast_hours = 3.0;
-  cfg.cycle.threads = threads;
-  cfg.cycle.ensemble = {8, 2.0, 48};
-  cfg.cycle.convergence = {0.90, 6};
-  cfg.cycle.max_rank = 8;
-  cfg.cycle.multilevel.levels = 2;
-  cfg.cycle.multilevel.coarsen = 2;
-  cfg.cycle.multilevel.members_per_level = {8, 16};
-  cfg.svd_min_new_members = 4;
-  cfg.arrival_hook = std::move(arrival_hook);
-  return run_parallel_forecast(
-      workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});
+  return run_golden(GoldenFixture{}, Variant::kMultilevel, threads,
+                    std::move(arrival_hook));
 }
 
 std::string golden_multilevel_digest(
@@ -100,11 +94,10 @@ std::string golden_multilevel_digest(
 std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook,
     std::uint64_t obs_order_seed) {
-  ocean::Scenario sc = ocean::make_double_gyre_scenario(12, 10, 3);
-  ocean::OceanModel model(sc.grid, sc.params, ocean::WindForcing(sc.wind),
-                          sc.initial);
+  const GoldenFixture fx;
+  const ocean::Scenario& sc = fx.sc;
   const esse::ForecastResult fc =
-      golden_forecast(threads, std::move(arrival_hook));
+      run_golden(fx, Variant::kGlobal, threads, std::move(arrival_hook));
 
   // Fixed probe-then-perturb observation batch: a 4×3 spread of
   // temperature/salinity/SSH stations over the gyre, values sampled from
@@ -147,7 +140,7 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
   // The combiner's second opinion: the same coarse companion integration
   // the runner attaches for kMultiModel cycles.
   const la::Vector surrogate = esse::run_surrogate_forecast(
-      model, sc.initial, 0.0, 3.0, esse::AnalysisParams{});
+      fx.model, sc.initial, 0.0, 3.0, esse::AnalysisParams{});
 
   std::map<esse::AnalysisMethod, std::string> digests;
   for (const esse::AnalysisMethod method :

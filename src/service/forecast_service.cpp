@@ -16,6 +16,11 @@ bool terminal(RequestState s) {
   return s != RequestState::kQueued && s != RequestState::kRunning;
 }
 
+PreconditionError already_taken(std::uint64_t id) {
+  return PreconditionError("forecast request " + std::to_string(id) +
+                           " result was already taken");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -48,8 +53,9 @@ bool ForecastHandle::cancel() {
   if (terminal(rec_->state)) return false;
   rec_->cancel.store(true, std::memory_order_relaxed);
   if (rec_->state == RequestState::kQueued) {
-    // Seal right away: the dispatcher drops the zombie queue entry when
-    // it surfaces. A running request is aborted by the core instead.
+    // Seal right away: the service drops the queue entry before its next
+    // admission or dispatch. A running request is aborted by the core
+    // instead.
     rec_->state = RequestState::kCancelled;
     rec_->cv.notify_all();
   }
@@ -58,8 +64,11 @@ bool ForecastHandle::cancel() {
 
 const esse::ForecastResult& ForecastHandle::result() const {
   switch (wait()) {
-    case RequestState::kDone:
+    case RequestState::kDone: {
+      std::lock_guard<std::mutex> lk(rec_->mu);
+      if (!rec_->has_result) throw already_taken(rec_->id);
       return rec_->result;
+    }
     case RequestState::kFailed:
       std::rethrow_exception(rec_->error);
     case RequestState::kCancelled:
@@ -75,9 +84,9 @@ const esse::ForecastResult& ForecastHandle::result() const {
 }
 
 esse::ForecastResult ForecastHandle::take_result() {
-  (void)result();  // waits and throws on failure/cancel/reject
+  (void)result();  // waits and throws on failure/cancel/reject/taken
   std::lock_guard<std::mutex> lk(rec_->mu);
-  rec_->has_result = false;
+  if (!std::exchange(rec_->has_result, false)) throw already_taken(rec_->id);
   return std::move(rec_->result);
 }
 
@@ -92,7 +101,7 @@ std::exception_ptr ForecastHandle::error() const {
 ForecastService::ForecastService(ServiceConfig config)
     : config_(config),
       epoch_s_(telemetry::wall_seconds()),
-      admission_(config.admission) {
+      desk_(config.admission, config.max_inflight, config.sink) {
   ESSEX_REQUIRE(config_.min_workers >= 1, "service needs >= 1 worker");
   ESSEX_REQUIRE(config_.max_workers >= config_.min_workers,
                 "max_workers must be >= min_workers");
@@ -100,8 +109,7 @@ ForecastService::ForecastService(ServiceConfig config)
                 "service needs >= 1 concurrent request slot");
   member_pool_ = std::make_unique<ThreadPool>(config_.min_workers);
   orchestrators_ = std::make_unique<ThreadPool>(config_.max_inflight);
-  peak_workers_.store(config_.min_workers, std::memory_order_relaxed);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  desk_.resized(0, config_.min_workers);
 }
 
 ForecastService::~ForecastService() { shutdown(); }
@@ -120,111 +128,65 @@ void ForecastService::seal(const std::shared_ptr<RequestRecord>& rec,
   rec->cv.notify_all();
 }
 
-ForecastHandle ForecastService::reject(const ServiceRequest& request,
-                                       RejectReason reason,
-                                       std::string message) {
-  // Called with mu_ held (stats) — only touches the fresh record's lock.
-  auto rec = std::make_shared<RequestRecord>(next_id_++, request);
-  rec->submitted_s = now_s();
-  rec->finished_s = rec->submitted_s;
-  rec->rejection = Rejection{reason, std::move(message)};
-  rec->state = RequestState::kRejected;
-  switch (reason) {
-    case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
-    case RejectReason::kDeadlineInfeasible: ++stats_.rejected_deadline; break;
-    case RejectReason::kInvalidRequest: ++stats_.rejected_invalid; break;
-    case RejectReason::kShuttingDown: ++stats_.rejected_shutdown; break;
-  }
-  if (config_.sink) {
-    config_.sink->count("service.rejected");
-    config_.sink->count("service.rejected." + to_string(reason));
-    config_.sink->event("service.request.rejected", rec->submitted_s,
-                        static_cast<double>(rec->id));
-  }
-  return ForecastHandle(rec);
-}
-
 ForecastHandle ForecastService::submit(const ServiceRequest& request) {
   const auto issues = workflow::validate(request.forecast);
-  std::unique_lock<std::mutex> lk(mu_);
-  ++stats_.submitted;
+  std::lock_guard<std::mutex> lk(mu_);
+  drop_cancelled_locked();  // before the desk snapshots its load
+  const double now = now_s();
+  Receipt receipt;
   if (stopping_) {
-    return reject(request, RejectReason::kShuttingDown,
-                  "service is shutting down and no longer accepts requests");
+    receipt = desk_.refuse(
+        now, {RejectReason::kShuttingDown,
+              "service is shutting down and no longer accepts requests"});
+  } else if (!issues.empty()) {
+    receipt = desk_.refuse(
+        now, {RejectReason::kInvalidRequest, workflow::describe(issues)});
+  } else {
+    receipt = desk_.admit(
+        now, {request.priority, request.deadline_s, request.expected_cost_s,
+              workflow::forecast_work_units(request.forecast)});
   }
-  if (!issues.empty()) {
-    return reject(request, RejectReason::kInvalidRequest,
-                  workflow::describe(issues));
+  auto rec = std::make_shared<RequestRecord>(receipt.id, request);
+  if (receipt.rejection) {
+    rec->rejection = std::move(*receipt.rejection);
+    rec->state = RequestState::kRejected;
+    return ForecastHandle(rec);
   }
-  const double work_units = workflow::forecast_work_units(request.forecast);
-  AdmissionTicket ticket;
-  ticket.priority = request.priority;
-  ticket.deadline_s = request.deadline_s;
-  ticket.expected_cost_s = request.expected_cost_s;
-  ticket.work_units = work_units;
-  ServerLoad load;
-  load.now_s = now_s();
-  load.queued = queue_.size();
-  load.queued_ahead = queue_.count_at_or_above(request.priority);
-  load.inflight = inflight_;
-  load.max_inflight = config_.max_inflight;
-  if (auto rej = admission_.decide(ticket, load, estimator_)) {
-    return reject(request, rej->reason, std::move(rej->message));
-  }
-  auto rec = std::make_shared<RequestRecord>(next_id_++, request);
-  rec->submitted_s = load.now_s;
-  rec->work_units = work_units;
-  queue_.push({rec->id, request.priority, request.deadline_s});
-  queued_records_.emplace(rec->id, rec);
-  ++stats_.admitted;
-  stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
-  if (config_.sink) {
-    config_.sink->count("service.admitted");
-    config_.sink->gauge_set("service.queued",
-                            static_cast<double>(queue_.size()));
-    config_.sink->event("service.request.queued", rec->submitted_s,
-                        static_cast<double>(rec->id));
-  }
-  lk.unlock();
-  cv_.notify_all();
+  queued_.emplace(rec->id, rec);
+  dispatch_locked();
   return ForecastHandle(rec);
 }
 
-void ForecastService::dispatcher_loop() {
-  for (;;) {
-    std::shared_ptr<RequestRecord> rec;
+void ForecastService::drop_cancelled_locked() {
+  // A handle seals a queued request without the service lock; its queue
+  // slot is released here, before anything reads the queue.
+  for (auto it = queued_.begin(); it != queued_.end();) {
+    if (it->second->cancel.load(std::memory_order_relaxed)) {
+      desk_.withdraw(it->first);
+      it = queued_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void ForecastService::dispatch_locked() {
+  const double now = now_s();
+  while (const auto id = desk_.start(now)) {
+    std::shared_ptr<RequestRecord> rec = std::move(queued_.at(*id));
+    queued_.erase(*id);
+    bool cancelled;
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] {
-        return stopping_ ||
-               (!queue_.empty() && inflight_ < config_.max_inflight);
-      });
-      if (stopping_) return;
-      const auto entry = queue_.pop();
-      if (!entry) continue;
-      auto it = queued_records_.find(entry->id);
-      if (it == queued_records_.end()) continue;
-      rec = it->second;
-      queued_records_.erase(it);
-      {
-        // Cancelled while queued: the handle sealed the record; drop the
-        // zombie queue entry and account for it here.
-        std::lock_guard<std::mutex> rlk(rec->mu);
-        if (terminal(rec->state)) {
-          ++stats_.cancelled;
-          if (config_.sink) config_.sink->count("service.cancelled");
-          continue;
-        }
-        rec->state = RequestState::kRunning;
-        rec->started_s = now_s();
-      }
-      ++inflight_;
-      running_records_.emplace(rec->id, rec);
+      std::lock_guard<std::mutex> rlk(rec->mu);
+      cancelled = terminal(rec->state);
+      if (!cancelled) rec->state = RequestState::kRunning;
     }
-    if (config_.sink) {
-      config_.sink->event("service.request.start", rec->started_s,
-                          static_cast<double>(rec->id));
+    if (cancelled) {
+      // Sealed by its handle since the last drop_cancelled_locked().
+      desk_.finish(*id, RequestState::kCancelled, now);
+      continue;
     }
+    running_.emplace(*id, rec);
     orchestrators_->submit([this, rec] { run_request(rec); });
   }
 }
@@ -247,11 +209,9 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
     }
   }
   if (config_.elastic) update_demand(rec->id, 0);  // hand slots back
-  const double t_end = now_s();
   RequestState final_state;
   {
     std::lock_guard<std::mutex> lk(rec->mu);
-    rec->finished_s = t_end;
     if (err) {
       rec->state = RequestState::kFailed;
       rec->error = err;
@@ -265,76 +225,48 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
     final_state = rec->state;
   }
   rec->cv.notify_all();
-  bool missed = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    --inflight_;
-    running_records_.erase(rec->id);
-    switch (final_state) {
-      case RequestState::kDone:
-        ++stats_.completed;
-        missed = t_end > rec->deadline_s;
-        if (missed) ++stats_.deadline_missed;
-        estimator_.observe(t_end - rec->started_s, rec->work_units);
-        break;
-      case RequestState::kFailed: ++stats_.failed; break;
-      default: ++stats_.cancelled; break;
-    }
+    desk_.finish(rec->id, final_state, now_s());
+    running_.erase(rec->id);
+    drop_cancelled_locked();
+    dispatch_locked();
   }
   cv_.notify_all();
-  if (telemetry::Sink* sink = config_.sink) {
-    sink->count("service." + to_string(final_state));
-    if (missed) sink->count("service.deadline_missed");
-    sink->observe("service.queue_wait_s", rec->started_s - rec->submitted_s);
-    sink->observe("service.latency_s", t_end - rec->submitted_s);
-    sink->gauge_set("service.inflight", static_cast<double>(inflight()));
-    sink->event("service.request." + to_string(final_state), t_end,
-                static_cast<double>(rec->id));
-  }
 }
 
 void ForecastService::update_demand(std::uint64_t id,
                                     std::size_t workers_wanted) {
-  std::lock_guard<std::mutex> lk(demand_mu_);
-  if (workers_wanted == 0) {
-    demands_.erase(id);
-  } else {
-    demands_[id] = workers_wanted;
+  std::size_t current = 0;
+  std::size_t target = 0;
+  {
+    std::lock_guard<std::mutex> lk(demand_mu_);
+    if (workers_wanted == 0) {
+      demands_.erase(id);
+    } else {
+      demands_[id] = workers_wanted;
+    }
+    if (!member_pool_) return;
+    std::size_t total = 0;
+    for (const auto& [rid, want] : demands_) total += want;
+    target = std::clamp(std::max(total, std::size_t{1}), config_.min_workers,
+                        config_.max_workers);
+    current = member_pool_->thread_count();
+    if (target == current) return;
+    member_pool_->resize(target);
+    if (config_.sink) {
+      config_.sink->gauge_set("service.workers", static_cast<double>(target));
+      config_.sink->event("service.workers", now_s(),
+                          static_cast<double>(target));
+    }
   }
-  apply_demand_locked();
-}
-
-void ForecastService::apply_demand_locked() {
-  if (!member_pool_) return;
-  std::size_t total = 0;
-  for (const auto& [id, want] : demands_) total += want;
-  const std::size_t target =
-      std::clamp(std::max(total, std::size_t{1}), config_.min_workers,
-                 config_.max_workers);
-  const std::size_t current = member_pool_->thread_count();
-  if (target == current) return;
-  member_pool_->resize(target);
-  if (target > current) {
-    grow_events_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    shrink_events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::size_t peak = peak_workers_.load(std::memory_order_relaxed);
-  while (target > peak &&
-         !peak_workers_.compare_exchange_weak(peak, target)) {
-  }
-  if (config_.sink) {
-    config_.sink->gauge_set("service.workers", static_cast<double>(target));
-    config_.sink->event("service.workers", now_s(),
-                        static_cast<double>(target));
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  desk_.resized(current, target);
 }
 
 void ForecastService::drain() {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return stopped_ || (queue_.empty() && inflight_ == 0);
-  });
+  cv_.wait(lk, [&] { return stopped_ || desk_.idle(); });
 }
 
 void ForecastService::shutdown() {
@@ -344,30 +276,25 @@ void ForecastService::shutdown() {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) return;
     stopping_ = true;
-    while (auto entry = queue_.pop()) {
-      auto it = queued_records_.find(entry->id);
-      if (it == queued_records_.end()) continue;
-      queued_now.push_back(std::move(it->second));
-      queued_records_.erase(it);
+    for (auto& [id, rec] : queued_) {
+      desk_.withdraw(id);
+      queued_now.push_back(std::move(rec));
     }
-    for (const auto& [id, rec] : running_records_) running_now.push_back(rec);
+    queued_.clear();
+    for (const auto& [id, rec] : running_) running_now.push_back(rec);
   }
   cv_.notify_all();
   // Abandon the queue first, then abort the running set: the cores
   // observe the cancel flag at their next wait tick and drain their own
   // tasks off the shared pool.
-  for (const auto& rec : queued_now) {
-    seal(rec, RequestState::kCancelled);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.cancelled;
-  }
+  for (const auto& rec : queued_now) seal(rec, RequestState::kCancelled);
   for (const auto& rec : running_now) {
     rec->cancel.store(true, std::memory_order_relaxed);
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
   // Joining the orchestrator pool waits out every in-flight run_request,
   // each of which tears down its own backend (cancel, drain, timers)
-  // before returning — only then is the member pool safe to join.
+  // before returning — only then is the member pool safe to join. The
+  // queue is empty, so no finishing request dispatches another.
   orchestrators_.reset();
   member_pool_.reset();
   {
@@ -380,12 +307,15 @@ void ForecastService::shutdown() {
 
 std::size_t ForecastService::queued() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
+  return static_cast<std::size_t>(
+      std::count_if(queued_.begin(), queued_.end(), [](const auto& kv) {
+        return !kv.second->cancel.load(std::memory_order_relaxed);
+      }));
 }
 
 std::size_t ForecastService::inflight() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return inflight_;
+  return desk_.inflight();
 }
 
 std::size_t ForecastService::workers() const {
@@ -395,11 +325,7 @@ std::size_t ForecastService::workers() const {
 
 ServiceStats ForecastService::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  ServiceStats out = stats_;
-  out.pool_grow_events = grow_events_.load(std::memory_order_relaxed);
-  out.pool_shrink_events = shrink_events_.load(std::memory_order_relaxed);
-  out.peak_workers = peak_workers_.load(std::memory_order_relaxed);
-  return out;
+  return desk_.stats();
 }
 
 double deadline_from_timeline(const workflow::ForecastTimeline& timeline,

@@ -7,11 +7,12 @@
 // one long-lived elastic member-worker pool shared by every request, a
 // priority/deadline request queue with admission control, and per-request
 // handles with poll/wait/cancel. The DES twin (SimForecastService, same
-// admission objects, simulated clock) carries the soak-scale experiments.
+// RequestDesk, simulated clock) carries the soak-scale experiments.
 //
-// Lifecycle of one request:
+// Lifecycle of one request (bookkeeping in the shared RequestDesk):
 //   submit() → validate → admission decision → queued
-//     → dispatched (≤ max_inflight at a time, priority/deadline/FIFO)
+//     → dispatched (≤ max_inflight at a time, priority/deadline/FIFO) by
+//       the submitting thread or the thread whose request just finished
 //     → runs on the shared member pool via service::execute_forecast
 //     → kDone / kFailed (exception preserved) / kCancelled
 //   or rejected up front with a structured Rejection (kRejected handle).
@@ -34,7 +35,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "common/thread_pool.hpp"
@@ -92,20 +92,16 @@ struct RequestRecord {
   const double deadline_s;
   const double expected_cost_s;
   const std::string label;
-  /// Admission size (workflow::forecast_work_units), set at submit();
-  /// scales the estimator's per-unit completions back into runtimes.
-  double work_units = 1.0;
 
   std::atomic<bool> cancel{false};
 
   mutable std::mutex mu;
   std::condition_variable cv;
   RequestState state = RequestState::kQueued;
-  bool has_result = false;
+  bool has_result = false;  ///< kDone and not yet taken
   esse::ForecastResult result;
   std::exception_ptr error;  ///< set when state == kFailed
   Rejection rejection;       ///< set when state == kRejected
-  double submitted_s = 0.0, started_s = 0.0, finished_s = 0.0;
 };
 
 /// The caller's view of one submitted request: poll state(), wait() for a
@@ -129,14 +125,16 @@ class ForecastHandle {
   /// Bounded wait; nullopt if still pending after `seconds`.
   std::optional<RequestState> wait_for(double seconds) const;
 
-  /// Request cancellation. Queued: removed immediately (kCancelled).
+  /// Request cancellation. Queued: sealed kCancelled at once; the
+  /// service drops its queue slot before the next admission or dispatch.
   /// Running: the core aborts at its next check. Returns false if the
   /// request was already terminal.
   bool cancel();
 
   /// Wait, then: kDone → the result; kFailed → rethrows the forecast's
   /// exception; kCancelled/kRejected → throws PreconditionError carrying
-  /// the reason. take_result() moves instead of copying.
+  /// the reason. take_result() moves instead of copying; once taken,
+  /// result() and take_result() throw PreconditionError.
   const esse::ForecastResult& result() const;
   esse::ForecastResult take_result();
 
@@ -178,15 +176,13 @@ class ForecastService {
   /// Current live member-worker count.
   std::size_t workers() const;
   ServiceStats stats() const;
-  const RuntimeEstimator& estimator() const { return estimator_; }
+  const RuntimeEstimator& estimator() const { return desk_.estimator(); }
 
  private:
-  void dispatcher_loop();
+  void drop_cancelled_locked();
+  void dispatch_locked();
   void run_request(const std::shared_ptr<RequestRecord>& rec);
   void update_demand(std::uint64_t id, std::size_t workers_wanted);
-  void apply_demand_locked();
-  ForecastHandle reject(const ServiceRequest& request, RejectReason reason,
-                        std::string message);
   static void seal(const std::shared_ptr<RequestRecord>& rec,
                    RequestState state);
 
@@ -194,32 +190,20 @@ class ForecastService {
   const double epoch_s_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;       ///< dispatcher + drain wakeups
-  RequestQueue queue_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<RequestRecord>>
-      queued_records_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<RequestRecord>>
-      running_records_;
-  std::uint64_t next_id_ = 1;
-  std::size_t inflight_ = 0;
+  std::condition_variable cv_;  ///< drain wakeups
+  RequestDesk desk_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<RequestRecord>> queued_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<RequestRecord>> running_;
   bool stopping_ = false;
   bool stopped_ = false;
-  ServiceStats stats_;
-  AdmissionController admission_;
-  RuntimeEstimator estimator_;
 
   /// Aggregate elasticity state: per-request desired worker counts.
-  /// Guarded by demand_mu_ (never taken with mu_ held, and vice versa);
-  /// the resize counters are atomics so stats() can read them lock-free.
+  /// Guarded by demand_mu_, which is never taken with mu_ held.
   mutable std::mutex demand_mu_;
   std::map<std::uint64_t, std::size_t> demands_;
-  std::atomic<std::size_t> grow_events_{0};
-  std::atomic<std::size_t> shrink_events_{0};
-  std::atomic<std::size_t> peak_workers_{0};
 
   std::unique_ptr<ThreadPool> member_pool_;    ///< shared, elastic
   std::unique_ptr<ThreadPool> orchestrators_;  ///< one slot per inflight
-  std::thread dispatcher_;
 };
 
 /// Absolute service-clock deadline for procedure `k` of a timeline: the

@@ -16,21 +16,6 @@ namespace essex::service {
 
 namespace {
 
-la::Vector run_member(const ocean::OceanModel& model,
-                      const la::Vector& packed_initial, double t0_hours,
-                      double forecast_hours, bool stochastic,
-                      std::uint64_t seed, std::size_t member_id) {
-  ocean::OceanState state(model.grid());
-  state.unpack(packed_initial, model.grid());
-  if (stochastic) {
-    Rng rng(seed ^ 0xA5A5A5A5ULL, member_id + 1);
-    model.run(state, t0_hours, forecast_hours, &rng);
-  } else {
-    model.run(state, t0_hours, forecast_hours, nullptr);
-  }
-  return state.pack();
-}
-
 /// Teardown in the one legal order — resolve every member and cancel
 /// live attempts, join the timer thread (no retry can launch after it),
 /// then drain THIS request's tasks off the shared pool — on every exit
@@ -89,8 +74,9 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   la::Vector central;
   {
     telemetry::ScopedTimer timer(sink, "runner.central_s");
-    central = run_member(model, packed_initial, t0_hours,
-                         cp.forecast_hours, false, cp.perturbation.seed, 0);
+    central = esse::run_member(model, packed_initial, t0_hours,
+                               cp.forecast_hours, false,
+                               cp.perturbation.seed, 0);
   }
 
   esse::PerturbationGenerator pert(request.subspace, cp.perturbation);
@@ -152,19 +138,18 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
           // (level, member) order and exactly-once resolution.
           const std::size_t level = mlp.level_of(id);
           la::Vector x0c = ml->hierarchy().restrict_state(x0, level);
-          la::Vector xfc = run_member(ml->model(level), x0c, t0_hours,
-                                      cp.forecast_hours,
-                                      cp.stochastic_members,
-                                      cp.perturbation.seed, id);
+          la::Vector xfc = esse::run_member(
+              ml->model(level), x0c, t0_hours, cp.forecast_hours,
+              cp.stochastic_members, cp.perturbation.seed, id);
           if (cancelled.load(std::memory_order_relaxed)) return;
           if (config.arrival_hook) config.arrival_hook(id);
           differ.add_anomaly(id, ml->fine_anomaly(level, xfc));
           if (sink) sink->count("runner.ml_coarse_members");
         } else {
-          la::Vector xf = run_member(model, x0, t0_hours,
-                                     cp.forecast_hours,
-                                     cp.stochastic_members,
-                                     cp.perturbation.seed, id);
+          la::Vector xf = esse::run_member(model, x0, t0_hours,
+                                           cp.forecast_hours,
+                                           cp.stochastic_members,
+                                           cp.perturbation.seed, id);
           if (cancelled.load(std::memory_order_relaxed)) return;
           if (config.arrival_hook) config.arrival_hook(id);
           // dedups a speculative duplicate; weight 1.0 (single-level)

@@ -50,7 +50,7 @@ SimForecastService::SimForecastService(mtc::Simulator& sim,
                                        mtc::ClusterScheduler& sched,
                                        SimServiceConfig config)
     : sim_(sim), sched_(sched), config_(config),
-      admission_(config.admission) {
+      desk_(config.admission, config.max_inflight, config.sink) {
   ESSEX_REQUIRE(config_.max_inflight >= 1,
                 "sim service needs >= 1 inflight slot");
   sched_.set_completion_hook([this](const mtc::JobRecord& rec) {
@@ -69,109 +69,53 @@ SimForecastService::SimForecastService(mtc::Simulator& sim,
 
 std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
   const double now = sim_.now();
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
-
-  auto record_rejection = [&](RejectReason reason, std::string message) {
-    switch (reason) {
-      case RejectReason::kQueueFull: ++stats_.rejected_queue_full; break;
-      case RejectReason::kDeadlineInfeasible:
-        ++stats_.rejected_deadline;
-        break;
-      case RejectReason::kInvalidRequest: ++stats_.rejected_invalid; break;
-      case RejectReason::kShuttingDown: ++stats_.rejected_shutdown; break;
-    }
+  // Structural validation: the real runner's ensemble and member-mix
+  // checks, plus the twin's own modelled-convergence and core knobs.
+  const esse::MultilevelParams plan = multilevel_plan(spec);
+  std::vector<workflow::ValidationIssue> issues;
+  workflow::validate_ensemble(
+      sizer_params(spec), plan,
+      {"spec.initial_members", "spec.growth", "spec.max_members",
+       "spec.min_members", "spec"},
+      issues);
+  if (spec.converge_at < 1) {
+    issues.push_back({"spec.converge_at",
+                      "modelled convergence needs >= 1 member"});
+  }
+  if (spec.fine_cores < 1) {
+    issues.push_back({"spec.fine_cores", "a fine member needs >= 1 core"});
+  }
+  Receipt receipt =
+      issues.empty()
+          ? desk_.admit(now, {spec.priority, spec.deadline_s,
+                              spec.expected_cost_s,
+                              spec_work_units(spec, plan)})
+          : desk_.refuse(now, {RejectReason::kInvalidRequest,
+                               workflow::describe(issues)});
+  if (receipt.rejection) {
     SimRequestOutcome out;
-    out.id = id;
+    out.id = receipt.id;
     out.state = RequestState::kRejected;
-    out.rejection = Rejection{reason, std::move(message)};
+    out.rejection = std::move(*receipt.rejection);
     out.priority = spec.priority;
     out.label = spec.label;
     out.submitted_s = out.finished_s = now;
     outcomes_.push_back(std::move(out));
-    if (config_.sink) {
-      config_.sink->count("service.rejected");
-      config_.sink->count("service.rejected." + to_string(reason));
-      config_.sink->event("service.request.rejected", now,
-                          static_cast<double>(id));
-    }
-    return id;
-  };
-
-  // Structural validation: the real runner's ensemble and member-mix
-  // checks, plus the twin's own modelled-convergence and core knobs.
-  const esse::MultilevelParams plan = multilevel_plan(spec);
-  {
-    std::vector<workflow::ValidationIssue> issues;
-    workflow::validate_ensemble(
-        sizer_params(spec), plan,
-        {"spec.initial_members", "spec.growth", "spec.max_members",
-         "spec.min_members", "spec"},
-        issues);
-    if (spec.converge_at < 1) {
-      issues.push_back({"spec.converge_at",
-                        "modelled convergence needs >= 1 member"});
-    }
-    if (spec.fine_cores < 1) {
-      issues.push_back({"spec.fine_cores", "a fine member needs >= 1 core"});
-    }
-    if (!issues.empty()) {
-      return record_rejection(RejectReason::kInvalidRequest,
-                              workflow::describe(issues));
-    }
+    return receipt.id;
   }
-
-  AdmissionTicket ticket;
-  ticket.priority = spec.priority;
-  ticket.deadline_s = spec.deadline_s;
-  ticket.expected_cost_s = spec.expected_cost_s;
-  ticket.work_units = spec_work_units(spec, plan);
-  ServerLoad load;
-  load.now_s = now;
-  load.queued = queue_.size();
-  load.queued_ahead = queue_.count_at_or_above(spec.priority);
-  load.inflight = active_.size();
-  load.max_inflight = config_.max_inflight;
-  if (auto rej = admission_.decide(ticket, load, estimator_)) {
-    return record_rejection(rej->reason, std::move(rej->message));
-  }
-
-  queue_.push({id, spec.priority, spec.deadline_s});
-  queued_specs_.emplace(id, spec);
-  queued_at_.emplace(id, now);
-  ++stats_.admitted;
-  stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
-  if (config_.sink) {
-    config_.sink->count("service.admitted");
-    config_.sink->gauge_set("service.queued",
-                            static_cast<double>(queue_.size()));
-    config_.sink->event("service.request.queued", now,
-                        static_cast<double>(id));
-  }
+  queued_specs_.emplace(receipt.id, spec);
   pump();
-  return id;
+  return receipt.id;
 }
 
 void SimForecastService::pump() {
-  while (active_.size() < config_.max_inflight && !queue_.empty()) {
-    const auto entry = queue_.pop();
-    if (!entry) break;
-    auto sit = queued_specs_.find(entry->id);
-    if (sit == queued_specs_.end()) continue;
-    const SimRequestSpec spec = sit->second;
-    const double submitted_s = queued_at_.at(entry->id);
-    queued_specs_.erase(sit);
-    queued_at_.erase(entry->id);
-    start(entry->id, spec, submitted_s);
-  }
+  while (const auto id = desk_.start(sim_.now())) start(*id);
 }
 
-void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
-                               double submitted_s) {
+void SimForecastService::start(std::uint64_t id) {
+  const SimRequestSpec spec = std::move(queued_specs_.extract(id).mapped());
   Active a(spec, sizer_params(spec), multilevel_plan(spec));
   a.id = id;
-  a.submitted_s = submitted_s;
-  a.started_s = sim_.now();
   if (a.plan.enabled()) {
     // Fixed plan: every planned (level, member) runs unless convergence
     // cancels the tail; the goal counts completions across all levels.
@@ -182,12 +126,6 @@ void SimForecastService::start(std::uint64_t id, const SimRequestSpec& spec,
   }
   auto [it, inserted] = active_.emplace(id, std::move(a));
   ESSEX_ASSERT(inserted, "duplicate active request id");
-  if (config_.sink) {
-    config_.sink->event("service.request.start", sim_.now(),
-                        static_cast<double>(id));
-    config_.sink->gauge_set("service.inflight",
-                            static_cast<double>(active_.size()));
-  }
   rebalance_slots();
   fill(it->second);
 }
@@ -300,7 +238,6 @@ void SimForecastService::maybe_shrink_for_deadline(Active& a) {
 
 void SimForecastService::begin_finish(Active& a) {
   a.finishing = true;
-  a.done_s = sim_.now();
   // §4.1 cancel-on-convergence: kill this request's queued and running
   // members. Each cancel fires the completion hook synchronously, which
   // re-enters on_member_done (early-returns in the finishing state).
@@ -320,35 +257,23 @@ void SimForecastService::finalize(std::uint64_t id) {
   auto it = active_.find(id);
   ESSEX_ASSERT(it != active_.end(), "finalize of unknown request");
   const Active& a = it->second;
+  // The goal was met or abandoned just now: begin_finish's cancels
+  // resolve synchronously, so no simulated time has passed.
+  const Booking b = desk_.finish(id, RequestState::kDone, sim_.now());
 
   SimRequestOutcome out;
   out.id = a.id;
   out.state = RequestState::kDone;
   out.priority = a.spec.priority;
   out.label = a.spec.label;
-  out.submitted_s = a.submitted_s;
-  out.started_s = a.started_s;
-  out.finished_s = a.done_s;
+  out.submitted_s = b.submitted_s;
+  out.started_s = b.started_s;
+  out.finished_s = b.finished_s;
   out.ledger = a.ledger;
   out.members_completed_per_level = a.completed_per_level;
   out.converged = a.ledger.members_done >= a.spec.converge_at;
   out.degraded = a.degraded;
-  out.deadline_met = a.done_s <= a.spec.deadline_s;
-
-  ++stats_.completed;
-  if (!out.deadline_met) ++stats_.deadline_missed;
-  estimator_.observe(a.done_s - a.started_s,
-                     spec_work_units(a.spec, a.plan));
-  if (telemetry::Sink* sink = config_.sink) {
-    sink->count("service.done");
-    if (!out.deadline_met) sink->count("service.deadline_missed");
-    sink->observe("service.queue_wait_s", a.started_s - a.submitted_s);
-    sink->observe("service.latency_s", a.done_s - a.submitted_s);
-    sink->event("service.request.done", a.done_s,
-                static_cast<double>(a.id));
-    sink->gauge_set("service.inflight",
-                    static_cast<double>(active_.size() - 1));
-  }
+  out.deadline_met = b.deadline_met();
   outcomes_.push_back(std::move(out));
   active_.erase(it);
   rebalance_slots();
@@ -364,16 +289,8 @@ void SimForecastService::rebalance_slots() {
     const std::size_t old = a.slots;
     if (base == old) continue;
     a.slots = base;
-    if (old != 0) {
-      // Initial allocation is not an elasticity event; later changes are
-      // workers joining/leaving a running ensemble.
-      if (base > old) {
-        ++stats_.pool_grow_events;
-      } else {
-        ++stats_.pool_shrink_events;
-      }
-    }
-    stats_.peak_workers = std::max(stats_.peak_workers, base);
+    // Later changes are workers joining/leaving a running ensemble.
+    desk_.resized(old, base);
     if (config_.sink) {
       config_.sink->event("service.slots", sim_.now(),
                           static_cast<double>(base));

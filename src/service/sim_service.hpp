@@ -5,8 +5,9 @@
 // submit-to-result latency under mixed priorities and deadlines, do
 // member-slot budgets rebalance cleanly as tenants come and go — cannot
 // be asked of the real server with real 25-minute PE forecasts. This twin
-// runs the SAME policy objects (AdmissionController, RequestQueue,
-// RuntimeEstimator, esse::EnsembleSizeController) over the DES
+// runs the SAME request bookkeeping (RequestDesk: admission, queue,
+// estimator, tallies, `service.*` telemetry) and the same
+// esse::EnsembleSizeController over the DES
 // ClusterScheduler in simulated time, with the member *cost* modelled by
 // the calibrated EsseJobShape and convergence modelled by converge_at —
 // exactly the modelled-convergence idea of the Fig.-4 DES driver.
@@ -122,14 +123,14 @@ class SimForecastService {
   std::uint64_t submit(const SimRequestSpec& spec);
 
   /// No request queued or running.
-  bool idle() const { return queue_.empty() && active_.empty(); }
+  bool idle() const { return desk_.idle(); }
 
   /// Terminal outcomes in finalisation order (rejections included).
   const std::vector<SimRequestOutcome>& outcomes() const {
     return outcomes_;
   }
-  ServiceStats stats() const { return stats_; }
-  const RuntimeEstimator& estimator() const { return estimator_; }
+  ServiceStats stats() const { return desk_.stats(); }
+  const RuntimeEstimator& estimator() const { return desk_.estimator(); }
 
   /// Finalised outcomes whose member ledger does not conserve: 0 iff no
   /// member job leaked.
@@ -139,8 +140,6 @@ class SimForecastService {
   struct Active {
     SimRequestSpec spec;
     std::uint64_t id = 0;
-    double submitted_s = 0.0;
-    double started_s = 0.0;
     esse::EnsembleSizeController sizer;
     esse::MultilevelParams plan;  ///< level layout and per-level costs
     std::size_t goal = 0;   ///< members needed to finish (may shrink)
@@ -151,7 +150,6 @@ class SimForecastService {
     std::vector<mtc::JobId> live_jobs;  ///< this request's cluster jobs
     bool finishing = false;  ///< goal met/abandoned; draining cancels
     bool degraded = false;
-    double done_s = 0.0;  ///< time the goal was met/abandoned
 
     Active(const SimRequestSpec& s,
            const esse::EnsembleSizeController::Params& ensemble,
@@ -160,7 +158,7 @@ class SimForecastService {
   };
 
   void pump();  ///< start queued requests while inflight slots remain
-  void start(std::uint64_t id, const SimRequestSpec& spec, double submitted_s);
+  void start(std::uint64_t id);
   void fill(Active& a);
   void submit_member(Active& a);
   void on_member_done(std::uint64_t request_id, std::size_t level,
@@ -175,19 +173,14 @@ class SimForecastService {
   mtc::ClusterScheduler& sched_;
   SimServiceConfig config_;
 
-  AdmissionController admission_;
-  RuntimeEstimator estimator_;
-  RequestQueue queue_;
+  RequestDesk desk_;
   std::map<std::uint64_t, SimRequestSpec> queued_specs_;
-  std::map<std::uint64_t, double> queued_at_;
   std::map<std::uint64_t, Active> active_;
   std::map<mtc::JobId, std::uint64_t> job_owner_;
   /// Hierarchy level of each live member job: resolution (and the
   /// exactly-once accounting behind it) is per (level, member).
   std::map<mtc::JobId, std::size_t> job_level_;
   std::vector<SimRequestOutcome> outcomes_;
-  ServiceStats stats_;
-  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace essex::service

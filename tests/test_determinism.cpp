@@ -47,13 +47,12 @@ TEST(Determinism, ThreadCountDoesNotChangeTheForecast) {
 
 TEST(Determinism, DispatchTierDoesNotChangeTheForecast) {
   // The SIMD determinism contract (DESIGN.md §13): the golden digest is
-  // one value across the scalar, SSE2 and AVX2 kernel tiers, at every
+  // one value across the scalar and AVX2 kernel tiers, at every
   // thread count — the vector kernels reproduce the canonical reduction
   // shape bit for bit, they don't merely approximate it.
   const std::string baseline = digest_threads1();  // computed pre-force
   for (const la::simd::Level level :
-       {la::simd::Level::kScalar, la::simd::Level::kSse2,
-        la::simd::Level::kAvx2}) {
+       {la::simd::Level::kScalar, la::simd::Level::kAvx2}) {
     la::simd::ScopedLevel force(level);
     SCOPED_TRACE(la::simd::level_name(la::simd::active_level()));
     EXPECT_EQ(golden_digest(1), baseline);

@@ -121,6 +121,47 @@ TEST(RuntimeEstimatorTest, EwmaTracksObservations) {
   EXPECT_EQ(est.samples(), 2u);
 }
 
+// ---- RequestDesk ----------------------------------------------------------------
+
+TEST(RequestDeskTest, TalliesEachStepAndFeedsTheEstimator) {
+  AdmissionPolicy policy;
+  policy.max_queued = 1;
+  RequestDesk desk(policy, /*max_inflight=*/1, /*sink=*/nullptr);
+  const Receipt shut =
+      desk.refuse(0.0, {RejectReason::kShuttingDown, "closing"});
+  ASSERT_TRUE(shut.rejection.has_value());
+  const Receipt a = desk.admit(1.0, {0, /*deadline_s=*/5.0, 0.0, 2.0});
+  ASSERT_FALSE(a.rejection.has_value());
+  EXPECT_EQ(desk.start(1.5), std::optional<std::uint64_t>(a.id));
+  EXPECT_FALSE(desk.start(1.5).has_value());  // the one slot is taken
+  const Receipt b = desk.admit(2.0, {0, kInf, 0.0, 1.0});
+  const Receipt c = desk.admit(2.0, {0, kInf, 0.0, 1.0});
+  ASSERT_TRUE(c.rejection.has_value());
+  EXPECT_EQ(c.rejection->reason, RejectReason::kQueueFull);
+  // Ids follow submit order, refused or not.
+  EXPECT_EQ(std::vector<std::uint64_t>({shut.id, a.id, b.id, c.id}),
+            std::vector<std::uint64_t>({1, 2, 3, 4}));
+  EXPECT_TRUE(desk.withdraw(b.id));
+  EXPECT_FALSE(desk.withdraw(b.id));  // counted once
+
+  const Booking done = desk.finish(a.id, RequestState::kDone, 7.0);
+  EXPECT_EQ(done.submitted_s, 1.0);
+  EXPECT_EQ(done.started_s, 1.5);
+  EXPECT_EQ(done.finished_s, 7.0);
+  EXPECT_FALSE(done.deadline_met());
+  EXPECT_DOUBLE_EQ(desk.estimator().per_unit_s(), (7.0 - 1.5) / 2.0);
+  EXPECT_TRUE(desk.idle());
+  const ServiceStats& st = desk.stats();
+  EXPECT_EQ(st.submitted, 4u);
+  EXPECT_EQ(st.admitted, 2u);
+  EXPECT_EQ(st.rejected_shutdown, 1u);
+  EXPECT_EQ(st.rejected_queue_full, 1u);
+  EXPECT_EQ(st.cancelled, 1u);
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.deadline_missed, 1u);
+  EXPECT_EQ(st.peak_queue, 1u);
+}
+
 // ---- AdmissionController --------------------------------------------------------
 
 TEST(Admission, BoundedQueueRejectsWithNumbers) {
@@ -583,6 +624,53 @@ TEST_F(ServiceFixture, QueueBoundCancelAndShutdownWithInflight) {
   ForecastHandle late = svc.submit(wrap(quick_request()));
   ASSERT_EQ(late.state(), RequestState::kRejected);
   EXPECT_EQ(late.rejection().reason, RejectReason::kShuttingDown);
+}
+
+TEST_F(ServiceFixture, CancelledQueuedRequestReleasesItsQueueSlot) {
+  ServiceConfig cfg;
+  cfg.min_workers = cfg.max_workers = 1;
+  cfg.max_inflight = 1;
+  cfg.admission.max_queued = 1;
+  ForecastService svc(cfg);
+
+  ForecastHandle running = svc.submit(wrap(slow_request()));
+  for (int spin = 0; spin < 400 && svc.inflight() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(svc.inflight(), 1u);
+  ForecastHandle cancelled = svc.submit(wrap(slow_request()));
+  ASSERT_EQ(cancelled.state(), RequestState::kQueued);
+  ASSERT_TRUE(cancelled.cancel());
+
+  // The cancelled request no longer holds the only queue slot: it is not
+  // counted as queued, and the next submit is admitted, not bounced.
+  EXPECT_EQ(svc.queued(), 0u);
+  ForecastHandle next = svc.submit(wrap(slow_request()));
+  EXPECT_EQ(next.state(), RequestState::kQueued);
+  EXPECT_EQ(svc.queued(), 1u);
+  EXPECT_EQ(svc.stats().cancelled, 1u);
+
+  svc.shutdown();
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.rejected_queue_full, 0u);
+  // The queued cancel once, the running request and `next` at shutdown.
+  EXPECT_EQ(st.cancelled, 3u);
+  EXPECT_EQ(running.state(), RequestState::kCancelled);
+  EXPECT_EQ(next.state(), RequestState::kCancelled);
+}
+
+TEST_F(ServiceFixture, SecondTakeResultThrowsInsteadOfReturningEmpty) {
+  ServiceConfig cfg;
+  cfg.min_workers = cfg.max_workers = 2;
+  ForecastService svc(cfg);
+  ForecastHandle h = svc.submit(wrap(quick_request()));
+  const esse::ForecastResult taken = h.take_result();
+  EXPECT_GT(taken.central_forecast.size(), 0u);
+  // The result has moved out of the handle: a second take (or a read)
+  // must not hand back a moved-from forecast.
+  EXPECT_THROW(h.take_result(), PreconditionError);
+  EXPECT_THROW(h.result(), PreconditionError);
+  EXPECT_EQ(h.state(), RequestState::kDone);
 }
 
 TEST_F(ServiceFixture, PriorityOrdersTheBacklog) {

@@ -33,7 +33,7 @@ namespace {
 namespace tk = essex::testkit;
 
 std::vector<simd::Level> all_levels() {
-  return {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2};
+  return {simd::Level::kScalar, simd::Level::kAvx2};
 }
 
 bool bits_equal(double a, double b) {
@@ -76,9 +76,9 @@ TEST(SimdDispatch, ScopedLevelForcesAndRestores) {
     simd::ScopedLevel outer(simd::Level::kScalar);
     EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
     {
-      simd::ScopedLevel inner(simd::Level::kSse2);
+      simd::ScopedLevel inner(simd::Level::kAvx2);
       EXPECT_EQ(simd::active_level(),
-                std::min(simd::Level::kSse2, simd::max_supported_level()));
+                std::min(simd::Level::kAvx2, simd::max_supported_level()));
     }
     EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
   }
