@@ -1,6 +1,6 @@
 // Tracked SIMD kernel suite (DESIGN.md §13): times the dispatch-layer
 // hot paths on ESSE's production shapes — the differ's Gram border, the
-// parallel AᵀB reduction leaves, the U = A·V mode product, the one-sided
+// tall-skinny AᵀB product, the U = A·V mode product, the one-sided
 // Jacobi SVD and the subspace analysis update — once under the active
 // dispatch tier and once forced to the scalar reference, and reports the
 // speedup and effective memory bandwidth per kernel.
@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
 
   {
-    // The reduction-leaf kernel of matmul_at_b_parallel: AᵀB with A,B
-    // tall-skinny. Traffic: stream A and B once.
+    // la::matmul_at_b (the atb_update kernel) as the dense Gram SVD
+    // calls it: AᵀB with A,B tall-skinny. Traffic: stream A and B once.
     const Matrix a = random_matrix(kM, kP, 11);
     const Matrix b = random_matrix(kM, kP, 12);
     rows.push_back(bench(

@@ -175,6 +175,23 @@ double gaspari_cohn(double dist, double half_support) {
 
 namespace {
 
+/// A NaN or Inf anywhere in an observation would flow through HE, the
+/// innovation or R⁻¹ into a NaN posterior without any solver noticing,
+/// so every entry is checked once, before any path runs.
+void require_finite_obs(const ObsSet& obs) {
+  for (const ObsEntry& e : obs.entries()) {
+    ESSEX_REQUIRE(std::isfinite(e.value), "non-finite observation value");
+    for (const auto& term : e.stencil)
+      ESSEX_REQUIRE(std::isfinite(term.second),
+                    "non-finite observation stencil weight");
+    ESSEX_REQUIRE(std::isfinite(e.variance) && e.variance > 0.0,
+                  "observation noise variance must be finite and positive");
+    ESSEX_REQUIRE(!e.positioned ||
+                      (std::isfinite(e.x_km) && std::isfinite(e.y_km)),
+                  "non-finite observation position");
+  }
+}
+
 /// G = HEᵀ R⁻¹ HE, accumulated exactly as the historical global update
 /// did (upper triangle row-by-row, mirrored) — extracted so the ETKF
 /// shares the identical arithmetic.
@@ -215,10 +232,6 @@ AnalysisResult analyze_core(const la::Vector& forecast,
                             const ErrorSubspace& subspace,
                             const la::Matrix& he, const la::Vector& d,
                             const la::Vector& rvar) {
-  for (double rv : rvar) {
-    ESSEX_REQUIRE(rv > 0.0, "observation noise variance must be positive");
-  }
-
   // Information-form core: C = (Λ⁻¹ + HEᵀ R⁻¹ HE)⁻¹, computed as
   // C = B (I + Bᵀ G B)⁻¹ B with B = Λ^{1/2}, G = HEᵀ R⁻¹ HE.
   la::Matrix g = obs_gram(he, rvar);
@@ -350,11 +363,7 @@ AnalysisResult analyze_global(const la::Vector& forecast,
   }
   la::Vector d = obs.innovations(forecast);
   la::Vector rvar(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    rvar[i] = obs.entry(i).variance;
-    ESSEX_REQUIRE(rvar[i] > 0.0,
-                  "observation noise variance must be positive");
-  }
+  for (std::size_t i = 0; i < p; ++i) rvar[i] = obs.entry(i).variance;
 
   AnalysisResult out;
   switch (options.method) {
@@ -447,6 +456,7 @@ AnalysisResult analyze(const la::Vector& forecast,
   ESSEX_REQUIRE(!obs.empty(), "analysis needs at least one observation");
   ESSEX_REQUIRE(forecast.size() == subspace.dim(),
                 "forecast dimension does not match the subspace");
+  require_finite_obs(obs);
 
   if (options.method == AnalysisMethod::kMultiModel) {
     // The combiner is a front end over the subspace-Kalman core: append

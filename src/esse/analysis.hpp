@@ -154,7 +154,10 @@ double gaspari_cohn(double dist, double half_support);
 
 /// Perform the ESSE analysis with options.method. Requires a non-empty
 /// subspace, at least one observation, and forecast.size() ==
-/// subspace.dim(); when options.localization.enabled, also a grid whose
+/// subspace.dim(); every observation needs a finite value, finite stencil
+/// weights, a finite positive variance and, when positioned, finite
+/// coordinates (PreconditionError otherwise, before any path runs);
+/// when options.localization.enabled, also a grid whose
 /// packed size matches the state; when method == kMultiModel, also a
 /// surrogate forecast of the same dimension.
 AnalysisResult analyze(const la::Vector& forecast,

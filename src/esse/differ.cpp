@@ -150,6 +150,7 @@ void Differ::add_member(std::size_t member_id, const la::Vector& forecast,
                         double weight) {
   ESSEX_REQUIRE(forecast.size() == central_.size(),
                 "member forecast dimension mismatch");
+  ESSEX_REQUIRE(std::isfinite(weight), "non-finite member weight");
   require_finite(forecast);
   const std::span<double> anom = arena_->allocate(central_.size());
   if (weight == 1.0) {
@@ -173,15 +174,13 @@ void Differ::add_anomaly(std::size_t member_id, const la::Vector& anomaly) {
 
 void Differ::absorb(std::size_t member_id, std::span<double> anom) {
   // Catch-up loop: the Gram border is computed outside the lock against
-  // whatever columns are already published (they are immutable), then the
-  // lock is retaken — if more members landed meanwhile, absorb their
-  // columns too and retry. Writers therefore only serialise for the O(1)
-  // append, never for the O(m·k) dot products. Span copies of published
-  // columns stay valid outside the lock: the arena never reclaims, even
-  // across a concurrent rewrite (whose epoch bump discards our border).
+  // whatever columns are already published (append-only and immutable),
+  // then the lock is retaken — if more members landed meanwhile, extend
+  // the border over their columns too and retry. A computed border entry
+  // is never discarded, and writers only serialise for the O(1) append,
+  // never for the O(m·k) dot products. Span copies of published columns
+  // stay valid outside the lock: the arena never reclaims.
   la::Vector border;  // border[i] = aᵢ·anom for i < border.size()
-  std::uint64_t epoch = 0;
-  bool have_epoch = false;
   std::size_t computed = 0;
   for (;;) {
     std::vector<la::ColSpan> prev;
@@ -189,11 +188,6 @@ void Differ::absorb(std::size_t member_id, std::span<double> anom) {
       std::lock_guard<std::mutex> lk(mu_);
       ESSEX_REQUIRE(member_id_set_.find(member_id) == member_id_set_.end(),
                     "duplicate ensemble member id");
-      if (have_epoch && epoch != rewrite_epoch_) {
-        border.clear();  // a rewrite invalidated everything computed so far
-      }
-      epoch = rewrite_epoch_;
-      have_epoch = true;
       if (columns_.size() == border.size()) {
         border.push_back(
             tiling_ ? la::sumsq_sharded(anom, tiling_->shards())
@@ -226,62 +220,6 @@ void Differ::absorb(std::size_t member_id, std::span<double> anom) {
   if (sink_)
     sink_->count("differ.gram_cols_computed",
                  static_cast<double>(computed + 1));
-}
-
-void Differ::rewrite_member(std::size_t member_id,
-                            const la::Vector& forecast) {
-  ESSEX_REQUIRE(forecast.size() == central_.size(),
-                "member forecast dimension mismatch");
-  require_finite(forecast);
-  // Fresh arena span; the old one is abandoned, not freed, so readers
-  // holding views cut before the rewrite stay valid.
-  const std::span<double> anom = arena_->allocate(central_.size());
-  for (std::size_t i = 0; i < anom.size(); ++i)
-    anom[i] = forecast[i] - central_[i];
-
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = std::find_if(columns_.begin(), columns_.end(),
-                         [&](const AnomalyColumn& c) {
-                           return c.member_id == member_id;
-                         });
-  ESSEX_REQUIRE(it != columns_.end(), "rewrite of an unknown member id");
-  it->anomaly = anom;
-  // Every later border row references the rewritten column: rebuild the
-  // whole cache. This is the documented full-recompute path (O(m·n²)),
-  // fused into kDotBlockCols-wide batches so each earlier column is
-  // streamed from memory once per batch instead of once per column.
-  const std::size_t n = columns_.size();
-  std::vector<la::ColSpan> all;
-  all.reserve(n);
-  for (const AnomalyColumn& col : columns_) all.push_back(col.anomaly);
-  std::vector<la::Vector> row_store;
-  row_store.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) row_store.emplace_back(j + 1);
-  const std::span<const la::ColSpan> cols(all);
-  if (tiling_) {
-    // Sharded store: rebuild each border entry through the same
-    // tile-major reduction the append path uses, so a rebuilt cache is
-    // bitwise identical to one grown column by column.
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i <= j; ++i)
-        row_store[j][i] = la::dot_sharded(all[i], all[j], tiling_->shards());
-  } else {
-    for (std::size_t j0 = 0; j0 < n; j0 += la::simd::kDotBlockCols) {
-      const std::size_t width = std::min(n - j0, la::simd::kDotBlockCols);
-      std::vector<double*> rows(width);
-      for (std::size_t w = 0; w < width; ++w)
-        rows[w] = row_store[j0 + w].data();
-      la::gram_border_rows(cols.first(j0), cols.subspan(j0, width), rows);
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    columns_[j].gram_row =
-        std::make_shared<const la::Vector>(std::move(row_store[j]));
-    columns_[j].arrival_index = j;
-  }
-  ++version_;
-  ++rewrite_epoch_;
-  if (sink_) sink_->count("differ.full_rebuilds");
 }
 
 std::size_t Differ::count() const {
@@ -359,13 +297,6 @@ ErrorSubspace Differ::subspace(double variance_fraction, std::size_t max_rank,
   if (sink_) sink_->count("differ.full_recomputes");
   const la::ThinSvd svd = la::svd_thin(snap.anomalies, method);
   return ErrorSubspace::from_svd(svd.u, svd.s, variance_fraction, max_rank);
-}
-
-ErrorSubspace Differ::subspace_parallel(ThreadPool& pool,
-                                        double variance_fraction,
-                                        std::size_t max_rank) const {
-  return subspace_from_view(view(), variance_fraction, max_rank, &pool,
-                            sink_);
 }
 
 }  // namespace essex::esse

@@ -6,9 +6,10 @@
 // the paper's fix for bottleneck 2). It is thread-safe so concurrent
 // executor workers can push results while SVD snapshots are taken.
 //
-// Since PR 2 the differ is *incremental* end to end. Anomaly columns are
-// append-only and individually immutable, and every absorbed member also
-// carries the new border of the growing Gram matrix AᵀA — the dot
+// The differ is *incremental* end to end. Each member is absorbed exactly
+// once: anomaly columns are append-only and individually immutable (there
+// is no path that rewrites a stored column), and every absorbed member
+// also carries the new border of the growing Gram matrix AᵀA — the dot
 // products against all earlier columns, computed once at absorption time
 // (O(m·k)) instead of at every convergence check (O(m·n²)). A check is
 // then a small n×n symmetric eigensolve plus U = A·V over the retained
@@ -141,10 +142,11 @@ class Differ {
   /// Absorb the forecast of member `member_id`, computing the new Gram
   /// border against all stored anomalies (O(m·k), outside the lock —
   /// concurrent writers only serialise for the O(1) append). Any arrival
-  /// order is accepted; duplicate ids and columns holding a NaN or Inf
-  /// are rejected (PreconditionError, store unchanged). `weight` scales the
-  /// stored anomaly column (the multilevel per-level pooling factor,
-  /// DESIGN.md §15); the default 1.0 takes the exact single-level path.
+  /// order is accepted; duplicate ids, columns holding a NaN or Inf and a
+  /// non-finite `weight` are rejected (PreconditionError, store
+  /// unchanged). `weight` scales the stored anomaly column (the multilevel
+  /// per-level pooling factor, DESIGN.md §15); the default 1.0 takes the
+  /// exact single-level path.
   void add_member(std::size_t member_id, const la::Vector& forecast,
                   double weight = 1.0);
 
@@ -154,12 +156,6 @@ class Differ {
   /// absorption and catch-up-Gram machinery, so ordering, duplicate
   /// rejection and the determinism contract are identical.
   void add_anomaly(std::size_t member_id, const la::Vector& anomaly);
-
-  /// Replace the forecast of an already-absorbed member (smoother-style
-  /// rewrite of a past column). Every later column's cached Gram border
-  /// references the old anomaly, so this is the one path that still pays
-  /// a full O(m·n²) Gram rebuild (DESIGN.md §8).
-  void rewrite_member(std::size_t member_id, const la::Vector& forecast);
 
   /// Number of members absorbed so far.
   std::size_t count() const;
@@ -171,7 +167,7 @@ class Differ {
   /// completes the same members.
   std::size_t contiguous_count() const;
 
-  /// Monotone version: bumped by every add_member / rewrite_member.
+  /// Monotone version: bumped by every absorbed member.
   std::uint64_t version() const;
 
   /// Cut a copy-free view over the first `prefix_cols` absorbed columns
@@ -198,13 +194,6 @@ class Differ {
                          std::size_t max_rank = 0,
                          la::SvdMethod method = la::SvdMethod::kGram) const;
 
-  /// Cached-Gram subspace with the U = A·V product spread over `pool` —
-  /// the in-process analogue of the paper's shared-memory-parallel
-  /// LAPACK SVD on the master node.
-  ErrorSubspace subspace_parallel(ThreadPool& pool,
-                                  double variance_fraction = 0.99,
-                                  std::size_t max_rank = 0) const;
-
   const la::Vector& central() const { return central_; }
 
   /// The tile decomposition the column store is sharded by (null when
@@ -216,20 +205,18 @@ class Differ {
  private:
   /// Shared absorption path: publish the already-filled arena span as
   /// member `member_id`'s column, computing its Gram border via the
-  /// catch-up loop. `computed` counts border dots for telemetry.
+  /// catch-up loop.
   void absorb(std::size_t member_id, std::span<double> anom);
 
   la::Vector central_;
   std::shared_ptr<const ocean::Tiling> tiling_;  // null = unsharded
   mutable std::mutex mu_;
-  // Column payloads; never freed while any view's keepalive survives, so
-  // a rewrite can abandon an old span under concurrent readers.
+  // Column payloads; never freed while any view's keepalive survives.
   std::shared_ptr<la::ColumnArena> arena_;
   std::vector<AnomalyColumn> columns_;  // append-only shared storage
   std::unordered_set<std::size_t> member_id_set_;
   std::size_t contiguous_count_ = 0;  // ids 0..contiguous_count_-1 absorbed
   std::uint64_t version_ = 0;
-  std::uint64_t rewrite_epoch_ = 0;  // invalidates in-flight Gram borders
   telemetry::Sink* sink_ = nullptr;  // nullable, not owned
 };
 

@@ -76,11 +76,7 @@ AnalysisResult analyze_tiled(const la::Vector& forecast,
       he(i, j) = obs.apply_mode(i, modes, j);
   const la::Vector d = obs.innovations(forecast);
   la::Vector rvar(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    rvar[i] = obs.entry(i).variance;
-    ESSEX_REQUIRE(rvar[i] > 0.0,
-                  "observation noise variance must be positive");
-  }
+  for (std::size_t i = 0; i < p; ++i) rvar[i] = obs.entry(i).variance;
 
   // ---- Phase 1: independent per-tile k×k solves ------------------------
   // Each tile sees the observations within the Gaspari–Cohn support of

@@ -25,8 +25,9 @@
 namespace essex::esse {
 
 /// Run the tiled update. `tiling` must match forecast.size(); `pool` is
-/// optional (serial when null). Called through analyze() — exposed for
-/// the localization tests and bench_local_analysis.
+/// optional (serial when null). Reached only through analyze(), which has
+/// already checked every observation for finite values, weights,
+/// positions and a finite positive variance.
 ///
 /// `method` selects the per-tile solver; only the self-contained filters
 /// compose (kMultiModel resolves to a combined ObsSet inside analyze()

@@ -53,39 +53,15 @@ double dot_sharded(ColSpan a, ColSpan b, std::span<const RunList> shards);
 double sumsq_sharded(ColSpan a, std::span<const RunList> shards);
 
 /// Sharded Gram border: out[i] = dot_sharded(cols[i], new_col, shards)
-/// for every stored column; with `pool` the stored columns are spread
-/// across the workers (each entry's reduction shape is unchanged).
-/// `out` must hold cols.size() doubles.
+/// for every stored column. `out` must hold cols.size() doubles.
 void gram_append_sharded(std::span<const ColSpan> cols, ColSpan new_col,
-                         std::span<const RunList> shards, double* out,
-                         ThreadPool* pool = nullptr);
+                         std::span<const RunList> shards, double* out);
 
 /// The new Gram border: out[i] = cols[i]·new_col for every stored
 /// column. Blocked over small groups of columns so `new_col` streams
-/// through cache once per group instead of once per column; with `pool`
-/// the groups are spread across the workers. `out` must hold
-/// cols.size() doubles. All columns must share new_col's length.
-void gram_append(std::span<const ColSpan> cols, ColSpan new_col, double* out,
-                 ThreadPool* pool = nullptr);
-
-/// Fused border batch for full rebuilds: `group` holds g consecutive new
-/// columns (their storage positions follow the `cached` columns), and
-/// rows[w] receives group[w]'s whole border row of cached.size()+w+1
-/// entries — the dots against every cached column, against the earlier
-/// group members, and the self-product. Each cached column is streamed
-/// from memory ONCE for the whole group (the group stays cache-hot)
-/// instead of once per new column; every entry is still bitwise equal to
-/// the one-column gram_append path.
-void gram_border_rows(std::span<const ColSpan> cached,
-                      std::span<const ColSpan> group,
-                      std::span<double* const> rows,
-                      ThreadPool* pool = nullptr);
-
-/// Full symmetric Gram build G = scale · AᵀA over column storage (the
-/// forced-recompute path, e.g. after a smoother rewrites past columns):
-/// fused borders over column groups, mirrored into the upper triangle.
-Matrix gram_from_columns(std::span<const ColSpan> cols, double scale = 1.0,
-                         ThreadPool* pool = nullptr);
+/// through cache once per group instead of once per column. `out` must
+/// hold cols.size() doubles. All columns must share new_col's length.
+void gram_append(std::span<const ColSpan> cols, ColSpan new_col, double* out);
 
 /// U = scale · A·V over column storage, first `r` columns of V only:
 /// out(i,j) = scale · Σ_c cols[c][i] · v(c,j) for j < r ≤ v.cols().

@@ -28,10 +28,6 @@
 //    fma afterwards. The AVX2 tier computes exactly this with one ymm
 //    accumulator; the scalar tier mirrors it with std::fma (correctly
 //    rounded by C99, hence bit-identical to the hardware instruction).
-//
-// The fixed-shape reduction trees of matmul_at_b_parallel (kReduceRow-
-// Block leaves, DESIGN.md §10) sit ABOVE this layer: kernels here only
-// ever vectorize *within* a leaf, never across leaves.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +75,7 @@ class ScopedLevel {
 
 /// Column fan-in of dot_block: one streaming pass over `x` feeds up to
 /// this many cached-column dot products (8 accumulator registers on
-/// AVX2). gram_append's blocking and the fused border batches are built
-/// on this width.
+/// AVX2). gram_append's column blocking is built on this width.
 inline constexpr std::size_t kDotBlockCols = 8;
 
 /// One dispatch tier's kernel set. All pointers are non-null; all

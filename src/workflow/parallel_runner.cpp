@@ -133,13 +133,15 @@ void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
     if (ml.level_weights.size() != ml.members_per_level.size()) {
       issues.push_back({weights, "must match members_per_level in size"});
     } else {
-      bool nonneg = true;
+      bool finite_nonneg = true;
       double used_sum = 0.0;
       for (std::size_t l = 0; l < ml.level_weights.size(); ++l) {
-        if (ml.level_weights[l] < 0.0) nonneg = false;
-        if (ml.members_per_level[l] > 0) used_sum += ml.level_weights[l];
+        const double w = ml.level_weights[l];
+        if (!(std::isfinite(w) && w >= 0.0)) finite_nonneg = false;
+        if (ml.members_per_level[l] > 0) used_sum += w;
       }
-      check(issues, nonneg, weights, "pooling weights must be >= 0");
+      check(issues, finite_nonneg, weights,
+            "pooling weights must be finite and >= 0");
       check(issues, used_sum > 0.0, weights,
             "weights over the used levels must not all vanish");
     }
@@ -148,9 +150,9 @@ void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
     bool ratios_ok = ml.cost_ratios.size() == ml.levels;
     if (ratios_ok)
       for (double r : ml.cost_ratios)
-        if (!(r > 0.0)) ratios_ok = false;
+        if (!(std::isfinite(r) && r > 0.0)) ratios_ok = false;
     check(issues, ratios_ok, prefix + "cost_ratios",
-          "cost ratios must cover every level and be positive");
+          "cost ratios must cover every level and be finite and positive");
   }
 }
 

@@ -246,6 +246,11 @@ TEST(Differ, RejectsNonFiniteColumnsBeforeTheyReachTheStore) {
   la::Vector inf_anomaly(4, 0.5);
   inf_anomaly[0] = -std::numeric_limits<double>::infinity();
   EXPECT_THROW(d.add_anomaly(1, inf_anomaly), PreconditionError);
+  // A finite forecast scaled by a non-finite weight is just as poisonous.
+  for (const double w : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(d.add_member(1, la::Vector(4, 3.0), w), PreconditionError);
   EXPECT_EQ(d.count(), 1u);
   EXPECT_EQ(d.contiguous_count(), 1u);
   EXPECT_EQ(d.version(), version);
@@ -342,7 +347,7 @@ TEST(DifferIncremental, ParallelPathAgreesWithFromScratch) {
     d.add_member(i, x);
   }
   ThreadPool pool(3);
-  ErrorSubspace inc = d.subspace_parallel(pool, 0.999, 0);
+  ErrorSubspace inc = subspace_from_view(d.view(), 0.999, 0, &pool);
   ErrorSubspace full = from_scratch_subspace(d, 0.999, 0);
   EXPECT_GE(subspace_similarity(inc, full), 1.0 - 1e-10);
 }
@@ -380,36 +385,6 @@ TEST(DifferIncremental, ViewIsStableWhileDifferGrows) {
   const la::Matrix a = v.materialize();
   EXPECT_EQ(a.cols(), 2u);
   EXPECT_NEAR(a(0, 0), 1.0, 1e-12);  // still normalised by √(2−1)
-}
-
-TEST(DifferIncremental, RewriteMemberForcesConsistentRebuild) {
-  Rng rng(34);
-  const std::size_t m = 40;
-  la::Vector central = rng.normals(m);
-  Differ d(central);
-  std::vector<la::Vector> forecasts;
-  for (std::size_t i = 0; i < 12; ++i) {
-    la::Vector x = central;
-    for (auto& v : x) v += rng.normal();
-    forecasts.push_back(x);
-    d.add_member(i, x);
-  }
-  // Smoother-style rewrite of a past column invalidates the cache.
-  for (auto& v : forecasts[3]) v += 2.0 * rng.normal();
-  const std::uint64_t before = d.version();
-  d.rewrite_member(3, forecasts[3]);
-  EXPECT_GT(d.version(), before);
-  EXPECT_THROW(d.rewrite_member(99, forecasts[3]), PreconditionError);
-
-  Differ fresh(central);
-  for (std::size_t i = 0; i < 12; ++i) fresh.add_member(i, forecasts[i]);
-  EXPECT_GE(subspace_similarity(d.subspace(1.0, 0), fresh.subspace(1.0, 0)),
-            1.0 - 1e-10);
-  // The rebuilt Gram borders must equal a freshly-computed cache exactly
-  // (same kernel, same summation order).
-  const la::Matrix g_rewritten = d.view().gram();
-  const la::Matrix g_fresh = fresh.view().gram();
-  EXPECT_NEAR((g_rewritten - g_fresh).max_abs(), 0.0, 1e-14);
 }
 
 TEST(DifferIncremental, WideEnsembleFallsBackToDense) {
@@ -596,6 +571,49 @@ TEST_F(AnalysisFixture, ValidatesInputs) {
   obs::ObsOperator h(sc->grid, set);
   EXPECT_THROW(analyze(la::Vector(3), sub, ObsSet::from_operator(h)),
                PreconditionError);
+}
+
+TEST_F(AnalysisFixture, RejectsNonFiniteObservationsOnEveryPath) {
+  Rng rng(30);
+  ErrorSubspace sub = make_subspace(3, rng);
+  const la::Vector forecast = sc->initial.pack();
+  Rng obs_rng(31);
+  auto set = obs::sst_swath(sc->grid, sc->initial, 4, 0.0, 0.1, obs_rng);
+  const ObsSet clean = ObsSet::from_operator(obs::ObsOperator(sc->grid, set));
+  ASSERT_TRUE(clean.entry(0).positioned);
+
+  AnalysisOptions global;
+  AnalysisOptions tiled;
+  tiled.localization.enabled = true;
+  tiled.localization.radius_km = 30.0;
+  tiled.grid = &sc->grid;
+  AnalysisOptions multi_model;
+  multi_model.method = AnalysisMethod::kMultiModel;
+  multi_model.multi_model.surrogate = &forecast;
+  for (const AnalysisOptions* opts : {&global, &tiled, &multi_model})
+    ASSERT_NO_THROW(analyze(forecast, sub, clean, *opts));
+
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::vector<void (*)(ObsEntry&)> corruptions = {
+      [](ObsEntry& e) { e.value = nan; },
+      [](ObsEntry& e) { e.value = inf; },
+      [](ObsEntry& e) { e.value = -inf; },
+      [](ObsEntry& e) { e.stencil.front().second = nan; },
+      [](ObsEntry& e) { e.variance = inf; },
+      [](ObsEntry& e) { e.variance = 0.0; },
+      [](ObsEntry& e) { e.x_km = nan; },
+      [](ObsEntry& e) { e.y_km = -inf; },
+  };
+  for (std::size_t c = 0; c < corruptions.size(); ++c) {
+    std::vector<ObsEntry> entries = clean.entries();
+    corruptions[c](entries[entries.size() / 2]);
+    const ObsSet bad(std::move(entries));
+    for (const AnalysisOptions* opts : {&global, &tiled, &multi_model})
+      EXPECT_THROW(analyze(forecast, sub, bad, *opts), PreconditionError)
+          << "corruption " << c << ", method " << to_string(opts->method)
+          << (opts->localization.enabled ? " (tiled)" : "");
+  }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Unit + property tests: dense linear algebra (matrix kernels, QR,
-// symmetric eigensolver, SVD variants, Cholesky, statistics, incremental
-// low-rank updates).
+// symmetric eigensolver, SVD variants, Cholesky, statistics).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include "common/rng.hpp"
 #include "linalg/chol.hpp"
 #include "linalg/eig_sym.hpp"
-#include "linalg/lowrank.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/stats.hpp"
@@ -365,61 +363,6 @@ TEST(Stats, RmsHelpers) {
   EXPECT_DOUBLE_EQ(rms({3, 4}), std::sqrt(12.5));
   EXPECT_DOUBLE_EQ(rms_diff({1, 2}, {1, 2}), 0.0);
   EXPECT_THROW(rms_diff({1}, {1, 2}), PreconditionError);
-}
-
-// ---- incremental SVD ------------------------------------------------------------
-
-TEST(IncrementalSvd, MatchesBatchOnLowRankStream) {
-  Rng rng(5);
-  const std::size_t dim = 50, rank = 4, cols = 30;
-  Matrix u = random_matrix(dim, rank, rng);
-  std::vector<Vector> stream;
-  for (std::size_t c = 0; c < cols; ++c) {
-    Vector coef = rng.normals(rank);
-    stream.push_back(matvec(u, coef));
-  }
-  IncrementalSvd inc(dim, 10);
-  for (const auto& c : stream) inc.add_column(c);
-  Matrix batch = Matrix::from_columns(stream);
-  ThinSvd full = svd_thin(batch);
-  ASSERT_GE(inc.rank(), rank);
-  for (std::size_t i = 0; i < rank; ++i)
-    EXPECT_NEAR(inc.s()[i], full.s[i], 1e-6 * full.s[0]);
-}
-
-TEST(IncrementalSvd, RankCappedStreamKeepsDominantDirections) {
-  Rng rng(6);
-  const std::size_t dim = 40;
-  IncrementalSvd inc(dim, 3);
-  for (int c = 0; c < 50; ++c) inc.add_column(rng.normals(dim));
-  EXPECT_EQ(inc.rank(), 3u);
-  EXPECT_EQ(inc.columns_seen(), 50u);
-  // Basis stays orthonormal under truncation.
-  Matrix utu = matmul_at_b(inc.u(), inc.u());
-  EXPECT_LT(max_abs_diff(utu, Matrix::identity(3)), 1e-8);
-}
-
-TEST(IncrementalSvd, ZeroColumnsAreIgnored) {
-  IncrementalSvd inc(5, 3);
-  inc.add_column(Vector(5, 0.0));
-  EXPECT_EQ(inc.rank(), 0u);
-  inc.add_column({1, 0, 0, 0, 0});
-  EXPECT_EQ(inc.rank(), 1u);
-  EXPECT_NEAR(inc.s()[0], 1.0, 1e-12);
-}
-
-TEST(RandomizedRange, CapturesDominantSubspace) {
-  Rng rng(44);
-  // Low-rank + small noise.
-  Matrix u = random_matrix(60, 3, rng);
-  Matrix v = random_matrix(25, 3, rng);
-  Matrix a = matmul_a_bt(u, v);
-  Matrix q = randomized_range(a, 3, rng);
-  EXPECT_EQ(q.cols(), 3u);
-  // ||A - QQᵀA|| small relative to ||A||.
-  Matrix qta = matmul_at_b(q, a);
-  Matrix residual = a - matmul(q, qta);
-  EXPECT_LT(residual.frobenius_norm(), 1e-8 * a.frobenius_norm());
 }
 
 }  // namespace

@@ -244,6 +244,20 @@ TEST(MultilevelValidation, RejectsMalformedMemberMixes) {
   cfg = valid_ml_config();
   cfg.cycle.multilevel.cost_ratios = {1.0, -0.1};
   EXPECT_TRUE(has_issue(workflow::validate(cfg), "cost_ratios"));
+
+  // Non-finite weights or ratios: an infinite level weight turns
+  // column_weight() into NaN, so validation must catch them up front.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& w :
+       {std::vector<double>{inf, 1.0}, std::vector<double>{1.0, nan}}) {
+    cfg = valid_ml_config();
+    cfg.cycle.multilevel.level_weights = w;
+    EXPECT_TRUE(has_issue(workflow::validate(cfg), "level_weights"));
+  }
+  cfg = valid_ml_config();
+  cfg.cycle.multilevel.cost_ratios = {1.0, inf};
+  EXPECT_TRUE(has_issue(workflow::validate(cfg), "cost_ratios"));
 }
 
 TEST(MultilevelValidation, RejectsCompositionWithLocalization) {

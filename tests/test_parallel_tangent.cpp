@@ -1,83 +1,14 @@
-// Tests: thread-parallel kernels, the EC2 autoscaler, and the
-// tangent-linear subspace forecast.
+// Tests: the EC2 autoscaler and the tangent-linear subspace forecast.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "esse/cycle.hpp"
 #include "esse/tangent.hpp"
-#include "linalg/parallel_kernels.hpp"
 #include "mtc/autoscaler.hpp"
 #include "ocean/monterey.hpp"
 
 namespace essex {
 namespace {
-
-la::Matrix random_matrix(std::size_t m, std::size_t n, Rng& rng) {
-  la::Matrix a(m, n);
-  for (auto& x : a.data()) x = rng.normal();
-  return a;
-}
-
-double max_abs_diff(const la::Matrix& a, const la::Matrix& b) {
-  la::Matrix d = a;
-  d -= b;
-  return d.max_abs();
-}
-
-// ---- parallel kernels ----------------------------------------------------------
-
-class ParallelKernelShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(ParallelKernelShapes, GramMatchesSerialToRounding) {
-  auto [m, p, n] = GetParam();
-  Rng rng(1);
-  la::Matrix a = random_matrix(m, p, rng);
-  la::Matrix b = random_matrix(m, n, rng);
-  ThreadPool pool(3);
-  la::Matrix par = la::matmul_at_b_parallel(a, b, pool);
-  la::Matrix ser = la::matmul_at_b(a, b);
-  EXPECT_LT(max_abs_diff(par, ser), 1e-10 * std::max(1.0, ser.max_abs()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, ParallelKernelShapes,
-                         ::testing::Values(std::tuple{1, 3, 2},
-                                           std::tuple{7, 4, 5},
-                                           std::tuple{100, 8, 8},
-                                           std::tuple{1000, 16, 12}));
-
-TEST(ParallelKernels, MatmulMatchesSerial) {
-  Rng rng(2);
-  la::Matrix a = random_matrix(57, 23, rng);
-  la::Matrix b = random_matrix(23, 9, rng);
-  ThreadPool pool(4);
-  EXPECT_LT(max_abs_diff(la::matmul_parallel(a, b, pool),
-                         la::matmul(a, b)),
-            1e-11);
-}
-
-TEST(ParallelKernels, GramSvdMatchesSerialSvd) {
-  Rng rng(3);
-  la::Matrix a = random_matrix(300, 12, rng);
-  ThreadPool pool(3);
-  la::ThinSvd par = la::svd_gram_parallel(a, pool);
-  la::ThinSvd ser = la::svd_thin(a, la::SvdMethod::kGram);
-  for (std::size_t j = 0; j < ser.s.size(); ++j)
-    EXPECT_NEAR(par.s[j], ser.s[j], 1e-8 * ser.s[0]);
-  EXPECT_LT(max_abs_diff(par.reconstruct(), a), 1e-6);
-}
-
-TEST(ParallelKernels, ValidatesShapes) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      la::matmul_at_b_parallel(la::Matrix(3, 2), la::Matrix(4, 2), pool),
-      PreconditionError);
-  EXPECT_THROW(la::svd_gram_parallel(la::Matrix(2, 5), pool),
-               PreconditionError);
-}
 
 // ---- autoscaler -----------------------------------------------------------------
 
