@@ -4,8 +4,9 @@
 // they agree — the same property ctest -L determinism enforces.
 //
 // --write-golden [path] additionally rewrites the checked-in golden
-// digest file (default: the build-time tests/golden directory), in
-// sha256sum line format. Run it after an *intentional* change to the
+// digest files (default: the build-time tests/golden directory), in
+// sha256sum line format: the forecast digest at `path`, and beside it
+// analysis_methods.sha256 and ocean.sha256. Run it after an *intentional* change to the
 // seeded numerics, then commit the new digest with the change.
 //
 // Usage: bench_determinism [--write-golden [path]]
@@ -96,6 +97,12 @@ int main(int argc, char** argv) {
             << "\n";
   if (!methods_agree) return 1;
 
+  // Bare-model trajectories over land, stale currents, a coarse level
+  // and a drifter (tests/golden/ocean.sha256).
+  const auto ocean_digests = service::ocean_trajectory_digests();
+  for (const auto& [key, digest] : ocean_digests)
+    std::cout << digest << "  " << key << "\n";
+
   if (write_golden) {
     std::ofstream out(golden_path, std::ios::trunc);
     if (!out) {
@@ -120,6 +127,18 @@ int main(int argc, char** argv) {
            << esse::to_string(method) << "\n";
     }
     std::cout << "wrote " << methods_path << "\n";
+
+    const std::string ocean_path =
+        golden_path.substr(0, golden_path.find_last_of('/') + 1) +
+        "ocean.sha256";
+    std::ofstream oout(ocean_path, std::ios::trunc);
+    if (!oout) {
+      std::cerr << "cannot write " << ocean_path << "\n";
+      return 1;
+    }
+    for (const auto& [key, digest] : ocean_digests)
+      oout << digest << "  " << key << "\n";
+    std::cout << "wrote " << ocean_path << "\n";
   }
   return 0;
 }

@@ -12,6 +12,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "esse/cycle.hpp"
 
@@ -75,5 +77,15 @@ std::string golden_multilevel_digest(
 std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
     std::size_t threads, std::function<void(std::size_t)> arrival_hook = {},
     std::uint64_t obs_order_seed = 0);
+
+/// Digests of bare OceanModel trajectories, keyed as in
+/// tests/golden/ocean.sha256. The forecast goldens above run a land-free
+/// double gyre; these pin what they never reach: the Monterey coastline
+/// across both wind phases, a stochastic member whose u/v are stale at
+/// t0, a zero-length run (which must leave the state untouched, u/v
+/// included), one coarse GridHierarchy level, an advect_drifter track
+/// and a stochastic double gyre. Each digest covers the final state's
+/// T, S, u, v and SSH bytes plus the step count (the drifter: its fixes).
+std::vector<std::pair<std::string, std::string>> ocean_trajectory_digests();
 
 }  // namespace essex::service

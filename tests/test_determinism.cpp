@@ -181,6 +181,30 @@ TEST(Determinism, MatchesCheckedInAnalysisMethodDigests) {
   }
 }
 
+TEST(Determinism, MatchesCheckedInOceanTrajectoryDigests) {
+  // The bare model over the Monterey coastline, stale currents, a coarse
+  // level and a drifter: physics the double-gyre forecast goldens never
+  // reach. Serial and seeded, so one run pins it.
+  const std::string path = std::string(ESSEX_GOLDEN_DIR) + "/ocean.sha256";
+  std::ifstream f(path);
+  ASSERT_TRUE(f.is_open())
+      << "missing golden digest file " << path
+      << " — regenerate with: bench_determinism --write-golden";
+  std::map<std::string, std::string> golden;
+  std::string hex, key;
+  while (f >> hex >> key) golden[key] = hex;
+  const auto digests = ocean_trajectory_digests();
+  EXPECT_EQ(digests.size(), golden.size());
+  for (const auto& [k, digest] : digests) {
+    const auto it = golden.find(k);
+    ASSERT_NE(it, golden.end()) << "golden file has no entry for " << k;
+    EXPECT_EQ(digest, it->second)
+        << k << " no longer reproduces its checked-in digest. If the "
+           "model numerics changed intentionally, regenerate with: "
+           "bench_determinism --write-golden (see DESIGN.md §10).";
+  }
+}
+
 TEST(Determinism, SerializedProductIsSelfConsistent) {
   const esse::ForecastResult res = golden_forecast(2);
   const std::string bytes = esse::serialize_forecast_product(res);
