@@ -57,7 +57,7 @@ int main() {
                rho < 0 ? std::string("-") : Table::num(rho, 4)});
   }
   t.print(std::cout);
-  t.write_csv("bench_esse_convergence.csv");
+  t.write_csv("results/bench_esse_convergence.csv");
   std::cout << "\nconverged at threshold 0.97: "
             << (conv.converged() ? "yes" : "no")
             << " — rho rises toward 1 as N grows (Fig. 2's convergence "

@@ -7,6 +7,7 @@
 // boundaries; 30 m uncertainty is thermocline-bound and locally exceeds
 // the surface signal.
 #include <algorithm>
+#include <filesystem>
 #include <iostream>
 
 #include "common/field_io.hpp"
@@ -51,10 +52,11 @@ int main() {
   const Field2D sst = level_map(0);
   const std::size_t lvl30 = sc.grid.level_near_depth(30.0);
   const Field2D t30 = level_map(lvl30);
-  write_pgm(sst, "fig5_sst_stddev.pgm");
-  write_pgm(t30, "fig6_t30m_stddev.pgm");
-  write_field_csv(sst, "fig5_sst_stddev.csv");
-  write_field_csv(t30, "fig6_t30m_stddev.csv");
+  std::filesystem::create_directories("results");
+  write_pgm(sst, "results/fig5_sst_stddev.pgm");
+  write_pgm(t30, "results/fig6_t30m_stddev.pgm");
+  write_field_csv(sst, "results/fig5_sst_stddev.csv");
+  write_field_csv(t30, "results/fig6_t30m_stddev.csv");
 
   std::cout << "Fig 5 — ESSE uncertainty forecast for sea-surface "
                "temperature (degC std):\n"
@@ -87,10 +89,10 @@ int main() {
   t.add_row({"T @30m", Table::num(t30_max, 3), Table::num(t30_mean, 3),
              Table::num(t30_max / t30_mean, 1)});
   t.print(std::cout);
-  t.write_csv("bench_uncertainty_maps.csv");
+  t.write_csv("results/bench_uncertainty_maps.csv");
   std::cout << "\nensemble: " << fr.members_run
             << " members, converged=" << (fr.converged ? "yes" : "no")
-            << "; wrote fig5/fig6 .pgm/.csv next to this binary.\n"
+            << "; wrote results/fig5_*, results/fig6_* (.pgm/.csv).\n"
             << "shape: structured fields (max >> mean), uncertainty "
                "concentrated along the front and eddies as in the "
                "paper's Figs. 5/6.\n";

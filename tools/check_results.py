@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Results reproduction check: the DES series under results/ must be
+"""Results reproduction check: the series under results/ must be
 regenerated byte for byte by the code that claims to produce them.
 
-Every discrete-event bench below is deterministic (simulated time, seeded
-RNG streams), so its CSV and telemetry JSON are pure functions of the
-source. Each bench runs in a fresh temporary working directory; every file
-it writes under results/ is compared with the checked-in copy, and any
-byte difference — or a tracked file the bench no longer writes — fails.
+Every bench below is deterministic, so its outputs are pure functions of
+the source: the discrete-event benches run on simulated time and seeded
+RNG streams, and the science benches (Figs. 2, 5/6, §2.2) run seeded
+model integrations. Each bench runs in a fresh temporary working
+directory; every file it writes under results/ is compared with the
+checked-in copy, and any byte difference — or a tracked file the bench
+no longer writes — fails.
 
 Usage:
     python3 tools/check_results.py [build_dir]
@@ -24,9 +26,9 @@ import sys
 import tempfile
 import time
 
-# Benches whose results/ outputs are simulated-time only (no wall-clock
-# numbers), mapped to the files each one must write.
-DES_BENCHES = {
+# Benches whose results/ outputs carry no wall-clock numbers, mapped to
+# the files each one must write.
+BENCHES = {
     "bench_local_cluster_io": [
         "bench_local_cluster_io.csv",
         "bench_local_cluster_io.telemetry.json",
@@ -57,6 +59,15 @@ DES_BENCHES = {
         "bench_nested_jobs_mixed.csv",
     ],
     "bench_acoustics_fanout": ["bench_acoustics_fanout.csv"],
+    "bench_esse_convergence": ["bench_esse_convergence.csv"],
+    "bench_uncertainty_maps": [
+        "bench_uncertainty_maps.csv",
+        "fig5_sst_stddev.csv",
+        "fig5_sst_stddev.pgm",
+        "fig6_t30m_stddev.csv",
+        "fig6_t30m_stddev.pgm",
+    ],
+    "bench_acoustic_uncertainty": ["bench_acoustic_uncertainty.csv"],
 }
 
 
@@ -98,7 +109,7 @@ def main(argv):
               file=sys.stderr)
         return 2
     failures = []
-    for bench, expected in DES_BENCHES.items():
+    for bench, expected in BENCHES.items():
         binary = os.path.abspath(os.path.join(build_dir, "bench", bench))
         if not os.access(binary, os.X_OK):
             print(f"missing bench binary: {binary}", file=sys.stderr)
@@ -113,7 +124,7 @@ def main(argv):
     if failures:
         print(f"{len(failures)} results/ series do not reproduce")
         return 1
-    print("every DES series under results/ reproduces byte for byte")
+    print("every series under results/ reproduces byte for byte")
     return 0
 
 
