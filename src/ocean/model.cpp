@@ -16,6 +16,48 @@ OceanModel::OceanModel(const Grid3D& grid, const ModelParams& params,
                 "climatology does not match grid");
   ESSEX_REQUIRE(params.coriolis_f > 0, "Coriolis parameter must be > 0");
   ESSEX_REQUIRE(params.mixed_layer_m > 0, "mixed layer depth must be > 0");
+
+  const std::size_t nx = grid_.nx(), ny = grid_.ny();
+  const double dx_m = grid_.dx_km() * 1000.0;
+  const double dy_m = grid_.dy_km() * 1000.0;
+  const std::size_t w = params_.boundary_width;
+  const std::size_t far = nx + ny;  // "no open edge this way"
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      if (!grid_.is_water(ix, iy)) continue;
+      Column c;
+      c.h = grid_.hindex(ix, iy);
+      // A neighbour off the grid or on land stands in with the centre.
+      auto neighbour = [&](bool on_grid, std::size_t jx, std::size_t jy) {
+        return on_grid && grid_.is_water(jx, jy) ? grid_.hindex(jx, jy) : c.h;
+      };
+      c.w = neighbour(ix > 0, ix - 1, iy);
+      c.e = neighbour(ix + 1 < nx, ix + 1, iy);
+      c.s = neighbour(iy > 0, ix, iy - 1);
+      c.n = neighbour(iy + 1 < ny, ix, iy + 1);
+      // Centred differences fall back to one-sided at the grid edge only.
+      const std::size_t xm = (ix > 0) ? ix - 1 : ix;
+      const std::size_t xp = (ix + 1 < nx) ? ix + 1 : ix;
+      const std::size_t ym = (iy > 0) ? iy - 1 : iy;
+      const std::size_t yp = (iy + 1 < ny) ? iy + 1 : iy;
+      c.span_x = static_cast<double>(xp - xm) * dx_m;
+      c.span_y = static_cast<double>(yp - ym) * dy_m;
+      c.upwelling_coast = (ix + 1 < nx && !grid_.is_water(ix + 1, iy)) ||
+                          (ix + 2 < nx && !grid_.is_water(ix + 2, iy));
+      c.setdown_coast = (ix + 1 < nx) ? !grid_.is_water(ix + 1, iy) : true;
+      // Distance (in cells) to the nearest OPEN edge: an edge cell that
+      // is itself water. A coastline edge (land, e.g. the Californian
+      // coast on the east) is not an open boundary and gets no sponge.
+      const std::size_t d_w = grid_.is_water(0, iy) ? ix : far;
+      const std::size_t d_e = grid_.is_water(nx - 1, iy) ? nx - 1 - ix : far;
+      const std::size_t d_s = grid_.is_water(ix, 0) ? iy : far;
+      const std::size_t d_n = grid_.is_water(ix, ny - 1) ? ny - 1 - iy : far;
+      const std::size_t d = std::min(std::min(d_w, d_e), std::min(d_s, d_n));
+      c.sponge = d < w ? 1.0 - static_cast<double>(d) / static_cast<double>(w)
+                       : 0.0;
+      columns_.push_back(c);
+    }
+  }
 }
 
 double OceanModel::max_stable_dt_hours() const {
@@ -27,9 +69,7 @@ double OceanModel::max_stable_dt_hours() const {
 }
 
 void OceanModel::diagnose_currents(OceanState& state, double t_hours) const {
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  const double dx_m = grid_.dx_km() * 1000.0;
-  const double dy_m = grid_.dy_km() * 1000.0;
+  const std::size_t hp = grid_.horizontal_points();
   const double gf = params_.gravity / params_.coriolis_f;
   const WindStress tau = forcing_.at(t_hours);
   // Ekman surface velocity (rotated 90° right of the wind in the northern
@@ -38,87 +78,57 @@ void OceanModel::diagnose_currents(OceanState& state, double t_hours) const {
       1.0 / (params_.rho0 * params_.coriolis_f * params_.mixed_layer_m);
   const double ue = tau.tau_y * ek_scale;   // 90° to the right
   const double ve = -tau.tau_x * ek_scale;
+  const double cap = params_.geostrophic_cap;
 
-  for (std::size_t iz = 0; iz < nz; ++iz) {
+  // Land carries no current.
+  std::fill(state.u.begin(), state.u.end(), 0.0);
+  std::fill(state.v.begin(), state.v.end(), 0.0);
+  for (std::size_t iz = 0; iz < grid_.nz(); ++iz) {
     const double depth = grid_.depths()[iz];
     const double ek_decay = std::exp(-depth / params_.mixed_layer_m);
     // Geostrophic shear decays with depth too (1.5-layer reduced gravity).
     const double geo_decay = std::exp(-depth / 150.0);
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        const std::size_t id = grid_.index(ix, iy, iz);
-        if (!grid_.is_water(ix, iy)) {
-          state.u[id] = 0.0;
-          state.v[id] = 0.0;
-          continue;
-        }
-        // Centred SSH gradients with one-sided fallback at edges/land.
-        auto ssh_at = [&](std::size_t jx, std::size_t jy) {
-          if (!grid_.is_water(jx, jy)) return state.ssh[grid_.hindex(ix, iy)];
-          return state.ssh[grid_.hindex(jx, jy)];
-        };
-        const std::size_t xm = (ix > 0) ? ix - 1 : ix;
-        const std::size_t xp = (ix + 1 < nx) ? ix + 1 : ix;
-        const std::size_t ym = (iy > 0) ? iy - 1 : iy;
-        const std::size_t yp = (iy + 1 < ny) ? iy + 1 : iy;
-        const double detadx =
-            (ssh_at(xp, iy) - ssh_at(xm, iy)) /
-            (static_cast<double>(xp - xm) * dx_m);
-        const double detady =
-            (ssh_at(ix, yp) - ssh_at(ix, ym)) /
-            (static_cast<double>(yp - ym) * dy_m);
-        double ug = -gf * detady * geo_decay;
-        double vg = gf * detadx * geo_decay;
-        ug += ue * ek_decay;
-        vg += ve * ek_decay;
-        const double cap = params_.geostrophic_cap;
-        state.u[id] = std::clamp(ug, -cap, cap);
-        state.v[id] = std::clamp(vg, -cap, cap);
-      }
+    double* u = state.u.data() + iz * hp;
+    double* v = state.v.data() + iz * hp;
+    for (const Column& c : columns_) {
+      // Centred SSH gradients; a land neighbour reads the centre.
+      const double detadx = (state.ssh[c.e] - state.ssh[c.w]) / c.span_x;
+      const double detady = (state.ssh[c.n] - state.ssh[c.s]) / c.span_y;
+      double ug = -gf * detady * geo_decay;
+      double vg = gf * detadx * geo_decay;
+      ug += ue * ek_decay;
+      vg += ve * ek_decay;
+      u[c.h] = std::clamp(ug, -cap, cap);
+      v[c.h] = std::clamp(vg, -cap, cap);
     }
   }
 }
-
-namespace {
-
-// One Jacobi smoothing pass over a horizontal field (water points only).
-void smooth_pass(const Grid3D& g, std::vector<double>& f) {
-  std::vector<double> out = f;
-  for (std::size_t iy = 0; iy < g.ny(); ++iy) {
-    for (std::size_t ix = 0; ix < g.nx(); ++ix) {
-      if (!g.is_water(ix, iy)) continue;
-      double sum = f[g.hindex(ix, iy)];
-      double w = 1.0;
-      auto acc = [&](std::size_t jx, std::size_t jy) {
-        if (g.is_water(jx, jy)) {
-          sum += f[g.hindex(jx, jy)];
-          w += 1.0;
-        }
-      };
-      if (ix > 0) acc(ix - 1, iy);
-      if (ix + 1 < g.nx()) acc(ix + 1, iy);
-      if (iy > 0) acc(ix, iy - 1);
-      if (iy + 1 < g.ny()) acc(ix, iy + 1);
-      out[g.hindex(ix, iy)] = sum / w;
-    }
-  }
-  f.swap(out);
-}
-
-}  // namespace
 
 void OceanModel::apply_stochastic_forcing(OceanState& state, double dt_hours,
                                           Rng& rng) const {
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
+  const std::size_t hp = grid_.horizontal_points();
   const double sqrt_dt = std::sqrt(dt_hours);
 
   // Spatially-correlated horizontal noise pattern shared by T and SSH,
-  // produced by smoothing white noise. Smoothing shrinks the variance, so
-  // re-normalise to unit RMS afterwards.
-  std::vector<double> pattern(grid_.horizontal_points());
+  // produced by Jacobi-smoothing white noise over the water columns.
+  // Smoothing shrinks the variance, so re-normalise to unit RMS afterwards.
+  std::vector<double> pattern(hp);
   for (auto& x : pattern) x = rng.normal();
-  for (std::size_t p = 0; p < params_.noise_smooth_passes; ++p)
-    smooth_pass(grid_, pattern);
+  std::vector<double> smoothed;
+  for (std::size_t p = 0; p < params_.noise_smooth_passes; ++p) {
+    smoothed = pattern;
+    for (const Column& c : columns_) {
+      double sum = pattern[c.h];
+      double w = 1.0;
+      for (const std::size_t nb : {c.w, c.e, c.s, c.n}) {
+        if (nb == c.h) continue;  // off the grid or land
+        sum += pattern[nb];
+        w += 1.0;
+      }
+      smoothed[c.h] = sum / w;
+    }
+    pattern.swap(smoothed);
+  }
   double rms = 0.0;
   for (double x : pattern) rms += x * x;
   rms = std::sqrt(rms / static_cast<double>(pattern.size()));
@@ -126,56 +136,55 @@ void OceanModel::apply_stochastic_forcing(OceanState& state, double dt_hours,
     for (auto& x : pattern) x /= rms;
   }
 
-  for (std::size_t iz = 0; iz < nz; ++iz) {
+  for (std::size_t iz = 0; iz < grid_.nz(); ++iz) {
     const double depth = grid_.depths()[iz];
     const double decay = std::exp(-depth / 100.0);  // surface intensified
     const double amp = params_.noise_temp * sqrt_dt * decay;
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        if (!grid_.is_water(ix, iy)) continue;
-        state.temperature[grid_.index(ix, iy, iz)] +=
-            amp * pattern[grid_.hindex(ix, iy)];
-      }
-    }
+    double* t = state.temperature.data() + iz * hp;
+    for (const Column& c : columns_) t[c.h] += amp * pattern[c.h];
   }
   const double amp_ssh = params_.noise_ssh * sqrt_dt;
-  for (std::size_t iy = 0; iy < ny; ++iy)
-    for (std::size_t ix = 0; ix < nx; ++ix)
-      if (grid_.is_water(ix, iy))
-        state.ssh[grid_.hindex(ix, iy)] += amp_ssh * pattern[grid_.hindex(ix, iy)];
+  for (const Column& c : columns_) state.ssh[c.h] += amp_ssh * pattern[c.h];
 }
 
 void OceanModel::relax_boundaries(OceanState& state, double dt_seconds) const {
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  const std::size_t w = params_.boundary_width;
-  const std::size_t far = nx + ny;  // "no open edge this way"
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      if (!grid_.is_water(ix, iy)) continue;
-      // Distance (in cells) to the nearest OPEN edge: an edge cell that
-      // is itself water. A coastline edge (land, e.g. the Californian
-      // coast on the east) is not an open boundary and gets no sponge.
-      const std::size_t d_w = grid_.is_water(0, iy) ? ix : far;
-      const std::size_t d_e = grid_.is_water(nx - 1, iy) ? nx - 1 - ix : far;
-      const std::size_t d_s = grid_.is_water(ix, 0) ? iy : far;
-      const std::size_t d_n = grid_.is_water(ix, ny - 1) ? ny - 1 - iy : far;
-      const std::size_t d = std::min(std::min(d_w, d_e), std::min(d_s, d_n));
-      if (d >= w) continue;
-      const double strength = params_.boundary_relax_rate * dt_seconds *
-                              (1.0 - static_cast<double>(d) /
-                                         static_cast<double>(w));
-      const double a = std::clamp(strength, 0.0, 1.0);
-      for (std::size_t iz = 0; iz < nz; ++iz) {
-        const std::size_t id = grid_.index(ix, iy, iz);
-        state.temperature[id] +=
-            a * (climatology_.temperature[id] - state.temperature[id]);
-        state.salinity[id] +=
-            a * (climatology_.salinity[id] - state.salinity[id]);
-      }
-      const std::size_t hid = grid_.hindex(ix, iy);
-      state.ssh[hid] += a * (climatology_.ssh[hid] - state.ssh[hid]);
+  const std::size_t hp = grid_.horizontal_points();
+  for (const Column& c : columns_) {
+    if (c.sponge <= 0.0) continue;
+    const double strength =
+        params_.boundary_relax_rate * dt_seconds * c.sponge;
+    const double a = std::clamp(strength, 0.0, 1.0);
+    for (std::size_t id = c.h; id < grid_.points(); id += hp) {
+      state.temperature[id] +=
+          a * (climatology_.temperature[id] - state.temperature[id]);
+      state.salinity[id] +=
+          a * (climatology_.salinity[id] - state.salinity[id]);
     }
+    state.ssh[c.h] += a * (climatology_.ssh[c.h] - state.ssh[c.h]);
   }
+}
+
+double OceanModel::transport(const double* f, const Column& c, double uu,
+                             double vv) const {
+  const double dx_m = grid_.dx_km() * 1000.0;
+  const double dy_m = grid_.dy_km() * 1000.0;
+  const double fc = f[c.h];
+  // Upwind advection.
+  double adv = 0.0;
+  if (uu > 0) {
+    adv += uu * (fc - f[c.w]) / dx_m;
+  } else {
+    adv += uu * (f[c.e] - fc) / dx_m;
+  }
+  if (vv > 0) {
+    adv += vv * (fc - f[c.s]) / dy_m;
+  } else {
+    adv += vv * (f[c.n] - fc) / dy_m;
+  }
+  // Horizontal diffusion.
+  const double lap = (f[c.e] - 2 * fc + f[c.w]) / (dx_m * dx_m) +
+                     (f[c.n] - 2 * fc + f[c.s]) / (dy_m * dy_m);
+  return -adv + params_.kappa_h * lap;
 }
 
 void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
@@ -186,71 +195,37 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
   ESSEX_REQUIRE(state.temperature.size() == grid_.points(),
                 "state does not match the model grid");
 
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
+  const std::size_t nz = grid_.nz(), hp = grid_.horizontal_points();
+  const std::vector<double>& depths = grid_.depths();
   const double dt = dt_hours * 3600.0;  // seconds
-  const double dx_m = grid_.dx_km() * 1000.0;
-  const double dy_m = grid_.dy_km() * 1000.0;
-
-  diagnose_currents(state, t_hours);
-
   const WindStress tau = forcing_.at(t_hours);
 
   // --- tracer advection-diffusion (upwind + Laplacian), level by level ---
   std::vector<double> newT = state.temperature;
   std::vector<double> newS = state.salinity;
   for (std::size_t iz = 0; iz < nz; ++iz) {
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        if (!grid_.is_water(ix, iy)) continue;
-        const std::size_t id = grid_.index(ix, iy, iz);
-        const double uu = state.u[id];
-        const double vv = state.v[id];
-
-        auto tracer_step = [&](const std::vector<double>& f,
-                               std::vector<double>& out) {
-          const double fc = f[id];
-          auto fat = [&](std::size_t jx, std::size_t jy) {
-            if (jx >= nx || jy >= ny || !grid_.is_water(jx, jy)) return fc;
-            return f[grid_.index(jx, jy, iz)];
-          };
-          // Upwind advection.
-          double adv = 0.0;
-          if (uu > 0) {
-            adv += uu * (fc - fat(ix - 1, iy)) / dx_m;  // ix-1 wraps to huge => fc
-          } else {
-            adv += uu * (fat(ix + 1, iy) - fc) / dx_m;
-          }
-          if (vv > 0) {
-            adv += vv * (fc - fat(ix, iy - 1)) / dy_m;
-          } else {
-            adv += vv * (fat(ix, iy + 1) - fc) / dy_m;
-          }
-          // Horizontal diffusion.
-          const double lap =
-              (fat(ix + 1, iy) - 2 * fc + fat(ix - 1, iy)) / (dx_m * dx_m) +
-              (fat(ix, iy + 1) - 2 * fc + fat(ix, iy - 1)) / (dy_m * dy_m);
-          // Vertical diffusion.
-          double vdiff = 0.0;
-          if (nz > 1) {
-            const double fz_up =
-                (iz > 0) ? f[grid_.index(ix, iy, iz - 1)] : fc;
-            const double fz_dn =
-                (iz + 1 < nz) ? f[grid_.index(ix, iy, iz + 1)] : fc;
-            const double dz_up =
-                (iz > 0) ? grid_.depths()[iz] - grid_.depths()[iz - 1] : 1.0;
-            const double dz_dn = (iz + 1 < nz)
-                                     ? grid_.depths()[iz + 1] -
-                                           grid_.depths()[iz]
-                                     : 1.0;
-            vdiff = params_.kappa_v *
-                    ((fz_dn - fc) / (dz_dn * dz_dn) -
-                     (fc - fz_up) / (dz_up * dz_up));
-          }
-          out[id] = fc + dt * (-adv + params_.kappa_h * lap + vdiff);
-        };
-        tracer_step(state.temperature, newT);
-        tracer_step(state.salinity, newS);
-      }
+    const std::size_t off = iz * hp;
+    const double dz_up = (iz > 0) ? depths[iz] - depths[iz - 1] : 1.0;
+    const double dz_dn = (iz + 1 < nz) ? depths[iz + 1] - depths[iz] : 1.0;
+    for (const Column& c : columns_) {
+      const std::size_t id = off + c.h;
+      const double uu = state.u[id];
+      const double vv = state.v[id];
+      auto tracer_step = [&](const std::vector<double>& f,
+                             std::vector<double>& out) {
+        const double fc = f[id];
+        // Vertical diffusion.
+        double vdiff = 0.0;
+        if (nz > 1) {
+          const double fz_up = (iz > 0) ? f[id - hp] : fc;
+          const double fz_dn = (iz + 1 < nz) ? f[id + hp] : fc;
+          vdiff = params_.kappa_v * ((fz_dn - fc) / (dz_dn * dz_dn) -
+                                     (fc - fz_up) / (dz_up * dz_up));
+        }
+        out[id] = fc + dt * (transport(f.data() + off, c, uu, vv) + vdiff);
+      };
+      tracer_step(state.temperature, newT);
+      tracer_step(state.salinity, newS);
     }
   }
 
@@ -259,25 +234,15 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
   const double equatorward = std::max(-tau.tau_y, 0.0);
   if (equatorward > 0 && nz > 1) {
     const double w_up = params_.upwelling_efficiency * equatorward;  // m/s
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        if (!grid_.is_water(ix, iy)) continue;
-        // A column is "coastal" if land lies within two cells to the east.
-        bool coastal = false;
-        for (std::size_t k = 1; k <= 2 && !coastal; ++k) {
-          if (ix + k >= nx) break;
-          coastal = !grid_.is_water(ix + k, iy);
-        }
-        if (!coastal) continue;
-        for (std::size_t iz = 0; iz + 1 < nz; ++iz) {
-          const std::size_t id = grid_.index(ix, iy, iz);
-          const std::size_t below = grid_.index(ix, iy, iz + 1);
-          const double dz =
-              grid_.depths()[iz + 1] - grid_.depths()[iz];
-          const double frac = std::clamp(w_up * dt / dz, 0.0, 0.5);
-          newT[id] += frac * (state.temperature[below] - state.temperature[id]);
-          newS[id] += frac * (state.salinity[below] - state.salinity[id]);
-        }
+    for (const Column& c : columns_) {
+      if (!c.upwelling_coast) continue;
+      for (std::size_t iz = 0; iz + 1 < nz; ++iz) {
+        const std::size_t id = iz * hp + c.h;
+        const std::size_t below = id + hp;
+        const double dz = depths[iz + 1] - depths[iz];
+        const double frac = std::clamp(w_up * dt / dz, 0.0, 0.5);
+        newT[id] += frac * (state.temperature[below] - state.temperature[id]);
+        newS[id] += frac * (state.salinity[below] - state.salinity[id]);
       }
     }
   }
@@ -285,45 +250,20 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
   // --- SSH: advection by surface flow, wind-stress input, damping,
   // diffusion ---
   std::vector<double> newSsh = state.ssh;
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      if (!grid_.is_water(ix, iy)) continue;
-      const std::size_t hid = grid_.hindex(ix, iy);
-      const std::size_t sid = grid_.index(ix, iy, 0);
-      const double uu = state.u[sid];
-      const double vv = state.v[sid];
-      const double ec = state.ssh[hid];
-      auto eat = [&](std::size_t jx, std::size_t jy) {
-        if (jx >= nx || jy >= ny || !grid_.is_water(jx, jy)) return ec;
-        return state.ssh[grid_.hindex(jx, jy)];
-      };
-      double adv = 0.0;
-      if (uu > 0) {
-        adv += uu * (ec - eat(ix - 1, iy)) / dx_m;
-      } else {
-        adv += uu * (eat(ix + 1, iy) - ec) / dx_m;
-      }
-      if (vv > 0) {
-        adv += vv * (ec - eat(ix, iy - 1)) / dy_m;
-      } else {
-        adv += vv * (eat(ix, iy + 1) - ec) / dy_m;
-      }
-      const double lap =
-          (eat(ix + 1, iy) - 2 * ec + eat(ix - 1, iy)) / (dx_m * dx_m) +
-          (eat(ix, iy + 1) - 2 * ec + eat(ix, iy - 1)) / (dy_m * dy_m);
-      // Coastal setup/setdown: equatorward wind lowers coastal SSH
-      // (offshore Ekman transport). The full gravity-wave adjustment is
-      // not resolved, so the response is modelled as a bounded
-      // relaxation toward the post-adjustment setdown level.
-      double wind_term = 0.0;
-      bool coastal = (ix + 1 < nx) ? !grid_.is_water(ix + 1, iy) : true;
-      if (coastal) {
-        const double target = params_.coastal_setdown_m * tau.tau_y;
-        wind_term = params_.coastal_adjust_rate * (target - ec);
-      }
-      newSsh[hid] = ec + dt * (-adv + params_.kappa_h * lap + wind_term -
-                               params_.ssh_damping * ec);
+  for (const Column& c : columns_) {
+    const double ec = state.ssh[c.h];
+    // Coastal setup/setdown: equatorward wind lowers coastal SSH
+    // (offshore Ekman transport). The full gravity-wave adjustment is
+    // not resolved, so the response is modelled as a bounded
+    // relaxation toward the post-adjustment setdown level.
+    double wind_term = 0.0;
+    if (c.setdown_coast) {
+      const double target = params_.coastal_setdown_m * tau.tau_y;
+      wind_term = params_.coastal_adjust_rate * (target - ec);
     }
+    newSsh[c.h] =
+        ec + dt * (transport(state.ssh.data(), c, state.u[c.h], state.v[c.h]) +
+                   wind_term - params_.ssh_damping * ec);
   }
 
   state.temperature.swap(newT);
@@ -334,7 +274,8 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
 
   if (rng != nullptr) apply_stochastic_forcing(state, dt_hours, *rng);
 
-  // Refresh diagnosed currents so the returned state is self-consistent.
+  // Refresh diagnosed currents so the returned state is self-consistent
+  // and the next step starts from currents at its own t.
   diagnose_currents(state, t_hours + dt_hours);
 }
 
@@ -345,6 +286,7 @@ std::size_t OceanModel::run(OceanState& state, double t0_hours,
   std::size_t steps = 0;
   double t = t0_hours;
   double remaining = duration_hours;
+  if (remaining > 1e-12) diagnose_currents(state, t);
   while (remaining > 1e-12) {
     const double dt = std::min(dt_max, remaining);
     step(state, t, dt, rng);

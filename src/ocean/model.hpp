@@ -59,14 +59,19 @@ class OceanModel {
              const WindForcing& forcing, const OceanState& climatology);
 
   /// Advance `state` by `dt_hours` starting at simulation time `t_hours`.
-  /// If `rng` is provided, one Wiener increment of stochastic forcing is
-  /// applied (scaled by sqrt(dt)); without it the step is deterministic.
-  /// dt must not exceed max_stable_dt_hours().
+  /// The state's u/v must already be diagnosed at `t_hours`
+  /// (diagnose_currents); the step leaves them diagnosed at
+  /// `t_hours + dt_hours`, so consecutive steps chain. If `rng` is
+  /// provided, one Wiener increment of stochastic forcing is applied
+  /// (scaled by sqrt(dt)); without it the step is deterministic. dt must
+  /// not exceed max_stable_dt_hours().
   void step(OceanState& state, double t_hours, double dt_hours,
             Rng* rng = nullptr) const;
 
-  /// Integrate from `t0_hours` for `duration_hours`, sub-stepping at (at
-  /// most) max_stable_dt_hours(). Returns the number of steps taken.
+  /// Integrate from `t0_hours` for `duration_hours`, sub-stepping
+  /// at (at most) max_stable_dt_hours(). Diagnoses the currents at t0
+  /// before the first step; a run that takes no step leaves the state
+  /// untouched. Returns the number of steps taken.
   std::size_t run(OceanState& state, double t0_hours, double duration_hours,
                   Rng* rng = nullptr) const;
 
@@ -87,10 +92,26 @@ class OceanModel {
                                 Rng& rng) const;
   void relax_boundaries(OceanState& state, double dt_seconds) const;
 
+  /// One water column with its land and edge geometry resolved.
+  struct Column {
+    std::size_t h;           ///< hindex
+    std::size_t w, e, s, n;  ///< neighbour hindex; h if off-grid or land
+    double span_x, span_y;   ///< centred-difference widths (m)
+    bool upwelling_coast;    ///< land within two cells to the east
+    bool setdown_coast;      ///< land (or the grid edge) right to the east
+    double sponge;           ///< 1 − d/w of the open-boundary sponge, else 0
+  };
+
+  /// −u·∇f + κ_h∇²f at `c` of one horizontal level `f`: upwind advection
+  /// by (uu, vv) plus Laplacian diffusion.
+  double transport(const double* f, const Column& c, double uu,
+                   double vv) const;
+
   Grid3D grid_;
   ModelParams params_;
   WindForcing forcing_;
   OceanState climatology_;
+  std::vector<Column> columns_;  ///< water columns in (iy, ix) order
 };
 
 }  // namespace essex::ocean
