@@ -30,9 +30,10 @@ double surface_sample(const ocean::Grid3D& grid,
 }
 
 bool on_water(const ocean::Grid3D& grid, double x_km, double y_km) {
-  if (x_km < 0 || y_km < 0 ||
-      x_km > grid.dx_km() * static_cast<double>(grid.nx() - 1) ||
-      y_km > grid.dy_km() * static_cast<double>(grid.ny() - 1)) {
+  // Written as "inside" so that a NaN position counts as outside.
+  if (!(x_km >= 0 && y_km >= 0 &&
+        x_km <= grid.dx_km() * static_cast<double>(grid.nx() - 1) &&
+        y_km <= grid.dy_km() * static_cast<double>(grid.ny() - 1))) {
     return false;  // left the domain
   }
   const auto ix = static_cast<std::size_t>(
@@ -51,7 +52,9 @@ std::vector<DrifterFix> advect_drifter(const ocean::OceanModel& model,
                                        double x0_km, double y0_km,
                                        double report_interval_h,
                                        double sst_noise, Rng& rng) {
-  ESSEX_REQUIRE(duration_h > 0, "drifter duration must be positive");
+  ESSEX_REQUIRE(std::isfinite(t0_hours), "drifter start time must be finite");
+  ESSEX_REQUIRE(duration_h > 0 && std::isfinite(duration_h),
+                "drifter duration must be positive and finite");
   ESSEX_REQUIRE(report_interval_h > 0, "report interval must be positive");
   const ocean::Grid3D& grid = model.grid();
   ESSEX_REQUIRE(on_water(grid, x0_km, y0_km),

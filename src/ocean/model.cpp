@@ -281,7 +281,9 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
 
 std::size_t OceanModel::run(OceanState& state, double t0_hours,
                             double duration_hours, Rng* rng) const {
-  ESSEX_REQUIRE(duration_hours >= 0, "run duration must be non-negative");
+  ESSEX_REQUIRE(std::isfinite(t0_hours), "run start time must be finite");
+  ESSEX_REQUIRE(duration_hours >= 0 && std::isfinite(duration_hours),
+                "run duration must be finite and non-negative");
   const double dt_max = max_stable_dt_hours();
   std::size_t steps = 0;
   double t = t0_hours;

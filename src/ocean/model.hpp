@@ -68,10 +68,10 @@ class OceanModel {
   void step(OceanState& state, double t_hours, double dt_hours,
             Rng* rng = nullptr) const;
 
-  /// Integrate from `t0_hours` for `duration_hours`, sub-stepping
-  /// at (at most) max_stable_dt_hours(). Diagnoses the currents at t0
-  /// before the first step; a run that takes no step leaves the state
-  /// untouched. Returns the number of steps taken.
+  /// Integrate from a finite `t0_hours` for a finite, non-negative
+  /// `duration_hours`, sub-stepping at (at most) max_stable_dt_hours().
+  /// Diagnoses the currents at t0 before the first step; a run that takes
+  /// no step leaves the state untouched. Returns the number of steps taken.
   std::size_t run(OceanState& state, double t0_hours, double duration_hours,
                   Rng* rng = nullptr) const;
 

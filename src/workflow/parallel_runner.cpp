@@ -30,8 +30,9 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
         "pool headroom must be >= 1");
   check(issues, config.svd_min_new_members >= 1,
         "config.svd_min_new_members", "svd stride must be >= 1");
-  check(issues, cp.forecast_hours > 0.0, "config.cycle.forecast_hours",
-        "forecast length must be positive");
+  check(issues, cp.forecast_hours > 0.0 && std::isfinite(cp.forecast_hours),
+        "config.cycle.forecast_hours",
+        "forecast length must be positive and finite");
   check(issues, cp.variance_fraction > 0.0 && cp.variance_fraction <= 1.0,
         "config.cycle.variance_fraction",
         "variance fraction must lie in (0, 1]");
@@ -158,6 +159,8 @@ void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
 
 std::vector<ValidationIssue> validate(const ForecastRequest& request) {
   std::vector<ValidationIssue> issues = validate(request.config);
+  check(issues, std::isfinite(request.t0_hours), "request.t0_hours",
+        "forecast start time must be finite");
   if (request.subspace.empty()) {
     issues.push_back({"request.subspace",
                       "initial error subspace must not be empty"});

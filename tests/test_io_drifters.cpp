@@ -338,6 +338,20 @@ TEST_F(DrifterFixture, RejectsLandDeployment) {
                PreconditionError);
 }
 
+TEST_F(DrifterFixture, RejectsNonFiniteTimesAndPositions) {
+  Rng rng(7);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto drift = [&](double t0, double duration, double x0, double y0) {
+    return obs::advect_drifter(*model, sc->initial, t0, duration, x0, y0,
+                               1.0, 0.0, rng);
+  };
+  EXPECT_THROW(drift(0.0, inf, 40.0, 60.0), PreconditionError);
+  EXPECT_THROW(drift(nan, 10.0, 40.0, 60.0), PreconditionError);
+  EXPECT_THROW(drift(0.0, 10.0, nan, 60.0), PreconditionError);
+  EXPECT_THROW(drift(0.0, 10.0, 40.0, nan), PreconditionError);
+}
+
 TEST_F(DrifterFixture, FixesConvertToAssimilableObservations) {
   Rng rng(6);
   auto fixes = obs::advect_drifter(*model, sc->initial, 0.0, 24.0, 40.0,

@@ -2,7 +2,9 @@
 // PE-surrogate dynamics, scenario factories).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -148,6 +150,32 @@ TEST(OceanModel, RejectsUnstableDt) {
                model.step(s, 0.0, model.max_stable_dt_hours() * 3),
                PreconditionError);
   EXPECT_THROW(model.step(s, 0.0, -1.0), PreconditionError);
+}
+
+TEST(OceanModel, RunRejectsNonFiniteTimes) {
+  Scenario sc = scenario();
+  OceanModel model(sc.grid, sc.params, WindForcing(sc.wind), sc.initial);
+  OceanState s = sc.initial;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(model.run(s, 0.0, inf), PreconditionError);
+  EXPECT_THROW(model.run(s, 0.0, nan), PreconditionError);
+  EXPECT_THROW(model.run(s, inf, 1.0), PreconditionError);
+  EXPECT_THROW(model.run(s, nan, 1.0), PreconditionError);
+}
+
+TEST(OceanModel, ZeroLengthRunLeavesStateUntouched) {
+  Scenario sc = scenario();
+  OceanModel model(sc.grid, sc.params, WindForcing(sc.wind), sc.initial);
+  OceanState s = sc.initial;
+  std::fill(s.u.begin(), s.u.end(), 0.3);  // stale: matches no diagnosis
+  std::fill(s.v.begin(), s.v.end(), -0.2);
+  const OceanState before = s;
+  EXPECT_EQ(model.run(s, 5.0, 0.0), 0u);
+  EXPECT_EQ(s.u, before.u);
+  EXPECT_EQ(s.v, before.v);
+  EXPECT_EQ(s.temperature, before.temperature);
+  EXPECT_EQ(s.ssh, before.ssh);
 }
 
 TEST(OceanModel, DeterministicWithoutNoise) {

@@ -230,6 +230,18 @@ TEST(Validation, IssuesNameTheOffendingFields) {
   EXPECT_NE(msg.find("; "), std::string::npos);
 }
 
+TEST(Validation, RejectsANonFiniteForecastLength) {
+  // An infinite forecast would never finish integrating.
+  for (const double hours : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    workflow::ParallelRunnerConfig cfg;
+    cfg.cycle.forecast_hours = hours;
+    const auto issues = workflow::validate(cfg);
+    ASSERT_EQ(issues.size(), 1u) << hours;
+    EXPECT_EQ(issues[0].field, "config.cycle.forecast_hours");
+  }
+}
+
 TEST(Validation, WellFormedConfigHasNoIssues) {
   EXPECT_TRUE(workflow::validate(workflow::ParallelRunnerConfig{}).empty());
 }
@@ -535,6 +547,18 @@ struct ServiceFixture : ::testing::Test {
   std::unique_ptr<ocean::OceanModel> model;
   esse::ErrorSubspace subspace;
 };
+
+TEST_F(ServiceFixture, ValidationRejectsANonFiniteStartTime) {
+  for (const double t0 : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    workflow::ForecastRequest request = quick_request();
+    request.t0_hours = t0;
+    const auto issues = workflow::validate(request);
+    ASSERT_EQ(issues.size(), 1u) << t0;
+    EXPECT_EQ(issues[0].field, "request.t0_hours");
+  }
+  EXPECT_TRUE(workflow::validate(quick_request()).empty());
+}
 
 TEST_F(ServiceFixture, ConcurrentRequestsMatchTheOneShotPathBitwise) {
   const esse::ForecastResult direct =
