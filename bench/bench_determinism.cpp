@@ -6,8 +6,9 @@
 // --write-golden [path] additionally rewrites the checked-in golden
 // digest files (default: the build-time tests/golden directory), in
 // sha256sum line format: the forecast digest at `path`, and beside it
-// analysis_methods.sha256 and ocean.sha256. Run it after an *intentional* change to the
-// seeded numerics, then commit the new digest with the change.
+// analysis_methods.sha256 and ocean.sha256. Run it after an
+// *intentional* change to the seeded numerics, then commit the new
+// digests with the change.
 //
 // Usage: bench_determinism [--write-golden [path]]
 #include <chrono>
@@ -15,6 +16,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/determinism_probe.hpp"
@@ -104,41 +106,32 @@ int main(int argc, char** argv) {
     std::cout << digest << "  " << key << "\n";
 
   if (write_golden) {
-    std::ofstream out(golden_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write " << golden_path << "\n";
-      return 1;
-    }
-    out << runs.front().digest << "  " << service::kGoldenRunKey << "\n";
-    std::cout << "wrote " << golden_path << "\n";
-
+    using Entries = std::vector<std::pair<std::string, std::string>>;
+    // sha256sum line format: one "<hex>  <key>" line per entry.
+    const auto write = [](const std::string& path, const Entries& entries) {
+      std::ofstream out(path, std::ios::trunc);
+      if (!out) {
+        std::cerr << "cannot write " << path << "\n";
+        return false;
+      }
+      for (const auto& [key, digest] : entries)
+        out << digest << "  " << key << "\n";
+      std::cout << "wrote " << path << "\n";
+      return true;
+    };
+    const std::string dir =
+        golden_path.substr(0, golden_path.find_last_of('/') + 1);
     // The per-method digests live in their own file so the historical
     // forecast digest never needs regeneration when a method is added.
-    const std::string methods_path =
-        golden_path.substr(0, golden_path.find_last_of('/') + 1) +
-        "analysis_methods.sha256";
-    std::ofstream mout(methods_path, std::ios::trunc);
-    if (!mout) {
-      std::cerr << "cannot write " << methods_path << "\n";
+    Entries methods;
+    for (const auto& [method, digest] : analysis1)
+      methods.emplace_back(std::string(service::kGoldenRunKey) + "-" +
+                               esse::to_string(method),
+                           digest);
+    if (!write(golden_path, {{service::kGoldenRunKey, runs.front().digest}}) ||
+        !write(dir + "analysis_methods.sha256", methods) ||
+        !write(dir + "ocean.sha256", ocean_digests))
       return 1;
-    }
-    for (const auto& [method, digest] : analysis1) {
-      mout << digest << "  " << service::kGoldenRunKey << "-"
-           << esse::to_string(method) << "\n";
-    }
-    std::cout << "wrote " << methods_path << "\n";
-
-    const std::string ocean_path =
-        golden_path.substr(0, golden_path.find_last_of('/') + 1) +
-        "ocean.sha256";
-    std::ofstream oout(ocean_path, std::ios::trunc);
-    if (!oout) {
-      std::cerr << "cannot write " << ocean_path << "\n";
-      return 1;
-    }
-    for (const auto& [key, digest] : ocean_digests)
-      oout << digest << "  " << key << "\n";
-    std::cout << "wrote " << ocean_path << "\n";
   }
   return 0;
 }

@@ -261,9 +261,9 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
       const double target = params_.coastal_setdown_m * tau.tau_y;
       wind_term = params_.coastal_adjust_rate * (target - ec);
     }
-    newSsh[c.h] =
-        ec + dt * (transport(state.ssh.data(), c, state.u[c.h], state.v[c.h]) +
-                   wind_term - params_.ssh_damping * ec);
+    newSsh[c.h] = ec + dt * (transport(state.ssh.data(), c, state.u[c.h],
+                                       state.v[c.h]) +
+                             wind_term - params_.ssh_damping * ec);
   }
 
   state.temperature.swap(newT);

@@ -167,7 +167,8 @@ namespace {
 // depend on how the host lays out integers.
 void hash_u64(Sha256& h, std::uint64_t v) {
   unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+  for (int i = 0; i < 8; ++i)
+    bytes[i] = static_cast<unsigned char>(v >> (8 * i));
   h.update(bytes, sizeof bytes);
 }
 

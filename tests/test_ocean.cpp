@@ -2,7 +2,6 @@
 // PE-surrogate dynamics, scenario factories).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -162,20 +161,6 @@ TEST(OceanModel, RunRejectsNonFiniteTimes) {
   EXPECT_THROW(model.run(s, 0.0, nan), PreconditionError);
   EXPECT_THROW(model.run(s, inf, 1.0), PreconditionError);
   EXPECT_THROW(model.run(s, nan, 1.0), PreconditionError);
-}
-
-TEST(OceanModel, ZeroLengthRunLeavesStateUntouched) {
-  Scenario sc = scenario();
-  OceanModel model(sc.grid, sc.params, WindForcing(sc.wind), sc.initial);
-  OceanState s = sc.initial;
-  std::fill(s.u.begin(), s.u.end(), 0.3);  // stale: matches no diagnosis
-  std::fill(s.v.begin(), s.v.end(), -0.2);
-  const OceanState before = s;
-  EXPECT_EQ(model.run(s, 5.0, 0.0), 0u);
-  EXPECT_EQ(s.u, before.u);
-  EXPECT_EQ(s.v, before.v);
-  EXPECT_EQ(s.temperature, before.temperature);
-  EXPECT_EQ(s.ssh, before.ssh);
 }
 
 TEST(OceanModel, DeterministicWithoutNoise) {
