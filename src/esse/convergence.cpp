@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -13,22 +14,27 @@ ConvergenceTest::ConvergenceTest(Params params) : params_(params) {
                 "similarity threshold must lie in (0,1]");
 }
 
-std::optional<double> ConvergenceTest::update(const ErrorSubspace& subspace,
+std::optional<double> ConvergenceTest::update(ErrorSubspace subspace,
                                               std::size_t n_members) {
   if (n_members < params_.min_members) return std::nullopt;
-  if (!previous_.has_value()) {
-    previous_ = subspace;
-    previous_n_ = n_members;
-    return std::nullopt;
-  }
-  ESSEX_REQUIRE(n_members >= previous_n_,
+  ESSEX_REQUIRE(n_members >= latest_n_,
                 "convergence updates must use non-decreasing ensemble sizes");
-  const double rho = subspace_similarity(*previous_, subspace);
-  history_.push_back({n_members, rho});
-  if (rho >= params_.similarity_threshold) converged_ = true;
-  previous_ = subspace;
-  previous_n_ = n_members;
+  std::optional<double> rho;
+  if (latest_.has_value()) {
+    rho = subspace_similarity(*latest_, subspace);
+    history_.push_back({n_members, *rho});
+    if (*rho >= params_.similarity_threshold) converged_ = true;
+  }
+  latest_ = std::move(subspace);
+  latest_n_ = n_members;
   return rho;
+}
+
+ErrorSubspace ConvergenceTest::take_latest() {
+  ESSEX_REQUIRE(latest_.has_value(), "no recorded subspace to take");
+  ErrorSubspace out = std::move(*latest_);
+  latest_.reset();
+  return out;
 }
 
 EnsembleSizeController::EnsembleSizeController(Params params)
@@ -58,9 +64,16 @@ std::size_t EnsembleSizeController::pool_target(double headroom) const {
 }
 
 std::size_t EnsembleSizeController::grow() {
-  const auto next = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(target_) * params_.growth));
-  target_ = std::min(std::max(next, target_ + 1), params_.max_members);
+  // A huge or infinite growth factor saturates at Nmax before the
+  // double→size_t cast, which would otherwise overflow (as in
+  // pool_target()).
+  const double next = std::ceil(static_cast<double>(target_) * params_.growth);
+  if (!(next < static_cast<double>(params_.max_members))) {
+    target_ = params_.max_members;
+    return target_;
+  }
+  target_ = std::min(std::max(static_cast<std::size_t>(next), target_ + 1),
+                     params_.max_members);
   return target_;
 }
 

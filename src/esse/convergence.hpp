@@ -28,12 +28,21 @@ class ConvergenceTest {
 
   /// Record the subspace estimated from `n_members` members; returns the
   /// similarity with the previous estimate (nullopt for the first call or
-  /// when below min_members).
-  std::optional<double> update(const ErrorSubspace& subspace,
-                               std::size_t n_members);
+  /// when below min_members). A recorded estimate is moved in and kept
+  /// until the next one, never copied.
+  std::optional<double> update(ErrorSubspace subspace, std::size_t n_members);
 
   /// True once two successive estimates agreed at the threshold.
   bool converged() const { return converged_; }
+
+  /// Ensemble size of the estimate the last recording update() kept (0
+  /// before the first one). Once converged() that is the converged one.
+  std::size_t latest_members() const { return latest_n_; }
+
+  /// Move that estimate out, e.g. into the forecast result; requires one.
+  /// The next update() is then compared against nothing, like a first
+  /// call.
+  ErrorSubspace take_latest();
 
   /// History of (n_members, similarity-with-previous) pairs.
   struct Sample {
@@ -46,8 +55,8 @@ class ConvergenceTest {
 
  private:
   Params params_;
-  std::optional<ErrorSubspace> previous_;
-  std::size_t previous_n_ = 0;
+  std::optional<ErrorSubspace> latest_;
+  std::size_t latest_n_ = 0;
   std::vector<Sample> history_;
   bool converged_ = false;
 };

@@ -123,9 +123,9 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
           std::min(params.check_interval, sizer.target() - differ.count());
       run_block(block);
       if (differ.count() >= 2) {
-        ErrorSubspace sub = differ.subspace(params.variance_fraction,
-                                            params.max_rank);
-        const auto rho = conv.update(sub, differ.count());
+        const auto rho = conv.update(
+            differ.subspace(params.variance_fraction, params.max_rank),
+            differ.count());
         if (params.sink) {
           // Convergence samples as a metric stream: t is the ensemble
           // size the estimate used, value the similarity coefficient ρ.

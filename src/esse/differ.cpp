@@ -119,10 +119,13 @@ ErrorSubspace subspace_from_view(const AnomalyView& view,
   for (const AnomalyColumn& c : view.columns) cols.push_back(c.anomaly);
   const double scale = 1.0 / std::sqrt(static_cast<double>(n - 1));
   la::Matrix u = la::columns_matmul(cols, eig.eigenvectors, r, scale, pool);
-  for (std::size_t j = 0; j < r; ++j) {
-    const double inv = (s[j] > 1e-300) ? 1.0 / s[j] : 0.0;
-    for (std::size_t i = 0; i < m; ++i) u(i, j) *= inv;
-  }
+  // Σ⁻¹ in one row-major pass over U.
+  la::Vector inv(r);
+  for (std::size_t j = 0; j < r; ++j)
+    inv[j] = (s[j] > 1e-300) ? 1.0 / s[j] : 0.0;
+  double* ud = u.data().data();
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < r; ++j) ud[i * r + j] *= inv[j];
   la::Vector sig(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(r));
   ErrorSubspace out(std::move(u), std::move(sig));
   if (sink) {

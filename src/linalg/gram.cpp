@@ -76,14 +76,26 @@ Matrix columns_matmul(std::span<const ColSpan> cols, const Matrix& v,
   Matrix out(m, r);
   if (m == 0 || r == 0) return out;
 
+  // Row tiles: each tile reads its kTileRows-row slice of the n columns
+  // once, transposed into a row-major scratch tile with the scale applied
+  // (the one rounding of cols[c][i]·scale each coefficient always had),
+  // and the kernel writes the tile's rows of U once — instead of sweeping
+  // the whole m×r output once per column. Rows are independent, so
+  // neither the tiling nor the pool split below can change a bit.
+  constexpr std::size_t kTileRows = 128;
   auto run_rows = [&](std::size_t lo, std::size_t hi) {
     double* o = out.data().data();
-    const double* vd = v.data().data();
-    const std::size_t vcols = v.cols();
     const auto& kern = simd::kernels();
-    for (std::size_t c = 0; c < n; ++c)
-      kern.col_axpy_scaled(cols[c].data() + lo, hi - lo, scale,
-                           vd + c * vcols, r, o + lo * r);
+    std::vector<double> tile(kTileRows * n);
+    for (std::size_t t = lo; t < hi; t += kTileRows) {
+      const std::size_t rows = std::min(kTileRows, hi - t);
+      for (std::size_t c = 0; c < n; ++c) {
+        const double* col = cols[c].data() + t;
+        for (std::size_t i = 0; i < rows; ++i) tile[i * n + c] = col[i] * scale;
+      }
+      kern.columns_tile(tile.data(), rows, n, v.data().data(), v.cols(), r,
+                        o + t * r);
+    }
   };
 
   const std::size_t threads = pool ? pool->thread_count() : 1;

@@ -64,9 +64,10 @@ void gram_append_sharded(std::span<const ColSpan> cols, ColSpan new_col,
 void gram_append(std::span<const ColSpan> cols, ColSpan new_col, double* out);
 
 /// U = scale · A·V over column storage, first `r` columns of V only:
-/// out(i,j) = scale · Σ_c cols[c][i] · v(c,j) for j < r ≤ v.cols().
-/// v must have cols.size() rows. With `pool` the row dimension is
-/// partitioned across the workers.
+/// out(i,j) = Σ_c (cols[c][i]·scale) · v(c,j) for j < r ≤ v.cols(), c
+/// ascending from 0.0 (simd::KernelTable::columns_tile, row tile by row
+/// tile). v must have cols.size() rows. With `pool` the row dimension
+/// is partitioned across the workers; the bytes do not depend on it.
 Matrix columns_matmul(std::span<const ColSpan> cols, const Matrix& v,
                       std::size_t r, double scale = 1.0,
                       ThreadPool* pool = nullptr);

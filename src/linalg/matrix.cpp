@@ -126,21 +126,29 @@ constexpr std::size_t kBlock = 64;
 }
 
 std::vector<int> canonicalize_column_signs(Matrix& m) {
-  std::vector<int> signs(m.cols(), 1);
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    double best = 0.0;
-    std::size_t best_i = 0;
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      const double mag = std::fabs(m(i, j));
-      if (mag > best) {  // strict: ties keep the first (lowest) index
-        best = mag;
-        best_i = i;
-      }
-    }
-    if (best > 0.0 && m(best_i, j) < 0.0) {
+  const std::size_t rows = m.rows(), cols = m.cols();
+  double* d = m.data().data();
+  // One row-major scan keeps every column's first entry of largest
+  // magnitude; strict > keeps the lowest row on ties.
+  std::vector<double> peak(cols, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* row = d + i * cols;
+    for (std::size_t j = 0; j < cols; ++j)
+      if (std::fabs(row[j]) > std::fabs(peak[j])) peak[j] = row[j];
+  }
+  std::vector<int> signs(cols, 1);
+  bool any = false;
+  for (std::size_t j = 0; j < cols; ++j) {
+    if (peak[j] < 0.0) {
       signs[j] = -1;
-      for (std::size_t i = 0; i < m.rows(); ++i) m(i, j) = -m(i, j);
+      any = true;
     }
+  }
+  if (!any) return signs;
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* row = d + i * cols;
+    for (std::size_t j = 0; j < cols; ++j)
+      if (signs[j] < 0) row[j] = -row[j];
   }
   return signs;
 }

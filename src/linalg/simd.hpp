@@ -129,12 +129,16 @@ struct KernelTable {
   void (*ab_row)(const double* arow, const double* b, double* crow,
                  std::size_t k, std::size_t n);
 
-  /// out (m×r, row-major) += (col[i]·scale) · vrow[j]: the
-  /// columns_matmul body for one stored column. The scaled coefficient
-  /// is rounded once per i, then multiply+add per element, matching the
-  /// historical loop bitwise.
-  void (*col_axpy_scaled)(const double* col, std::size_t m, double scale,
-                          const double* vrow, std::size_t r, double* out);
+  /// One row tile of U = A·V, the columns_matmul body. `a` holds the
+  /// tile's coefficients row-major (rows × n, already scaled), and for
+  /// i < rows and j < r
+  ///   out[i·r + j] = Σ_c a[i·n + c] · v[c·ldv + j],
+  /// c ascending, starting from 0.0, each term multiply-then-add. A
+  /// row's r accumulators stay in registers across all n terms and the
+  /// row is stored once.
+  void (*columns_tile)(const double* a, std::size_t rows, std::size_t n,
+                       const double* v, std::size_t ldv, std::size_t r,
+                       double* out);
 };
 
 /// Kernel table of the active tier (one relaxed atomic load).

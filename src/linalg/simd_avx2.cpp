@@ -133,13 +133,15 @@ void avx2_rotate(double c, double s, double* x, double* y, std::size_t n) {
 
 // 8-row panels, 16-column j-tiles: the four ymm C accumulators for a
 // tile stay in registers across the whole panel, so each C element is
-// loaded/stored once per panel instead of once per row. Row order per
-// element stays ascending, contributions stay vmul+vadd with the
-// a[r,i]==0 skip — bitwise identical to scalar_atb_update.
+// loaded/stored once per panel instead of once per row. The n % 16 tail
+// runs 4-wide with one accumulator, and only the n % 4 tail is scalar.
+// Row order per element stays ascending, contributions stay vmul+vadd
+// with the a[r,i]==0 skip — bitwise identical to scalar_atb_update.
 void avx2_atb_update(const double* a, const double* b, double* c,
                      std::size_t rows, std::size_t p, std::size_t n) {
   constexpr std::size_t kRowPanel = 8;
   const std::size_t n16 = n - n % 16;
+  const std::size_t n4 = n - n % 4;
   for (std::size_t lo = 0; lo < rows; lo += kRowPanel) {
     const std::size_t panel = (lo + kRowPanel <= rows) ? kRowPanel : rows - lo;
     for (std::size_t i = 0; i < p; ++i) {
@@ -165,6 +167,16 @@ void avx2_atb_update(const double* a, const double* b, double* c,
         _mm256_storeu_pd(crow + j + 4, c1);
         _mm256_storeu_pd(crow + j + 8, c2);
         _mm256_storeu_pd(crow + j + 12, c3);
+      }
+      for (; j < n4; j += 4) {
+        __m256d c0 = _mm256_loadu_pd(crow + j);
+        for (std::size_t r = 0; r < panel; ++r) {
+          if (ai[r] == 0.0) continue;
+          const __m256d av = _mm256_set1_pd(ai[r]);
+          c0 = _mm256_add_pd(
+              c0, _mm256_mul_pd(av, _mm256_loadu_pd(b + (lo + r) * n + j)));
+        }
+        _mm256_storeu_pd(crow + j, c0);
       }
       for (; j < n; ++j) {
         double acc = crow[j];
@@ -215,18 +227,61 @@ void avx2_ab_row(const double* arow, const double* b, double* crow,
   }
 }
 
-void avx2_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                          const double* vrow, std::size_t r, double* out) {
-  const std::size_t rv = r - r % 4;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double a = col[i] * scale;
-    const __m256d av = _mm256_set1_pd(a);
+// Columns [0, 4W) of one output row of a columns_tile: W ymm
+// accumulators held in registers across all n terms (c ascending from
+// +0.0, vmul+vadd), then one store. `v` and `orow` are already offset to
+// the block's first column.
+template <std::size_t W>
+void columns_tile_block(const double* arow, std::size_t n, const double* v,
+                        std::size_t ldv, double* orow) {
+  // Fully unrolled w loops keep acc[] out of memory.
+  __m256d acc[W];
+#pragma GCC unroll 8
+  for (std::size_t w = 0; w < W; ++w) acc[w] = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < n; ++c) {
+    const __m256d av = _mm256_broadcast_sd(arow + c);
+    const double* vrow = v + c * ldv;
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < W; ++w)
+      acc[w] = _mm256_add_pd(
+          acc[w], _mm256_mul_pd(av, _mm256_loadu_pd(vrow + 4 * w)));
+  }
+#pragma GCC unroll 8
+  for (std::size_t w = 0; w < W; ++w) _mm256_storeu_pd(orow + 4 * w, acc[w]);
+}
+
+void avx2_columns_tile(const double* a, std::size_t rows, std::size_t n,
+                       const double* v, std::size_t ldv, std::size_t r,
+                       double* out) {
+  // Blocks of up to eight ymm accumulators (32 columns of U), so a row
+  // of width r <= 32 — the usual retained rank — reads its n
+  // coefficients once; the r % 4 tail runs the same chain in scalar.
+  constexpr std::size_t kMaxBlock = 8;
+  using Block = void (*)(const double*, std::size_t, const double*,
+                         std::size_t, double*);
+  static constexpr Block kRemainder[kMaxBlock] = {
+      nullptr,
+      columns_tile_block<1>,
+      columns_tile_block<2>,
+      columns_tile_block<3>,
+      columns_tile_block<4>,
+      columns_tile_block<5>,
+      columns_tile_block<6>,
+      columns_tile_block<7>,
+  };
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* arow = a + i * n;
     double* orow = out + i * r;
-    for (std::size_t j = 0; j < rv; j += 4) {
-      const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(vrow + j));
-      _mm256_storeu_pd(orow + j, _mm256_add_pd(_mm256_loadu_pd(orow + j), prod));
+    std::size_t j = 0;
+    for (; j + 4 * kMaxBlock <= r; j += 4 * kMaxBlock)
+      columns_tile_block<kMaxBlock>(arow, n, v + j, ldv, orow + j);
+    const std::size_t w = (r - j) / 4;
+    if (w > 0) kRemainder[w](arow, n, v + j, ldv, orow + j);
+    for (j += 4 * w; j < r; ++j) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < n; ++c) acc += arow[c] * v[c * ldv + j];
+      orow[j] = acc;
     }
-    for (std::size_t j = rv; j < r; ++j) orow[j] += a * vrow[j];
   }
 }
 
@@ -236,7 +291,7 @@ const KernelTable& avx2_table() {
   static const KernelTable table = {
       avx2_dot,    avx2_sumsq,      avx2_dot_block, avx2_pair_dots,
       avx2_axpy,   avx2_scale,      avx2_rotate,    avx2_atb_update,
-      avx2_ab_row, avx2_col_axpy_scaled,
+      avx2_ab_row, avx2_columns_tile,
   };
   return table;
 }

@@ -35,7 +35,8 @@ void scalar_atb_update(const double* a, const double* b, double* c,
                        std::size_t rows, std::size_t p, std::size_t n);
 void scalar_ab_row(const double* arow, const double* b, double* crow,
                    std::size_t k, std::size_t n);
-void scalar_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                            const double* vrow, std::size_t r, double* out);
+void scalar_columns_tile(const double* a, std::size_t rows, std::size_t n,
+                         const double* v, std::size_t ldv, std::size_t r,
+                         double* out);
 
 }  // namespace essex::la::simd::detail

@@ -7,6 +7,7 @@
 //
 // Compiled WITHOUT extra ISA flags and with -ffp-contract=off: the
 // multiply+adds here must stay two rounded operations.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -130,12 +131,24 @@ void scalar_ab_row(const double* arow, const double* b, double* crow,
   }
 }
 
-void scalar_col_axpy_scaled(const double* col, std::size_t m, double scale,
-                            const double* vrow, std::size_t r, double* out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double a = col[i] * scale;
+void scalar_columns_tile(const double* a, std::size_t rows, std::size_t n,
+                         const double* v, std::size_t ldv, std::size_t r,
+                         double* out) {
+  // Blocks of up to kBlock outputs accumulate in locals across all n
+  // terms; each output row is written once.
+  constexpr std::size_t kBlock = 8;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* arow = a + i * n;
     double* orow = out + i * r;
-    for (std::size_t j = 0; j < r; ++j) orow[j] += a * vrow[j];
+    for (std::size_t j0 = 0; j0 < r; j0 += kBlock) {
+      const std::size_t w = std::min(kBlock, r - j0);
+      double acc[kBlock] = {};
+      for (std::size_t c = 0; c < n; ++c) {
+        const double* vrow = v + c * ldv + j0;
+        for (std::size_t k = 0; k < w; ++k) acc[k] += arow[c] * vrow[k];
+      }
+      for (std::size_t k = 0; k < w; ++k) orow[j0 + k] = acc[k];
+    }
   }
 }
 
@@ -144,7 +157,7 @@ const KernelTable& scalar_table() {
       scalar_dot,     scalar_sumsq,  scalar_dot_block,
       scalar_pair_dots, scalar_axpy, scalar_scale,
       scalar_rotate,  scalar_atb_update, scalar_ab_row,
-      scalar_col_axpy_scaled,
+      scalar_columns_tile,
   };
   return table;
 }

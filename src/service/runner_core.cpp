@@ -201,8 +201,6 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   // the milestone that declares convergence — is a pure function of the
   // seed and configuration.
   std::size_t next_check = config.svd_min_new_members;
-  std::optional<esse::ErrorSubspace> converged_sub;
-  std::size_t converged_members = 0;
   for (;;) {
     // Wait for the next milestone's prefix, full resolution (done, or
     // lost after its retries), or a request-level cancel. The bounded
@@ -230,17 +228,12 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
       if (c < 2) continue;  // spread needs two members
       ++acct.svd_runs;
       telemetry::ScopedTimer timer(sink, "runner.svd_s");
-      esse::ErrorSubspace sub = esse::subspace_from_view(
-          view.prefix(c), cp.variance_fraction, cp.max_rank, nullptr, sink);
-      const auto rho = conv.update(sub, c);
+      const auto rho = conv.update(
+          esse::subspace_from_view(view.prefix(c), cp.variance_fraction,
+                                   cp.max_rank, nullptr, sink),
+          c);
       if (sink && rho) {
         sink->event("runner.convergence", static_cast<double>(c), *rho);
-      }
-      if (conv.converged()) {
-        // The forecast subspace is the converged milestone's — never
-        // recomputed later from the racy post-cancellation member set.
-        converged_sub = std::move(sub);
-        converged_members = c;
       }
     }
     if (conv.converged()) break;  // §4.1: cancel the remaining members
@@ -266,21 +259,30 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                 "graceful degradation floor: fewer surviving members than "
                 "FaultPolicy.min_members");
   out.central_forecast = std::move(central);
-  if (converged_sub) {
-    out.forecast_subspace = std::move(*converged_sub);
-    out.members_run = converged_members;
+  out.converged = conv.converged();
+  if (out.converged) {
+    // The forecast subspace is the converged milestone's — never
+    // recomputed later from the racy post-cancellation member set.
+    out.members_run = conv.latest_members();
+    out.forecast_subspace = conv.take_latest();
   } else {
     // Drained without convergence (Nmax reached, or survivors of a
-    // faulty run): fall back to every absorbed member in canonical
-    // member-id order — still schedule-free, because which members
-    // completed is decided by the deterministic per-(member, attempt)
-    // injection stream, not by timing.
-    out.forecast_subspace =
-        esse::subspace_from_view(differ.view(), cp.variance_fraction,
-                                 cp.max_rank, nullptr, sink);
+    // faulty run): the forecast covers every absorbed member in
+    // canonical member-id order — still schedule-free, because which
+    // members completed is decided by the deterministic per-(member,
+    // attempt) injection stream, not by timing. When the last milestone
+    // already decomposed exactly that set (ids 0..count-1), its subspace
+    // holds the same bytes, so it is taken instead of recomputed.
     out.members_run = differ.count();
+    if (conv.latest_members() == differ.count() &&
+        differ.contiguous_count() == differ.count()) {
+      out.forecast_subspace = conv.take_latest();
+    } else {
+      out.forecast_subspace =
+          esse::subspace_from_view(differ.view(), cp.variance_fraction,
+                                   cp.max_rank, nullptr, sink);
+    }
   }
-  out.converged = conv.converged();
   out.convergence_history = conv.history();
   if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
     // The coarse companion integration is one deterministic task, run

@@ -102,8 +102,8 @@ void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
                        std::vector<ValidationIssue>& issues) {
   check(issues, ensemble.initial >= 2, fields.initial,
         "initial ensemble size must be >= 2");
-  check(issues, ensemble.growth > 1.0, fields.growth,
-        "growth factor must exceed 1");
+  check(issues, ensemble.growth > 1.0 && std::isfinite(ensemble.growth),
+        fields.growth, "growth factor must be finite and exceed 1");
   check(issues, ensemble.max_members >= ensemble.initial,
         fields.max_members, "Nmax must be >= the initial size");
   check(issues, ensemble.min_members <= ensemble.max_members,

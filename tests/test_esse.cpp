@@ -440,6 +440,29 @@ TEST(Convergence, DoesNotConvergeWhileRotating) {
   EXPECT_FALSE(conv.converged());
 }
 
+TEST(Convergence, KeepsTheLatestRecordedEstimate) {
+  Rng rng(19);
+  ConvergenceTest conv({0.97, 4});
+  EXPECT_EQ(conv.latest_members(), 0u);
+  EXPECT_THROW(conv.take_latest(), PreconditionError);
+  ErrorSubspace a(random_orthonormal(20, 2, rng), {2, 1});
+  ErrorSubspace b(random_orthonormal(20, 2, rng), {3, 1});
+  const la::Matrix b_modes = b.modes();
+  conv.update(a, 2);  // below min_members: not recorded
+  EXPECT_EQ(conv.latest_members(), 0u);
+  conv.update(a, 4);
+  conv.update(std::move(b), 8);
+  EXPECT_EQ(conv.latest_members(), 8u);
+
+  const ErrorSubspace taken = conv.take_latest();
+  EXPECT_EQ(taken.modes().data(), b_modes.data());
+  EXPECT_THROW(conv.take_latest(), PreconditionError);
+  // Sizes stay non-decreasing after a take; the next estimate starts over.
+  EXPECT_THROW(conv.update(a, 4), PreconditionError);
+  EXPECT_FALSE(conv.update(a, 12).has_value());
+  EXPECT_EQ(conv.history().size(), 1u);
+}
+
 TEST(Convergence, RejectsShrinkingEnsembles) {
   Rng rng(18);
   ConvergenceTest conv({0.97, 2});
@@ -456,6 +479,17 @@ TEST(SizeController, GrowsGeometricallyAndSaturates) {
   EXPECT_EQ(c.grow(), 100u);  // capped at Nmax
   EXPECT_EQ(c.grow(), 100u);
   EXPECT_TRUE(c.at_max());
+}
+
+TEST(SizeController, HugeGrowthSaturatesAtNmax) {
+  // ceil(24 · growth) does not fit a size_t: grow() must saturate at Nmax
+  // before the cast, not wrap to a small target.
+  for (const double growth : {1e300, std::numeric_limits<double>::infinity()}) {
+    EnsembleSizeController c({24, growth, 48});
+    EXPECT_EQ(c.grow(), 48u) << growth;
+    EXPECT_TRUE(c.at_max());
+    EXPECT_EQ(c.grow(), 48u) << growth;
+  }
 }
 
 TEST(SizeController, PoolTargetAppliesHeadroom) {

@@ -242,6 +242,17 @@ TEST(Validation, RejectsANonFiniteForecastLength) {
   }
 }
 
+TEST(Validation, RejectsANonFiniteGrowthFactor) {
+  // inf passes `growth > 1` but leaves no finite next ensemble size.
+  for (const double growth : {kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    workflow::ParallelRunnerConfig cfg;
+    cfg.cycle.ensemble.growth = growth;
+    const auto issues = workflow::validate(cfg);
+    ASSERT_EQ(issues.size(), 1u) << growth;
+    EXPECT_EQ(issues[0].field, "config.cycle.ensemble.growth");
+  }
+}
+
 TEST(Validation, WellFormedConfigHasNoIssues) {
   EXPECT_TRUE(workflow::validate(workflow::ParallelRunnerConfig{}).empty());
 }

@@ -11,13 +11,16 @@
 // determinism label under each ESSEX_SIMD_LEVEL value.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "common/proptest.hpp"
+#include "common/thread_pool.hpp"
 #include "esse/differ.hpp"
 #include "linalg/arena.hpp"
 #include "linalg/gram.hpp"
@@ -215,9 +218,9 @@ TEST(SimdExactness, AtbUpdateMatchesScalarBitwise) {
   ASSERT_TRUE(r.ok) << r.message;
 }
 
-TEST(SimdExactness, AbRowAndColAxpyMatchScalarBitwise) {
+TEST(SimdExactness, AbRowMatchesScalarBitwise) {
   tk::PropConfig cfg;
-  cfg.name = "simd ab_row / col_axpy_scaled == scalar loops";
+  cfg.name = "simd ab_row == scalar loop";
   cfg.cases = 80;
   const auto r = tk::check(cfg, gen_panel(), [&](const PanelCase& pc) {
     // ab_row: one output row of C = A·B, arow = first row of a (length p
@@ -230,24 +233,186 @@ TEST(SimdExactness, AbRowAndColAxpyMatchScalarBitwise) {
                                 pc.c.begin() + static_cast<long>(n));
     simd::detail::scalar_ab_row(pc.a.data(), brows.data(), ref_row.data(), k,
                                 n);
-    // col_axpy_scaled: one stored column against a coefficient row.
-    const std::size_t m = pc.rows, rr = pc.p;
-    std::vector<double> ref_out = pc.a;  // m×rr accumulator
-    simd::detail::scalar_col_axpy_scaled(pc.b.data(), m, 0.73, pc.c.data(),
-                                         rr, ref_out.data());
     for (const simd::Level level : all_levels()) {
-      const auto& kern = simd::kernels_for(level);
       std::vector<double> row(pc.c.begin(),
                               pc.c.begin() + static_cast<long>(n));
-      kern.ab_row(pc.a.data(), brows.data(), row.data(), k, n);
+      simd::kernels_for(level).ab_row(pc.a.data(), brows.data(), row.data(),
+                                      k, n);
       if (!bits_equal(row, ref_row)) return false;
-      std::vector<double> out = pc.a;
-      kern.col_axpy_scaled(pc.b.data(), m, 0.73, pc.c.data(), rr, out.data());
-      if (!bits_equal(out, ref_out)) return false;
     }
     return true;
   });
   ASSERT_TRUE(r.ok) << r.message;
+}
+
+// ---- U = A·V row tiles: register blocking must not change a bit --------
+
+struct TileCase {
+  std::size_t rows = 1, n = 1, r = 1, ldv = 1;
+  std::vector<double> a;  // rows×n coefficients
+  std::vector<double> v;  // n×ldv
+};
+
+tk::Gen<TileCase> gen_tile() {
+  tk::Gen<TileCase> g;
+  g.create = [](Rng& rng) {
+    TileCase tc;
+    // n = 1 included; r across the r % 16, r % 4 and 32-wide block
+    // tails; row counts that are not tile multiples.
+    tc.rows = 1 + rng.uniform_index(300);
+    tc.n = 1 + rng.uniform_index(12);
+    tc.r = 1 + rng.uniform_index(41);
+    tc.ldv = tc.r + rng.uniform_index(3);
+    tc.a.resize(tc.rows * tc.n);
+    for (auto& x : tc.a) x = rng.uniform_index(6) == 0 ? 0.0 : rng.normal();
+    tc.v.resize(tc.n * tc.ldv);
+    for (auto& x : tc.v) x = rng.normal();
+    return tc;
+  };
+  return g;
+}
+
+TEST(SimdExactness, ColumnsTileMatchesReferenceLoopBitwise) {
+  tk::PropConfig cfg;
+  cfg.name = "simd columns_tile == reference row-tile loop";
+  cfg.cases = 120;
+  const auto r = tk::check(cfg, gen_tile(), [&](const TileCase& tc) {
+    // Per element: c ascending from 0.0, multiply then add.
+    std::vector<double> ref(tc.rows * tc.r);
+    for (std::size_t i = 0; i < tc.rows; ++i) {
+      for (std::size_t j = 0; j < tc.r; ++j) {
+        double acc = 0.0;
+        for (std::size_t c = 0; c < tc.n; ++c)
+          acc += tc.a[i * tc.n + c] * tc.v[c * tc.ldv + j];
+        ref[i * tc.r + j] = acc;
+      }
+    }
+    for (const simd::Level level : all_levels()) {
+      std::vector<double> out(tc.rows * tc.r, -1.0);
+      simd::kernels_for(level).columns_tile(tc.a.data(), tc.rows, tc.n,
+                                            tc.v.data(), tc.ldv, tc.r,
+                                            out.data());
+      if (!bits_equal(out, ref)) return false;
+    }
+    return true;
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(SimdExactness, ColumnsMatmulIdenticalForAnyPoolSplit) {
+  // m straddles the 128-row tile and the per-thread split boundaries of
+  // pools of 2, 3 and 4 workers; the bytes must not depend on either.
+  Rng rng(2024);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t t : {2, 3, 4})
+    pools.push_back(std::make_unique<ThreadPool>(t));
+  for (const std::size_t m : {1, 2, 7, 127, 128, 129, 255, 257, 384, 385,
+                              513, 1031}) {
+    for (const std::size_t n : {1, 6}) {
+      std::vector<std::vector<double>> store(n, std::vector<double>(m));
+      for (auto& col : store)
+        for (auto& x : col) x = rng.normal();
+      Matrix v(n, 26);
+      for (auto& x : v.data()) x = rng.normal();
+      const std::vector<ColSpan> cols(store.begin(), store.end());
+      for (const std::size_t r : {1, 7, 24}) {
+        // The historical U = scale·A·V loop: per element, c ascending
+        // from 0.0, the scaled coefficient rounded once, then multiply
+        // and add.
+        std::vector<double> ref(m * r);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < r; ++j) {
+            double acc = 0.0;
+            for (std::size_t c = 0; c < n; ++c) {
+              const double a = store[c][i] * 0.3;
+              acc += a * v(c, j);
+            }
+            ref[i * r + j] = acc;
+          }
+        }
+        for (const simd::Level level : all_levels()) {
+          simd::ScopedLevel force(level);
+          const Matrix serial = columns_matmul(cols, v, r, 0.3);
+          ASSERT_TRUE(bits_equal(serial.data(), ref))
+              << "m=" << m << " n=" << n << " r=" << r;
+          for (const auto& pool : pools) {
+            const Matrix split = columns_matmul(cols, v, r, 0.3, pool.get());
+            ASSERT_TRUE(bits_equal(split.data(), ref))
+                << "m=" << m << " n=" << n << " r=" << r
+                << " threads=" << pool->thread_count();
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- canonical column signs: one row-major scan ------------------------
+
+/// The column-by-column sign convention canonicalize_column_signs must
+/// reproduce: flip a column when its first entry of largest magnitude is
+/// negative.
+std::vector<int> reference_column_signs(Matrix& m) {
+  std::vector<int> signs(m.cols(), 1);
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    double best = 0.0;
+    std::size_t best_i = 0;
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      if (std::fabs(m(i, j)) > best) {
+        best = std::fabs(m(i, j));
+        best_i = i;
+      }
+    }
+    if (best > 0.0 && m(best_i, j) < 0.0) {
+      signs[j] = -1;
+      for (std::size_t i = 0; i < m.rows(); ++i) m(i, j) = -m(i, j);
+    }
+  }
+  return signs;
+}
+
+TEST(SimdExactness, CanonicalSignsMatchColumnScanBitwise) {
+  tk::PropConfig cfg;
+  cfg.name = "canonicalize_column_signs == column-by-column scan";
+  cfg.cases = 80;
+  const auto gen = tk::gen_matrix(1, 60, 1, 30);
+  const auto r = tk::check(cfg, gen, [&](const Matrix& mat) {
+    // Quantise so magnitude ties between rows are common, and sprinkle
+    // exact zeros of both signs.
+    Matrix a = mat;
+    for (std::size_t k = 0; k < a.data().size(); ++k) {
+      double& x = a.data()[k];
+      x = std::round(x * 2.0) / 2.0;
+      if (x == 0.0) x = k % 3 == 0 ? -0.0 : 0.0;
+    }
+    Matrix ref = a;
+    const std::vector<int> ref_signs = reference_column_signs(ref);
+    const std::vector<int> signs = canonicalize_column_signs(a);
+    return signs == ref_signs && bits_equal(a.data(), ref.data());
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(SimdExactness, CanonicalSignsEdgeCases) {
+  // Ties: the first (lowest-row) entry of largest magnitude decides.
+  Matrix ties{{-2.0, 2.0}, {2.0, -2.0}, {1.0, 1.0}};
+  EXPECT_EQ(canonicalize_column_signs(ties), (std::vector<int>{-1, 1}));
+  EXPECT_TRUE(bits_equal(ties.data(),
+                         Matrix{{2.0, 2.0}, {-2.0, -2.0}, {-1.0, 1.0}}.data()));
+
+  // An all-zero column keeps its sign and its bytes, -0.0 included; a
+  // flipped column turns -0.0 into +0.0 and back.
+  Matrix zeros{{-0.0, -0.0}, {0.0, -3.0}, {-0.0, 1.0}};
+  EXPECT_EQ(canonicalize_column_signs(zeros), (std::vector<int>{1, -1}));
+  EXPECT_TRUE(
+      bits_equal(zeros.data(),
+                 Matrix{{-0.0, 0.0}, {0.0, 3.0}, {-0.0, -1.0}}.data()));
+
+  // One row: each column's only entry decides its sign.
+  Matrix one{{-1.5, 0.0, 4.0, -0.0}};
+  EXPECT_EQ(canonicalize_column_signs(one),
+            (std::vector<int>{-1, 1, 1, 1}));
+  EXPECT_TRUE(bits_equal(one.data(), Matrix{{1.5, 0.0, 4.0, -0.0}}.data()));
 }
 
 // ---- whole-kernel cross-tier identity ----------------------------------

@@ -1,11 +1,16 @@
 // Tests of the in-process Fig. 4 runner on real threads.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
+#include "esse/differ.hpp"
+#include "esse/perturbation.hpp"
 #include "ocean/monterey.hpp"
 #include "service/forecast_service.hpp"
 #include "workflow/parallel_runner.hpp"
@@ -99,6 +104,139 @@ TEST_F(RunnerFixture, CancellationLeavesConsistentCounts) {
   EXPECT_EQ(sink.metrics().value("runner.svd_runs"),
             static_cast<double>(res.mtc->svd_runs));
   EXPECT_GT(sink.metrics().histogram_at("runner.member_s").count(), 0u);
+}
+
+// ---- the drained fallback: reuse the last milestone, or recompute ------
+
+bool same_bytes(const la::AlignedBuffer& a, const la::AlignedBuffer& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bytes(const la::Vector& a, const la::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Never converges (ρ stays below 1), so the request drains at Nmax = 16
+/// after growing once from 8; milestones every `stride` members.
+ParallelRunnerConfig draining_config(std::size_t stride) {
+  ParallelRunnerConfig cfg;
+  cfg.cycle.forecast_hours = 3.0;
+  cfg.cycle.threads = 2;
+  cfg.cycle.ensemble = {8, 2.0, 16};
+  cfg.cycle.convergence = {1.0, 4};
+  cfg.cycle.max_rank = 6;
+  cfg.pool_headroom = 1.0;
+  cfg.svd_min_new_members = stride;
+  return cfg;
+}
+
+/// subspace_from_view(differ.view()) of the differ a request with `cfg`
+/// fills from the members `ids`, rebuilt member by member.
+esse::ErrorSubspace drained_reference(const RunnerFixture& f,
+                                      const ParallelRunnerConfig& cfg,
+                                      const std::vector<std::size_t>& ids) {
+  const esse::CycleParams& cp = cfg.cycle;
+  const la::Vector packed = f.sc->initial.pack();
+  esse::Differ differ(esse::run_member(*f.model, packed, 0.0,
+                                       cp.forecast_hours, false,
+                                       cp.perturbation.seed, 0));
+  const esse::PerturbationGenerator pert(f.subspace, cp.perturbation);
+  for (const std::size_t id : ids) {
+    differ.add_member(
+        id, esse::run_member(*f.model, pert.perturbed_state(packed, id), 0.0,
+                             cp.forecast_hours, cp.stochastic_members,
+                             cp.perturbation.seed, id));
+  }
+  return esse::subspace_from_view(differ.view(), cp.variance_fraction,
+                                  cp.max_rank);
+}
+
+struct DrainedRun {
+  esse::ForecastResult result;
+  double subspace_checks = 0.0;
+};
+
+DrainedRun run_draining(const RunnerFixture& f,
+                        const ParallelRunnerConfig& cfg) {
+  telemetry::Sink sink("drain");
+  ForecastRequest req{*f.model, f.sc->initial, f.subspace, 0.0, cfg};
+  req.sink = &sink;
+  DrainedRun run;
+  run.result = service::run_parallel_forecast(req);
+  run.subspace_checks = sink.metrics().value("differ.subspace_checks");
+  return run;
+}
+
+TEST_F(RunnerFixture, DrainedRunReusesItsLastMilestoneSubspace) {
+  // Milestones 4, 8, 12, 16: the last one decomposed members 0..15,
+  // exactly the drained set, so no subspace is computed after it.
+  const ParallelRunnerConfig cfg = draining_config(4);
+  const DrainedRun run = run_draining(*this, cfg);
+  const esse::ForecastResult& res = run.result;
+  ASSERT_FALSE(res.converged);
+  ASSERT_EQ(res.members_run, 16u);
+  ASSERT_TRUE(res.mtc.has_value());
+  EXPECT_EQ(res.mtc->svd_runs, 4u);
+  EXPECT_EQ(run.subspace_checks, static_cast<double>(res.mtc->svd_runs));
+
+  std::vector<std::size_t> ids(16);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  const esse::ErrorSubspace ref = drained_reference(*this, cfg, ids);
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.sigmas(), ref.sigmas()));
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.modes().data(),
+                         ref.modes().data()));
+}
+
+TEST_F(RunnerFixture, DrainedRunOffTheMilestoneGridRecomputes) {
+  // Milestones 5, 10, 15 never cover all 16 members: one more check.
+  const ParallelRunnerConfig cfg = draining_config(5);
+  const DrainedRun run = run_draining(*this, cfg);
+  const esse::ForecastResult& res = run.result;
+  ASSERT_FALSE(res.converged);
+  ASSERT_EQ(res.members_run, 16u);
+  ASSERT_TRUE(res.mtc.has_value());
+  EXPECT_EQ(res.mtc->svd_runs, 3u);
+  EXPECT_EQ(run.subspace_checks,
+            static_cast<double>(res.mtc->svd_runs + 1));
+
+  std::vector<std::size_t> ids(16);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  const esse::ErrorSubspace ref = drained_reference(*this, cfg, ids);
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.sigmas(), ref.sigmas()));
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.modes().data(),
+                         ref.modes().data()));
+}
+
+TEST_F(RunnerFixture, DrainedRunWithALostMemberRecomputes) {
+  // Member 13 fails every attempt and is lost: the id prefix stops at 13,
+  // the last milestone is 12, and the 15 survivors are decomposed anew.
+  ParallelRunnerConfig cfg = draining_config(4);
+  cfg.fault.max_retries = 0;
+  cfg.fault.speculate = false;
+  cfg.fault.timeout_multiple = 0.0;
+  cfg.arrival_hook = [](std::size_t id) {
+    if (id == 13) throw std::runtime_error("member 13 always fails");
+  };
+  const DrainedRun run = run_draining(*this, cfg);
+  const esse::ForecastResult& res = run.result;
+  ASSERT_FALSE(res.converged);
+  ASSERT_EQ(res.members_run, 15u);
+  ASSERT_TRUE(res.mtc.has_value());
+  EXPECT_EQ(res.mtc->members_lost, 1u);
+  EXPECT_EQ(res.mtc->svd_runs, 3u);
+  EXPECT_EQ(run.subspace_checks,
+            static_cast<double>(res.mtc->svd_runs + 1));
+
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < 16; ++i)
+    if (i != 13) ids.push_back(i);
+  cfg.arrival_hook = nullptr;
+  const esse::ErrorSubspace ref = drained_reference(*this, cfg, ids);
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.sigmas(), ref.sigmas()));
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.modes().data(),
+                         ref.modes().data()));
 }
 
 }  // namespace
