@@ -21,7 +21,7 @@ int main() {
       model, sc.initial, 0.0, 12.0, 12, 0.99, 10, /*seed=*/41);
 
   // Forecast ensemble → ocean realisations.
-  esse::PerturbationGenerator gen(subspace, {1.0, 0.01, 41});
+  esse::PerturbationGenerator gen(subspace, {.white_noise = 0.01, .seed = 41});
   const la::Vector packed = sc.initial.pack();
   std::vector<la::Vector> members;
   for (std::size_t i = 0; i < 12; ++i) {

@@ -27,7 +27,7 @@ int main() {
 
   // Run one large ensemble once; evaluate the subspace at growing N.
   const std::size_t n_max = 96;
-  esse::PerturbationGenerator gen(nowcast, {1.0, 0.01, 101});
+  esse::PerturbationGenerator gen(nowcast, {.white_noise = 0.01, .seed = 101});
   const la::Vector packed = sc.initial.pack();
   ocean::OceanState central = sc.initial;
   model.run(central, 0.0, 12.0, nullptr);

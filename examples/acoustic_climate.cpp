@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // A small forecast ensemble supplies the ocean realisations.
   esse::ErrorSubspace subspace = esse::bootstrap_subspace(
       model, sc.initial, 0.0, 12.0, 12, 0.99, 10, /*seed=*/31);
-  esse::PerturbationGenerator gen(subspace, {1.0, 0.01, 31});
+  esse::PerturbationGenerator gen(subspace, {.white_noise = 0.01, .seed = 31});
   const la::Vector packed = sc.initial.pack();
   std::vector<la::Vector> members;
   for (std::size_t i = 0; i < 10; ++i) {

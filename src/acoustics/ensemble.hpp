@@ -3,9 +3,9 @@
 // For each ocean realisation a TL field is computed on a fixed section;
 // the coupled physical–acoustical covariance P of the section is then
 // assembled from the joint (temperature, TL) anomalies, and its dominant
-// eigenvectors are the coupled "uncertainty modes" used for coupled
-// assimilation. The "acoustic climate" driver enumerates the full
-// source/frequency/slice task grid that Sec. 5.2.1 runs 6000+ jobs of.
+// eigenvectors are the coupled "uncertainty modes". The "acoustic
+// climate" driver enumerates the full source/frequency/slice task grid
+// that Sec. 5.2.1 runs 6000+ jobs of.
 #pragma once
 
 #include <cstddef>

@@ -28,20 +28,6 @@ double SoundSpeedSlice::at(std::size_t ir, std::size_t iz) const {
   return c[ir * geometry.n_depth + iz];
 }
 
-double SoundSpeedSlice::temperature_at(std::size_t ir, std::size_t iz) const {
-  ESSEX_ASSERT(ir < geometry.n_range && iz < geometry.n_depth,
-               "slice index out of range");
-  return t[ir * geometry.n_depth + iz];
-}
-
-double SoundSpeedSlice::dcdz(std::size_t ir, std::size_t iz) const {
-  const std::size_t nz = geometry.n_depth;
-  const double dz = geometry.depth_step_m();
-  if (iz == 0) return (at(ir, 1) - at(ir, 0)) / dz;
-  if (iz + 1 >= nz) return (at(ir, nz - 1) - at(ir, nz - 2)) / dz;
-  return (at(ir, iz + 1) - at(ir, iz - 1)) / (2.0 * dz);
-}
-
 namespace {
 
 /// Bilinear horizontal + linear vertical sample of a 3-D field.

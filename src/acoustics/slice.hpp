@@ -37,9 +37,6 @@ struct SoundSpeedSlice {
   std::vector<double> t;  ///< °C (kept for coupled covariances)
 
   double at(std::size_t ir, std::size_t iz) const;
-  double temperature_at(std::size_t ir, std::size_t iz) const;
-  /// Vertical sound-speed gradient ∂c/∂z (finite difference) at (ir, iz).
-  double dcdz(std::size_t ir, std::size_t iz) const;
 };
 
 /// Extract the sound-speed slice from an ocean state by bilinear

@@ -10,11 +10,6 @@
 
 namespace essex {
 
-double& Field2D::at(std::size_t ix, std::size_t iy) {
-  ESSEX_REQUIRE(ix < nx && iy < ny, "Field2D index out of range");
-  return values[iy * nx + ix];
-}
-
 double Field2D::at(std::size_t ix, std::size_t iy) const {
   ESSEX_REQUIRE(ix < nx && iy < ny, "Field2D index out of range");
   return values[iy * nx + ix];
@@ -30,13 +25,6 @@ double Field2D::max() const {
   double m = -std::numeric_limits<double>::infinity();
   for (double v : values) m = std::max(m, v);
   return m;
-}
-
-double Field2D::mean() const {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
 }
 
 void write_pgm(const Field2D& field, const std::string& path) {

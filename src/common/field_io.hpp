@@ -18,11 +18,9 @@ struct Field2D {
   std::vector<double> values;  ///< row-major, size nx*ny
   double x0 = 0, x1 = 1, y0 = 0, y1 = 1;  ///< physical extent (km or deg)
 
-  double& at(std::size_t ix, std::size_t iy);
   double at(std::size_t ix, std::size_t iy) const;
   double min() const;
   double max() const;
-  double mean() const;
 };
 
 /// Write a grey-scale PGM (min→black, max→white).

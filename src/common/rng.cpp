@@ -21,7 +21,7 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-Rng::Rng(std::uint64_t seed, std::uint64_t stream) : seed_(seed) {
+Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   // Mix seed and stream through SplitMix64 so nearby (seed, stream) pairs
   // produce unrelated states.
   std::uint64_t x = seed ^ (0xD1B54A32D192ED03ULL * (stream + 1));
@@ -93,7 +93,5 @@ std::vector<double> Rng::normals(std::size_t n) {
   for (auto& v : out) v = normal();
   return out;
 }
-
-Rng Rng::split(std::uint64_t stream) const { return Rng(seed_, stream); }
 
 }  // namespace essex

@@ -1,4 +1,4 @@
-// ESSEX: deterministic, splittable random number generation.
+// ESSEX: deterministic, stream-keyed random number generation.
 //
 // Ensemble methods need *reproducible* perturbations: member k must draw
 // the same stream regardless of the order in which the task pool executes
@@ -50,12 +50,8 @@ class Rng {
   /// n i.i.d. standard normals.
   std::vector<double> normals(std::size_t n);
 
-  /// Derive a child generator for substream `stream` (splittable RNG).
-  Rng split(std::uint64_t stream) const;
-
  private:
   std::uint64_t s_[4];
-  std::uint64_t seed_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };

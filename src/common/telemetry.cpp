@@ -112,10 +112,6 @@ void append_session_json(std::string& out, const Sink& sink) {
 
 }  // namespace
 
-void Sink::write_json(const std::string& path) const {
-  write_sessions_json(path, {this});
-}
-
 void Sink::write_metrics_csv(const std::string& path) const {
   auto os = open_for_write(path);
   metrics_.write_csv(os);

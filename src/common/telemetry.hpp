@@ -80,8 +80,6 @@ class Sink {
     recorder_.event(name, t, value);
   }
 
-  /// Write this session as a one-element JSON session array.
-  void write_json(const std::string& path) const;
   /// Metrics as CSV (kind,name,count,value,mean,min,max,p50,p95).
   void write_metrics_csv(const std::string& path) const;
   /// Events as CSV (t,name,value).

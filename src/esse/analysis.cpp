@@ -42,12 +42,6 @@ bool is_registered(AnalysisMethod method) {
   return std::find(reg.begin(), reg.end(), method) != reg.end();
 }
 
-std::optional<AnalysisMethod> parse_analysis_method(std::string_view name) {
-  for (const AnalysisMethod m : analysis_method_registry())
-    if (name == to_string(m)) return m;
-  return std::nullopt;
-}
-
 namespace detail {
 
 la::Matrix posterior_core(const la::Vector& sigmas, const la::Matrix& g) {

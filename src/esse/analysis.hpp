@@ -17,8 +17,6 @@
 // stencils reach it through ObsSet::from_operator / ObsSet::from_linear.
 #pragma once
 
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "esse/error_subspace.hpp"
@@ -73,9 +71,6 @@ const std::vector<AnalysisMethod>& analysis_method_registry();
 /// True when `method` is one of the registered values (guards against
 /// enum values cast from untrusted integers).
 bool is_registered(AnalysisMethod method);
-
-/// Parse a canonical method name (bench/CLI flags); nullopt on unknown.
-std::optional<AnalysisMethod> parse_analysis_method(std::string_view name);
 
 /// Output of one assimilation step.
 struct AnalysisResult {

@@ -1,6 +1,8 @@
 #include "esse/cycle.hpp"
 
 #include <algorithm>
+#include <future>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
@@ -87,41 +89,22 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
   EnsembleSizeController sizer(params.ensemble);
 
   ForecastResult out;
-  std::size_t next_id = 0;
 
-  auto run_block = [&](std::size_t count) {
-    const std::size_t first = next_id;
-    next_id += count;
-    if (params.threads <= 1) {
-      for (std::size_t id = first; id < first + count; ++id) {
+  // Staged growth loop: run blocks of check_interval members up to the
+  // current target; test convergence after each block. Members run in
+  // id order, so member `id` is the differ's id-th column, and a member
+  // the differ refuses (non-finite) throws out of the forecast.
+  for (;;) {
+    while (differ.count() < sizer.target()) {
+      const std::size_t end =
+          std::min(differ.count() + params.check_interval, sizer.target());
+      for (std::size_t id = differ.count(); id < end; ++id) {
         la::Vector x0 = pert.perturbed_state(packed_initial, id);
         la::Vector xf = run_member(model, x0, t0_hours, params.forecast_hours,
                                    params.stochastic_members,
                                    params.perturbation.seed, id);
         differ.add_member(id, xf);
       }
-      return;
-    }
-    ThreadPool pool(params.threads);
-    for (std::size_t id = first; id < first + count; ++id) {
-      pool.submit([&, id] {
-        la::Vector x0 = pert.perturbed_state(packed_initial, id);
-        la::Vector xf = run_member(model, x0, t0_hours, params.forecast_hours,
-                                   params.stochastic_members,
-                                   params.perturbation.seed, id);
-        differ.add_member(id, xf);
-      });
-    }
-    pool.wait_idle();
-  };
-
-  // Staged growth loop: run blocks of check_interval members up to the
-  // current target; test convergence after each block.
-  for (;;) {
-    while (differ.count() < sizer.target()) {
-      const std::size_t block =
-          std::min(params.check_interval, sizer.target() - differ.count());
-      run_block(block);
       if (differ.count() >= 2) {
         const auto rho = conv.update(
             differ.subspace(params.variance_fraction, params.max_rank),
@@ -144,8 +127,13 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
   }
 
   out.central_forecast = std::move(central);
+  // Every block ends with a check over all absorbed members, so the last
+  // recorded estimate is the final subspace; only a run too small for any
+  // recorded check decomposes here.
   out.forecast_subspace =
-      differ.subspace(params.variance_fraction, params.max_rank);
+      conv.latest_members() == differ.count()
+          ? conv.take_latest()
+          : differ.subspace(params.variance_fraction, params.max_rank);
   out.members_run = differ.count();
   out.converged = conv.converged();
   out.convergence_history = conv.history();
@@ -225,10 +213,14 @@ ErrorSubspace bootstrap_subspace(const ocean::OceanModel& model,
     for (std::size_t id = 0; id < n_samples; ++id) one(id);
   } else {
     ThreadPool pool(threads);
-    for (std::size_t id = 0; id < n_samples; ++id) {
-      pool.submit([&, id] { one(id); });
-    }
+    std::vector<std::future<void>> done;
+    done.reserve(n_samples);
+    for (std::size_t id = 0; id < n_samples; ++id)
+      done.push_back(pool.submit([&, id] { one(id); }));
     pool.wait_idle();
+    // A sample that threw (a diverged, non-finite member) fails the
+    // bootstrap with its own error instead of silently shrinking it.
+    for (std::future<void>& f : done) f.get();
   }
   return differ.subspace(variance_fraction, max_rank);
 }

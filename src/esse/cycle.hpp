@@ -37,7 +37,10 @@ struct CycleParams {
   double variance_fraction = 0.99;  ///< subspace truncation
   std::size_t max_rank = 0;       ///< 0 = uncapped
   std::size_t check_interval = 8;  ///< members between SVD/convergence tests
-  std::size_t threads = 1;        ///< worker threads for member runs
+  /// Worker threads for the MTC runner's member pool and the tiled
+  /// analysis; the block-synchronous run_uncertainty_forecast always
+  /// integrates its members serially.
+  std::size_t threads = 1;
   bool stochastic_members = true;  ///< members feel model noise (dη)
   /// Localized analysis (DESIGN.md §14). Off by default: the global
   /// dense update, bitwise identical to the pre-localization cycle.

@@ -73,13 +73,6 @@ AnomalyView AnomalyView::prefix(std::size_t n) const {
   return out;
 }
 
-std::vector<std::size_t> AnomalyView::member_ids() const {
-  std::vector<std::size_t> ids;
-  ids.reserve(columns.size());
-  for (const AnomalyColumn& c : columns) ids.push_back(c.member_id);
-  return ids;
-}
-
 ErrorSubspace subspace_from_view(const AnomalyView& view,
                                  double variance_fraction,
                                  std::size_t max_rank, ThreadPool* pool,
@@ -235,11 +228,6 @@ std::size_t Differ::contiguous_count() const {
   return contiguous_count_;
 }
 
-std::uint64_t Differ::version() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return version_;
-}
-
 namespace {
 
 void sort_canonical(std::vector<AnomalyColumn>& cols) {
@@ -283,10 +271,7 @@ SpreadSnapshot Differ::snapshot() const {
   const AnomalyView v = view();
   ESSEX_REQUIRE(v.count() >= 2,
                 "need at least two members for a spread estimate");
-  SpreadSnapshot snap;
-  snap.member_ids = v.member_ids();
-  snap.anomalies = v.materialize();
-  return snap;
+  return SpreadSnapshot{v.materialize()};
 }
 
 ErrorSubspace Differ::subspace(double variance_fraction, std::size_t max_rank,

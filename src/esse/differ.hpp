@@ -19,9 +19,9 @@
 // live pair) are modelled by view(): the caller receives a versioned,
 // copy-free column-prefix view over the shared column storage — O(n)
 // pointer copies, never an O(m·n) matrix copy — while the live store
-// keeps growing. snapshot() materialises a view into the legacy dense
-// SpreadSnapshot for consumers (smoother, verification) that want the
-// full matrix.
+// keeps growing. snapshot() materialises a view into the dense
+// SpreadSnapshot for the from-scratch decomposition that wants the full
+// matrix.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +48,7 @@ namespace essex::esse {
 /// A snapshot of the accumulated ensemble spread, normalised so that
 /// A Aᵀ is the sample covariance estimate.
 struct SpreadSnapshot {
-  la::Matrix anomalies;             ///< m × n, already scaled by 1/√(n−1)
-  std::vector<std::size_t> member_ids;  ///< column → perturbation index
+  la::Matrix anomalies;  ///< m × n, already scaled by 1/√(n−1)
 };
 
 /// One absorbed member: the unnormalised anomaly column plus the border
@@ -102,8 +101,6 @@ struct AnomalyView {
   /// Restrict to the first `n` canonical columns (the n smallest member
   /// ids in the view) — O(n) pointer copies, shared payloads.
   AnomalyView prefix(std::size_t n) const;
-
-  std::vector<std::size_t> member_ids() const;
 };
 
 /// Error subspace from a view via the cached-Gram method of snapshots:
@@ -166,9 +163,6 @@ class Differ {
   /// schedule keys on: it advances identically for every schedule that
   /// completes the same members.
   std::size_t contiguous_count() const;
-
-  /// Monotone version: bumped by every absorbed member.
-  std::uint64_t version() const;
 
   /// Cut a copy-free view over the first `prefix_cols` absorbed columns
   /// (0 = all columns currently absorbed), returned in canonical

@@ -59,15 +59,6 @@ double ErrorSubspace::total_variance() const {
   return t;
 }
 
-double ErrorSubspace::variance_fraction(std::size_t k) const {
-  const double total = total_variance();
-  if (total == 0.0) return 1.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < std::min(k, sigmas_.size()); ++i)
-    acc += sigmas_[i] * sigmas_[i];
-  return acc / total;
-}
-
 ErrorSubspace ErrorSubspace::truncated(std::size_t k) const {
   if (k >= rank()) return *this;
   la::Vector sig(sigmas_.begin(), sigmas_.begin() + static_cast<std::ptrdiff_t>(k));

@@ -53,9 +53,6 @@ class ErrorSubspace {
   /// Total variance tr(P) = Σ σ².
   double total_variance() const;
 
-  /// Fraction of this subspace's variance captured by its first k modes.
-  double variance_fraction(std::size_t k) const;
-
   /// Truncate to at most k modes.
   ErrorSubspace truncated(std::size_t k) const;
 

@@ -13,14 +13,6 @@ std::size_t MultilevelParams::total_members() const {
   return n;
 }
 
-std::size_t MultilevelParams::level_offset(std::size_t level) const {
-  ESSEX_REQUIRE(level < members_per_level.size(),
-                "multilevel params have no such level");
-  std::size_t off = 0;
-  for (std::size_t l = 0; l < level; ++l) off += members_per_level[l];
-  return off;
-}
-
 std::size_t MultilevelParams::level_of(std::size_t gid) const {
   std::size_t off = 0;
   for (std::size_t l = 0; l < members_per_level.size(); ++l) {

@@ -59,9 +59,6 @@ struct MultilevelParams {
   /// Σ members_per_level (members_per_level may be empty when disabled).
   std::size_t total_members() const;
 
-  /// Global id of level `level`'s first member (level-major layout).
-  std::size_t level_offset(std::size_t level) const;
-
   /// Level owning global member id `gid`.
   std::size_t level_of(std::size_t gid) const;
 

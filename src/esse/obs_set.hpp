@@ -25,9 +25,8 @@
 namespace essex::esse {
 
 /// A generic linear scalar observation on an arbitrary state vector:
-/// y = Σ weight·x[index] + ε with ε ~ N(0, variance). Lets callers (e.g.
-/// the coupled physical–acoustical assimilation of §2.2) reuse the ESSE
-/// update on joint states that are not ocean grids.
+/// y = Σ weight·x[index] + ε with ε ~ N(0, variance). Lets callers reuse
+/// the ESSE update on states that are not ocean grids.
 struct LinearObservation {
   std::vector<std::pair<std::size_t, double>> stencil;
   double value = 0;

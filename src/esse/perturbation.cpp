@@ -19,7 +19,7 @@ la::Vector PerturbationGenerator::perturbation(std::size_t index) const {
   Rng rng(params_.seed, index + 1);
   la::Vector coeffs(subspace_.rank());
   for (std::size_t j = 0; j < coeffs.size(); ++j) {
-    coeffs[j] = params_.mode_scale * subspace_.sigmas()[j] * rng.normal();
+    coeffs[j] = subspace_.sigmas()[j] * rng.normal();
   }
   la::Vector p = subspace_.expand(coeffs);
   if (params_.white_noise > 0.0) {

@@ -18,7 +18,6 @@ namespace essex::esse {
 class PerturbationGenerator {
  public:
   struct Params {
-    double mode_scale = 1.0;   ///< scaling of the subspace draw
     double white_noise = 0.0;  ///< stddev of the truncation-error noise
     std::uint64_t seed = 42;   ///< base seed; member i uses stream i
   };

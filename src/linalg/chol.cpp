@@ -44,10 +44,6 @@ Vector cholesky_solve_factored(const Matrix& l, const Vector& b) {
   return x;
 }
 
-Vector cholesky_solve(const Matrix& a, const Vector& b) {
-  return cholesky_solve_factored(cholesky(a), b);
-}
-
 Matrix cholesky_solve(const Matrix& a, const Matrix& b) {
   ESSEX_REQUIRE(a.rows() == b.rows(), "cholesky_solve shape mismatch");
   const Matrix l = cholesky(a);

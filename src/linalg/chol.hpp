@@ -12,9 +12,6 @@ namespace essex::la {
 /// Throws PreconditionError if A is not (numerically) positive definite.
 Matrix cholesky(const Matrix& a);
 
-/// Solve A x = b for SPD A via Cholesky.
-Vector cholesky_solve(const Matrix& a, const Vector& b);
-
 /// Solve A X = B column-wise for SPD A.
 Matrix cholesky_solve(const Matrix& a, const Matrix& b);
 

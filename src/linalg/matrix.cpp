@@ -11,9 +11,6 @@ namespace essex::la {
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
   cols_ = rows_ ? rows.begin()->size() : 0;
@@ -58,21 +55,9 @@ Vector Matrix::col(std::size_t j) const {
   return v;
 }
 
-Vector Matrix::row(std::size_t i) const {
-  ESSEX_REQUIRE(i < rows_, "row index out of range");
-  return Vector(data_.begin() + static_cast<std::ptrdiff_t>(i * cols_),
-                data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * cols_));
-}
-
 void Matrix::set_col(std::size_t j, const Vector& v) {
   ESSEX_REQUIRE(j < cols_ && v.size() == rows_, "set_col shape mismatch");
   for (std::size_t i = 0; i < rows_; ++i) data_[i * cols_ + j] = v[i];
-}
-
-void Matrix::set_row(std::size_t i, const Vector& v) {
-  ESSEX_REQUIRE(i < rows_ && v.size() == cols_, "set_row shape mismatch");
-  std::copy(v.begin(), v.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(i * cols_));
 }
 
 Matrix Matrix::first_cols(std::size_t k) const {
@@ -237,24 +222,11 @@ void scale(Vector& v, double s) {
   simd::kernels().scale(v.data(), s, v.size());
 }
 
-Vector add(const Vector& a, const Vector& b) {
-  ESSEX_REQUIRE(a.size() == b.size(), "add length mismatch");
-  Vector c(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) c[i] = a[i] + b[i];
-  return c;
-}
-
 Vector sub(const Vector& a, const Vector& b) {
   ESSEX_REQUIRE(a.size() == b.size(), "sub length mismatch");
   Vector c(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) c[i] = a[i] - b[i];
   return c;
-}
-
-double max_abs(const Vector& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::fabs(x));
-  return m;
 }
 
 }  // namespace essex::la

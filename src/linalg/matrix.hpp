@@ -29,9 +29,6 @@ class Matrix {
   /// rows × cols, zero-initialised.
   Matrix(std::size_t rows, std::size_t cols);
 
-  /// rows × cols filled with `fill`.
-  Matrix(std::size_t rows, std::size_t cols, double fill);
-
   /// Construct from nested initialiser list (rows of equal width).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
@@ -53,9 +50,7 @@ class Matrix {
   AlignedBuffer& data() { return data_; }
 
   Vector col(std::size_t j) const;
-  Vector row(std::size_t i) const;
   void set_col(std::size_t j, const Vector& v);
-  void set_row(std::size_t i, const Vector& v);
 
   /// Keep only the first k columns (k <= cols()).
   Matrix first_cols(std::size_t k) const;
@@ -119,10 +114,6 @@ void axpy(double alpha, const Vector& x, Vector& y);
 
 void scale(Vector& v, double s);
 
-Vector add(const Vector& a, const Vector& b);
 Vector sub(const Vector& a, const Vector& b);
-
-/// Maximum absolute entry (0 for empty).
-double max_abs(const Vector& v);
 
 }  // namespace essex::la

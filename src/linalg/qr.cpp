@@ -7,61 +7,6 @@
 
 namespace essex::la {
 
-ThinQr qr_thin(const Matrix& a) {
-  ESSEX_REQUIRE(a.rows() >= a.cols(), "qr_thin requires rows >= cols");
-  const std::size_t m = a.rows(), n = a.cols();
-  Matrix r = a;  // will carry R in its upper triangle
-  // Householder vectors stored column-wise (v_k has length m-k).
-  std::vector<Vector> vs(n);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build the Householder vector for column k below the diagonal.
-    double sigma = 0.0;
-    for (std::size_t i = k; i < m; ++i) sigma += r(i, k) * r(i, k);
-    double alpha = std::sqrt(sigma);
-    if (r(k, k) > 0) alpha = -alpha;
-    Vector v(m - k, 0.0);
-    if (alpha != 0.0) {
-      v[0] = r(k, k) - alpha;
-      for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
-      const double vnorm = norm2(v);
-      if (vnorm > 0) {
-        for (auto& x : v) x /= vnorm;
-        // Apply H = I - 2 v vᵀ to the trailing block of R.
-        for (std::size_t j = k; j < n; ++j) {
-          double s = 0.0;
-          for (std::size_t i = k; i < m; ++i) s += v[i - k] * r(i, j);
-          s *= 2.0;
-          for (std::size_t i = k; i < m; ++i) r(i, j) -= s * v[i - k];
-        }
-      }
-    }
-    vs[k] = std::move(v);
-  }
-
-  // Form the thin Q by applying reflectors to the first n identity columns
-  // in reverse order.
-  Matrix q(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = 1.0;
-  for (std::size_t k = n; k-- > 0;) {
-    const Vector& v = vs[k];
-    if (v.empty()) continue;
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += v[i - k] * q(i, j);
-      s *= 2.0;
-      for (std::size_t i = k; i < m; ++i) q(i, j) -= s * v[i - k];
-    }
-  }
-
-  ThinQr out;
-  out.q = std::move(q);
-  out.r = Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) out.r(i, j) = r(i, j);
-  return out;
-}
-
 std::size_t orthonormalize_columns(Matrix& a, double drop_tol) {
   const std::size_t m = a.rows(), n = a.cols();
   if (n == 0) return 0;

@@ -1,23 +1,12 @@
-// ESSEX: Householder QR factorisation.
+// ESSEX: column orthonormalisation.
 //
-// Used by the randomized range finder and to re-orthonormalise error
-// subspace bases after incremental updates.
+// The testkit generators use it to turn random directions into
+// orthonormal error-subspace bases.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
 namespace essex::la {
-
-/// Thin QR of an m×n matrix with m >= n: A = Q R where Q is m×n with
-/// orthonormal columns and R is n×n upper triangular.
-struct ThinQr {
-  Matrix q;  ///< m×n, orthonormal columns
-  Matrix r;  ///< n×n, upper triangular
-};
-
-/// Compute the thin QR via Householder reflections.
-/// Requires a.rows() >= a.cols().
-ThinQr qr_thin(const Matrix& a);
 
 /// Orthonormalise the columns of `a` in place using modified Gram–Schmidt
 /// with one re-orthogonalisation pass. Columns that become numerically

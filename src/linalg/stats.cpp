@@ -17,35 +17,12 @@ Vector column_mean(const Matrix& a) {
   return mean;
 }
 
-Vector row_stddev(const Matrix& a) {
-  ESSEX_REQUIRE(a.cols() >= 2, "row_stddev needs at least two columns");
-  const Vector mean = column_mean(a);
-  Vector sd(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      const double d = a(i, j) - mean[i];
-      s += d * d;
-    }
-    sd[i] = std::sqrt(s / static_cast<double>(a.cols() - 1));
-  }
-  return sd;
-}
-
 Matrix anomalies_about(const Matrix& a, const Vector& center) {
   ESSEX_REQUIRE(center.size() == a.rows(), "anomaly center length mismatch");
   Matrix out = a;
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j) out(i, j) -= center[i];
   return out;
-}
-
-Matrix sample_covariance(const Matrix& a) {
-  ESSEX_REQUIRE(a.cols() >= 2, "sample_covariance needs >= 2 columns");
-  const Matrix anom = anomalies_about(a, column_mean(a));
-  Matrix cov = matmul_a_bt(anom, anom);
-  cov *= 1.0 / static_cast<double>(a.cols() - 1);
-  return cov;
 }
 
 double correlation(const Vector& x, const Vector& y) {

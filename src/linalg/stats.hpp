@@ -2,8 +2,8 @@
 //
 // The differ stage of ESSE (paper Fig. 3/4) turns an ensemble of state
 // vectors into an anomaly matrix around the central forecast; these
-// helpers compute means, variances and sample covariances of column
-// ensembles.
+// helpers compute column means and anomalies, correlations and RMS
+// differences.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -13,17 +13,8 @@ namespace essex::la {
 /// Mean of the columns of `a` (length = rows).
 Vector column_mean(const Matrix& a);
 
-/// Per-row sample standard deviation across columns (ddof = 1).
-/// Requires at least two columns.
-Vector row_stddev(const Matrix& a);
-
 /// Anomaly matrix: subtract `center` from every column.
 Matrix anomalies_about(const Matrix& a, const Vector& center);
-
-/// Sample covariance of the column ensemble: A' A'ᵀ / (n-1) where A' is
-/// the anomaly matrix about the column mean. Only use for small state
-/// dimensions; ESSE never forms this explicitly for real problems.
-Matrix sample_covariance(const Matrix& a);
 
 /// Pearson correlation between two equally-long samples.
 double correlation(const Vector& x, const Vector& y);

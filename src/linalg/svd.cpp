@@ -17,14 +17,6 @@ Matrix ThinSvd::reconstruct() const {
   return matmul_a_bt(us, v);
 }
 
-std::size_t ThinSvd::rank(double rel_tol) const {
-  if (s.empty()) return 0;
-  const double cut = s.front() * rel_tol;
-  std::size_t r = 0;
-  while (r < s.size() && s[r] > cut) ++r;
-  return r;
-}
-
 namespace {
 
 // One-sided Jacobi on an m×n matrix with m >= n: rotate column pairs

@@ -33,9 +33,6 @@ struct ThinSvd {
   /// Reconstruct U diag(s) Vᵀ (for testing).
   Matrix reconstruct() const;
 
-  /// Rank at relative tolerance `rel_tol` w.r.t. the largest singular
-  /// value.
-  std::size_t rank(double rel_tol = 1e-12) const;
 };
 
 /// Compute the thin SVD. Works for any m×n (internally transposes when

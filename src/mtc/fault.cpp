@@ -9,15 +9,6 @@
 
 namespace essex::mtc {
 
-std::string to_string(TaskState s) {
-  switch (s) {
-    case TaskState::kQueued: return "queued";
-    case TaskState::kRunning: return "running";
-    case TaskState::kFinished: return "finished";
-  }
-  return "?";
-}
-
 std::string to_string(TaskOutcome o) {
   switch (o) {
     case TaskOutcome::kDone: return "done";

@@ -47,7 +47,6 @@ enum class TaskOutcome {
   kEvicted,    ///< the host went away (node outage, glide-in lease end)
 };
 
-std::string to_string(TaskState s);
 std::string to_string(TaskOutcome o);
 
 /// One attempt's lifecycle snapshot, as reported/polled from a backend.

@@ -14,15 +14,6 @@ std::string to_string(JobStatus s) {
   return "?";
 }
 
-std::string to_string(InputStaging s) {
-  switch (s) {
-    case InputStaging::kNfsDirect: return "nfs-direct";
-    case InputStaging::kPrestageLocal: return "prestage-local";
-    case InputStaging::kOpenDapRemote: return "opendap-remote";
-  }
-  return "?";
-}
-
 std::string to_string(OutputTransfer s) {
   switch (s) {
     case OutputTransfer::kPushImmediate: return "push-immediate";

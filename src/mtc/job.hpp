@@ -93,7 +93,6 @@ enum class OutputTransfer {
 };
 
 std::string to_string(JobStatus s);
-std::string to_string(InputStaging s);
 std::string to_string(OutputTransfer s);
 
 }  // namespace essex::mtc

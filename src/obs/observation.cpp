@@ -114,34 +114,6 @@ la::Vector ObsOperator::apply(const ocean::OceanState& state) const {
   return apply(state.pack());
 }
 
-la::Vector ObsOperator::apply_mode(const la::Matrix& modes,
-                                   std::size_t col) const {
-  ESSEX_REQUIRE(modes.rows() == ocean::OceanState::packed_size(grid_),
-                "ObsOperator::apply_mode: mode length mismatch");
-  ESSEX_REQUIRE(col < modes.cols(), "ObsOperator::apply_mode: bad column");
-  la::Vector y(obs_.size(), 0.0);
-  for (std::size_t k = 0; k < obs_.size(); ++k) {
-    const Stencil& st = stencils_[k];
-    double s = 0.0;
-    for (std::size_t i = 0; i < st.n; ++i)
-      s += st.weight[i] * modes(st.index[i], col);
-    y[k] = s;
-  }
-  return y;
-}
-
-la::Vector ObsOperator::innovation(const la::Vector& packed_state) const {
-  la::Vector d = apply(packed_state);
-  for (std::size_t k = 0; k < obs_.size(); ++k) d[k] = obs_[k].value - d[k];
-  return d;
-}
-
-la::Vector ObsOperator::values() const {
-  la::Vector v(obs_.size());
-  for (std::size_t k = 0; k < obs_.size(); ++k) v[k] = obs_[k].value;
-  return v;
-}
-
 std::vector<std::pair<std::size_t, double>> ObsOperator::stencil_entries(
     std::size_t i) const {
   ESSEX_REQUIRE(i < stencils_.size(), "stencil_entries: bad observation");
@@ -151,13 +123,6 @@ std::vector<std::pair<std::size_t, double>> ObsOperator::stencil_entries(
   for (std::size_t j = 0; j < st.n; ++j)
     out.emplace_back(st.index[j], st.weight[j]);
   return out;
-}
-
-la::Vector ObsOperator::noise_variances() const {
-  la::Vector v(obs_.size());
-  for (std::size_t k = 0; k < obs_.size(); ++k)
-    v[k] = obs_[k].noise_std * obs_[k].noise_std;
-  return v;
 }
 
 }  // namespace essex::obs

@@ -50,21 +50,8 @@ class ObsOperator {
   /// Convenience: H applied to an OceanState.
   la::Vector apply(const ocean::OceanState& state) const;
 
-  /// H applied to column `col` of a matrix whose rows are packed-state
-  /// entries (used to form H·E without copying each error mode).
-  la::Vector apply_mode(const la::Matrix& modes, std::size_t col) const;
-
-  /// Innovation d = yᵒ − H·x.
-  la::Vector innovation(const la::Vector& packed_state) const;
-
-  /// Observed values as a vector.
-  la::Vector values() const;
-
-  /// Diagonal of the observation error covariance R.
-  la::Vector noise_variances() const;
-
   /// Stencil of observation `i` as (packed index, weight) pairs, in the
-  /// evaluation order apply()/apply_mode() use. Lets state-space callers
+  /// evaluation order apply() uses. Lets state-space callers
   /// (esse::ObsSet) reuse the interpolation without re-deriving it.
   std::vector<std::pair<std::size_t, double>> stencil_entries(
       std::size_t i) const;

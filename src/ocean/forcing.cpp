@@ -14,17 +14,6 @@ WindForcing::WindForcing(const Params& params) : params_(params) {
                 "upwelling fraction must lie in (0,1)");
 }
 
-WindForcing::WindForcing() : WindForcing(Params{}) {}
-
-bool WindForcing::upwelling_active(double t_hours) const {
-  const double phase =
-      std::fmod(std::fmod(t_hours, params_.event_period_h) +
-                    params_.event_period_h,
-                params_.event_period_h) /
-      params_.event_period_h;
-  return phase < params_.upwelling_fraction;
-}
-
 WindStress WindForcing::at(double t_hours) const {
   const double phase =
       std::fmod(std::fmod(t_hours, params_.event_period_h) +

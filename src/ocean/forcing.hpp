@@ -30,14 +30,10 @@ class WindForcing {
   };
 
   explicit WindForcing(const Params& params);
-  WindForcing();
 
   /// Wind stress at simulation time `t_hours`. Monterey's upwelling wind
   /// blows toward the south-east: tau_y < 0 during events.
   WindStress at(double t_hours) const;
-
-  /// True while an upwelling event is active at `t_hours`.
-  bool upwelling_active(double t_hours) const;
 
   const Params& params() const { return params_; }
 

@@ -1,7 +1,6 @@
 #include "ocean/hierarchy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "ocean/state.hpp"
@@ -84,25 +83,6 @@ void prolong_plane(const double* src, std::size_t nxc, std::size_t nyc,
   }
 }
 
-/// Transpose of prolong_plane: scatter each fine value into its four
-/// coarse parents with the bilinear weights.
-void prolong_adjoint_plane(const double* src, std::size_t nx,
-                           std::size_t ny, double* dst, std::size_t nxc,
-                           std::size_t nyc, std::size_t f) {
-  for (std::size_t j = 0; j < nxc * nyc; ++j) dst[j] = 0.0;
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    const Bilinear by = axis_weights(iy, f, nyc);
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const Bilinear bx = axis_weights(ix, f, nxc);
-      const double v = src[iy * nx + ix];
-      dst[by.i0 * nxc + bx.i0] += v * (1.0 - bx.w) * (1.0 - by.w);
-      dst[by.i0 * nxc + bx.i1] += v * bx.w * (1.0 - by.w);
-      dst[by.i1 * nxc + bx.i0] += v * (1.0 - bx.w) * by.w;
-      dst[by.i1 * nxc + bx.i1] += v * bx.w * by.w;
-    }
-  }
-}
-
 }  // namespace
 
 GridHierarchy::GridHierarchy(const Grid3D& fine, std::size_t levels,
@@ -149,16 +129,6 @@ std::size_t GridHierarchy::packed_size(std::size_t level) const {
   return OceanState::packed_size(grid(level));
 }
 
-double GridHierarchy::cost_ratio(std::size_t level) const {
-  ESSEX_REQUIRE(level < grids_.size(), "hierarchy has no such level");
-  const double points = static_cast<double>(packed_size(level)) /
-                        static_cast<double>(packed_size(0));
-  // Advective CFL: dt ∝ dx, so a level-l member takes f^(-l) the steps.
-  const double steps = std::pow(static_cast<double>(coarsen_),
-                                -static_cast<double>(level));
-  return points * steps;
-}
-
 la::Vector GridHierarchy::restrict_once(const la::Vector& x,
                                         std::size_t from) const {
   const Grid3D& gf = grids_[from];
@@ -201,28 +171,6 @@ la::Vector GridHierarchy::prolong_once(const la::Vector& x,
   return out;
 }
 
-la::Vector GridHierarchy::prolong_adjoint_once(const la::Vector& x,
-                                               std::size_t from) const {
-  const Grid3D& gf = grids_[from - 1];
-  const Grid3D& gc = grids_[from];
-  la::Vector out(OceanState::packed_size(gc));
-  const std::size_t hp_f = gf.horizontal_points();
-  const std::size_t hp_c = gc.horizontal_points();
-  const std::size_t nz = gf.nz();
-  for (std::size_t field = 0; field < 4; ++field) {
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-      prolong_adjoint_plane(
-          x.data() + field * gf.points() + iz * hp_f, gf.nx(), gf.ny(),
-          out.data() + field * gc.points() + iz * hp_c, gc.nx(), gc.ny(),
-          coarsen_);
-    }
-  }
-  prolong_adjoint_plane(x.data() + 4 * gf.points(), gf.nx(), gf.ny(),
-                        out.data() + 4 * gc.points(), gc.nx(), gc.ny(),
-                        coarsen_);
-  return out;
-}
-
 la::Vector GridHierarchy::restrict_state(const la::Vector& fine,
                                          std::size_t level) const {
   ESSEX_REQUIRE(level < grids_.size(), "hierarchy has no such level");
@@ -240,16 +188,6 @@ la::Vector GridHierarchy::prolong_state(const la::Vector& coarse,
                 "prolongation input does not match the level's state");
   la::Vector x = coarse;
   for (std::size_t l = level; l > 0; --l) x = prolong_once(x, l);
-  return x;
-}
-
-la::Vector GridHierarchy::prolong_adjoint(const la::Vector& fine,
-                                          std::size_t level) const {
-  ESSEX_REQUIRE(level < grids_.size(), "hierarchy has no such level");
-  ESSEX_REQUIRE(fine.size() == packed_size(0),
-                "adjoint input is not a fine packed state");
-  la::Vector x = fine;
-  for (std::size_t l = 1; l <= level; ++l) x = prolong_adjoint_once(x, l);
   return x;
 }
 

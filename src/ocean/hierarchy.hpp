@@ -13,10 +13,7 @@
 //   * prolongation (coarse → fine): per-z-level bilinear interpolation
 //     between cell centres, clamped at the boundary, computed in lerp
 //     form v = p + t·(q − p) so a constant field prolongates to itself
-//     bitwise;
-//   * prolongation adjoint (fine → coarse): the transpose operator,
-//     ⟨y, P x⟩_fine = ⟨Pᵀ y, x⟩_coarse up to roundoff — the property the
-//     testkit adjoint-consistency suite pins.
+//     bitwise.
 //
 // Coarsening is horizontal only: all levels share the fine grid's
 // z-levels (the surrogate's vertical resolution is already minimal), so
@@ -59,22 +56,10 @@ class GridHierarchy {
   la::Vector prolong_state(const la::Vector& coarse,
                            std::size_t level) const;
 
-  /// Adjoint of prolong_state: maps a fine packed vector down to `level`
-  /// with the transposed interpolation weights (not an average — column
-  /// sums exceed 1 where fine cells share coarse parents).
-  la::Vector prolong_adjoint(const la::Vector& fine,
-                             std::size_t level) const;
-
-  /// Per-member cost of a level-`level` member relative to a fine one
-  /// under the advective CFL (points ratio × dt ratio); ~f^(-3l).
-  double cost_ratio(std::size_t level) const;
-
  private:
   // One-step operators between adjacent levels.
   la::Vector restrict_once(const la::Vector& x, std::size_t from) const;
   la::Vector prolong_once(const la::Vector& x, std::size_t from) const;
-  la::Vector prolong_adjoint_once(const la::Vector& x,
-                                  std::size_t from) const;
 
   std::size_t coarsen_;
   std::vector<Grid3D> grids_;

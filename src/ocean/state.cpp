@@ -44,23 +44,6 @@ void OceanState::unpack(const la::Vector& x, const Grid3D& grid) {
              x.begin() + static_cast<std::ptrdiff_t>(4 * p + h));
 }
 
-Field2D OceanState::temperature_slice(const Grid3D& grid,
-                                      std::size_t iz) const {
-  ESSEX_REQUIRE(iz < grid.nz(), "temperature_slice: level out of range");
-  Field2D f;
-  f.nx = grid.nx();
-  f.ny = grid.ny();
-  f.values.resize(grid.horizontal_points());
-  f.x0 = 0;
-  f.x1 = grid.dx_km() * static_cast<double>(grid.nx() - 1);
-  f.y0 = 0;
-  f.y1 = grid.dy_km() * static_cast<double>(grid.ny() - 1);
-  for (std::size_t iy = 0; iy < grid.ny(); ++iy)
-    for (std::size_t ix = 0; ix < grid.nx(); ++ix)
-      f.values[grid.hindex(ix, iy)] = temperature[grid.index(ix, iy, iz)];
-  return f;
-}
-
 double state_distance(const OceanState& a, const OceanState& b) {
   ESSEX_REQUIRE(a.temperature.size() == b.temperature.size() &&
                     a.ssh.size() == b.ssh.size(),

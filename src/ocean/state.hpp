@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "common/field_io.hpp"
 #include "linalg/matrix.hpp"
 #include "ocean/grid.hpp"
 
@@ -34,9 +33,6 @@ struct OceanState {
 
   /// Unpack from a vector produced by pack() on a same-shaped state.
   void unpack(const la::Vector& x, const Grid3D& grid);
-
-  /// Extract the temperature field at z-level `iz` as a 2-D map.
-  Field2D temperature_slice(const Grid3D& grid, std::size_t iz) const;
 };
 
 /// Euclidean distance between two packed states (diagnostic).

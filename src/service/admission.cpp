@@ -10,6 +10,14 @@
 
 namespace essex::service {
 
+namespace {
+
+/// Safety multiplier on the estimated service time before comparing
+/// against the deadline (absorbs estimate noise and queue jitter).
+constexpr double kRuntimeSafety = 1.25;
+
+}  // namespace
+
 std::string to_string(RequestState s) {
   switch (s) {
     case RequestState::kQueued: return "queued";
@@ -63,14 +71,14 @@ std::optional<Rejection> AdmissionController::decide(
       const auto ahead =
           static_cast<double>(load.queued_ahead + load.inflight);
       const double wait_s = std::ceil(ahead / static_cast<double>(slots)) *
-                            cost * policy_.runtime_safety;
+                            cost * kRuntimeSafety;
       const double finish_s = load.now_s + wait_s +
-                              cost * policy_.runtime_safety;
+                              cost * kRuntimeSafety;
       if (finish_s > ticket.deadline_s) {
         std::ostringstream os;
         os << "deadline infeasible: estimated finish t=" << finish_s
            << "s (now " << load.now_s << "s + wait " << wait_s
-           << "s + run " << cost * policy_.runtime_safety
+           << "s + run " << cost * kRuntimeSafety
            << "s) past deadline t=" << ticket.deadline_s << "s";
         return Rejection{RejectReason::kDeadlineInfeasible, os.str()};
       }

@@ -86,9 +86,6 @@ struct AdmissionPolicy {
   /// estimator's rolling view once completions exist. With neither, the
   /// deadline check admits optimistically.
   bool enforce_deadlines = true;
-  /// Safety multiplier on the estimated service time before comparing
-  /// against the deadline (absorbs estimate noise and queue jitter).
-  double runtime_safety = 1.25;
 };
 
 /// Rolling estimate of service cost, fed by completions. Exponentially

@@ -16,6 +16,8 @@ namespace {
 /// Input volume prestaged to each remote resource (charged to the EC2
 /// bill; Grid prestage is free but takes gateway time before start).
 constexpr double kPrestageInputBytes = 1.5e9;
+/// EC2 instance boot + contextualisation before a cloud pool takes work.
+constexpr double kProvisioningLatencyS = 120.0;
 
 using mtc::ClusterScheduler;
 using mtc::ClusterSpec;
@@ -136,7 +138,7 @@ AugmentationResult run_augmented_ensemble(const AugmentationConfig& config) {
     p.sched = std::make_unique<ClusterScheduler>(sim, std::move(spec),
                                                  mtc::sge_params());
     p.fs_factor = c.instance.fs_factor;
-    p.start_delay_s = c.provisioning_latency_s +
+    p.start_delay_s = kProvisioningLatencyS +
                       kPrestageInputBytes / 30e6;
     pools.push_back(std::move(p));
   }

@@ -31,7 +31,6 @@ struct GridPoolConfig {
 struct CloudPoolConfig {
   mtc::InstanceType instance;
   std::size_t instances = 20;
-  double provisioning_latency_s = 120.0;  ///< boot + contextualise
 };
 
 struct AugmentationConfig {

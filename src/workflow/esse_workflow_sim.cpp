@@ -13,6 +13,10 @@ namespace essex::workflow {
 
 namespace {
 
+/// kSpareNearFinish spares a running member once it has used this
+/// fraction of its expected runtime.
+constexpr double kSpareFraction = 0.9;
+
 using mtc::ClusterScheduler;
 using mtc::JobContext;
 using mtc::JobId;
@@ -481,7 +485,7 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
             (cfg.shape.pert_cpu_s + cfg.shape.pemodel_cpu_s) / r.node_speed +
             cfg.shape.pert_fs_s;
         const double elapsed = sim.now() - r.started;
-        if (elapsed >= cfg.spare_fraction * expected) continue;
+        if (elapsed >= kSpareFraction * expected) continue;
       }
       exec->cancel_member(member);
     }

@@ -38,7 +38,7 @@ namespace essex::workflow {
 enum class CancelPolicy {
   kCancelImmediately,  ///< kill queued and running members, conclude
   kUseAllFinished,     ///< kill queued+running, but diff+SVD what landed
-  kSpareNearFinish,    ///< let members past `spare_fraction` finish
+  kSpareNearFinish,    ///< let members 90% of the way done finish
 };
 
 /// Workflow configuration shared by both drivers.
@@ -54,7 +54,6 @@ struct EsseWorkflowConfig {
   /// Members between successive SVD/convergence checks.
   std::size_t svd_stride = 50;
   CancelPolicy cancel_policy = CancelPolicy::kCancelImmediately;
-  double spare_fraction = 0.9;  ///< for kSpareNearFinish
   /// Recovery policy applied by the parallel driver's fault layer:
   /// retry/backoff on failure or eviction, per-task timeouts, straggler
   /// speculation. Failure *injection* lives in SchedulerParams::faults.

@@ -12,8 +12,9 @@ namespace essex::workflow {
 
 namespace {
 
-/// Initial-uncertainty bootstrap: spin-up length, and the inflation of
-/// its spread (realistic IC error ≫ model noise).
+/// Initial-uncertainty bootstrap: sample count, spin-up length, and the
+/// inflation of its spread (realistic IC error ≫ model noise).
+constexpr std::size_t kBootstrapSamples = 12;
 constexpr double kBootstrapSpinupH = 12.0;
 constexpr double kBootstrapInflation = 5.0;
 /// Multiplicative inflation of the posterior spread handed to the next
@@ -42,7 +43,7 @@ RealtimeReport run_realtime_experiment(const ocean::OceanModel& model,
   // Initial error subspace (inflated spin-up spread, DESIGN.md §2).
   esse::ErrorSubspace raw = esse::bootstrap_subspace(
       model, initial, timeline.t0(), kBootstrapSpinupH,
-      config.bootstrap_samples, 0.999, config.max_rank, kTruthSeed);
+      kBootstrapSamples, 0.999, config.max_rank, kTruthSeed);
   la::Vector inflated = raw.sigmas();
   for (auto& s : inflated) s *= kBootstrapInflation;
   esse::ErrorSubspace subspace(raw.modes(), inflated);

@@ -26,8 +26,6 @@ namespace essex::workflow {
 
 struct RealtimeConfig {
   esse::CycleParams cycle;  ///< per-procedure ensemble numerics
-  /// Initial-uncertainty bootstrap sample count.
-  std::size_t bootstrap_samples = 12;
   std::size_t max_rank = 12;
 };
 

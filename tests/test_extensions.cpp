@@ -1,23 +1,17 @@
 // Tests for the extension features: generic linear-observation analysis,
-// coupled physical–acoustical assimilation (§2.2), output-transfer
-// strategies (§5.3.2), adaptive sampling (§7) and multi-core "nested
-// MPI" jobs (§7).
+// output-transfer strategies (§5.3.2) and multi-core "nested MPI" jobs
+// (§7).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
-#include "acoustics/coupled_assimilation.hpp"
-#include "acoustics/ensemble.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "esse/adaptive_sampling.hpp"
 #include "esse/analysis.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/stats.hpp"
 #include "mtc/output_transfer.hpp"
 #include "mtc/scheduler.hpp"
-#include "obs/instruments.hpp"
 #include "ocean/monterey.hpp"
 
 namespace essex {
@@ -91,121 +85,6 @@ TEST(AnalyzeLinear, ValidatesStencilIndices) {
                PreconditionError);
 }
 
-// ---- coupled physical–acoustical assimilation -----------------------------------
-
-struct CoupledFixture : ::testing::Test {
-  void SetUp() override {
-    sc = std::make_unique<ocean::Scenario>(
-        ocean::make_monterey_scenario(24, 20, 5));
-    geom.x0_km = 4;
-    geom.y0_km = 60;
-    geom.x1_km = 90;
-    geom.y1_km = 60;
-    geom.n_range = 32;
-    geom.n_depth = 16;
-    geom.max_depth_m = 150;
-    // Thermocline-perturbed realisations: T and TL co-vary.
-    Rng rng(11);
-    for (int k = 0; k < 10; ++k) {
-      ocean::OceanState s = sc->initial;
-      const double amp = 0.6 * rng.normal();
-      for (std::size_t iz = 0; iz < sc->grid.nz(); ++iz) {
-        const double w = std::exp(-sc->grid.depths()[iz] / 60.0);
-        for (std::size_t i = 0; i < sc->grid.horizontal_points(); ++i)
-          s.temperature[iz * sc->grid.horizontal_points() + i] += amp * w;
-      }
-      members.push_back(s.pack());
-    }
-    params.n_rays = 61;
-    cov = acoustics::coupled_covariance(sc->grid, members, geom, params, 6);
-    stats = acoustics::tl_ensemble_stats(sc->grid, members, geom, params);
-    // Prior mean fields on the section.
-    acoustics::SoundSpeedSlice slice =
-        extract_slice(sc->grid, sc->initial, geom);
-    mean_t.assign(slice.t.begin(), slice.t.end());
-    mean_tl = stats.mean_tl;
-  }
-
-  std::unique_ptr<ocean::Scenario> sc;
-  acoustics::SliceGeometry geom;
-  acoustics::TLParams params;
-  std::vector<la::Vector> members;
-  acoustics::CoupledCovariance cov;
-  acoustics::TLEnsembleStats stats;
-  std::vector<double> mean_t, mean_tl;
-};
-
-TEST_F(CoupledFixture, TlObservationReducesJointUncertainty) {
-  // Observe at the node where the TL ensemble actually varies (a node in
-  // a shadow zone sits pinned at the TL cap and carries no information).
-  const std::size_t node = static_cast<std::size_t>(
-      std::max_element(stats.std_tl.begin(), stats.std_tl.end()) -
-      stats.std_tl.begin());
-  acoustics::SectionObservation ob;
-  ob.kind = acoustics::SectionObservation::Kind::kTransmissionLoss;
-  ob.range_km = static_cast<double>(node / geom.n_depth) *
-                geom.length_km() /
-                static_cast<double>(geom.n_range - 1);
-  ob.depth_m = static_cast<double>(node % geom.n_depth) *
-               geom.depth_step_m();
-  ob.value = mean_tl[node] + 3.0;
-  ob.noise_std = 0.5;
-  auto res = acoustics::assimilate_coupled(geom, mean_t, mean_tl, cov, {ob});
-  EXPECT_LT(res.posterior_trace, res.prior_trace);
-  EXPECT_LT(res.posterior_innovation_rms, res.prior_innovation_rms);
-  // The TL field moved toward the observation at the observed node.
-  EXPECT_GT(res.tl[node], mean_tl[node]);
-}
-
-TEST_F(CoupledFixture, TlObservationCorrectsTemperature) {
-  // The headline coupling: observing TL alone must move the temperature
-  // field through the cross-covariance (the realisations tie T to TL).
-  const std::size_t node = static_cast<std::size_t>(
-      std::max_element(stats.std_tl.begin(), stats.std_tl.end()) -
-      stats.std_tl.begin());
-  acoustics::SectionObservation ob;
-  ob.kind = acoustics::SectionObservation::Kind::kTransmissionLoss;
-  ob.range_km = static_cast<double>(node / geom.n_depth) *
-                geom.length_km() /
-                static_cast<double>(geom.n_range - 1);
-  ob.depth_m = static_cast<double>(node % geom.n_depth) *
-               geom.depth_step_m();
-  ob.value = mean_tl[node] + 4.0;
-  ob.noise_std = 0.3;
-  auto res = acoustics::assimilate_coupled(geom, mean_t, mean_tl, cov, {ob});
-  double t_change = 0;
-  for (std::size_t i = 0; i < mean_t.size(); ++i)
-    t_change = std::max(t_change, std::fabs(res.temperature[i] - mean_t[i]));
-  EXPECT_GT(t_change, 1e-3);  // temperature responded to acoustic data
-}
-
-TEST_F(CoupledFixture, TemperatureObservationAlsoWorks) {
-  acoustics::SectionObservation ob;
-  ob.kind = acoustics::SectionObservation::Kind::kTemperature;
-  ob.range_km = 0.3 * geom.length_km();
-  ob.depth_m = 20.0;
-  const std::size_t node =
-      static_cast<std::size_t>(std::lround(
-          0.3 * static_cast<double>(geom.n_range - 1))) *
-          geom.n_depth +
-      static_cast<std::size_t>(std::lround(20.0 / geom.depth_step_m()));
-  ob.value = mean_t[node] + 1.0;
-  ob.noise_std = 0.05;
-  auto res = acoustics::assimilate_coupled(geom, mean_t, mean_tl, cov, {ob});
-  EXPECT_GT(res.temperature[node], mean_t[node] + 0.1);
-}
-
-TEST_F(CoupledFixture, ValidatesMeshAgreement) {
-  acoustics::SectionObservation ob;
-  std::vector<double> short_t(5, 0.0);
-  EXPECT_THROW(
-      acoustics::assimilate_coupled(geom, short_t, mean_tl, cov, {ob}),
-      PreconditionError);
-  EXPECT_THROW(
-      acoustics::assimilate_coupled(geom, mean_t, mean_tl, cov, {}),
-      PreconditionError);
-}
-
 // ---- output-transfer strategies ---------------------------------------------------
 
 std::vector<double> batch_completions(std::size_t n, double wave_gap) {
@@ -275,92 +154,6 @@ TEST(OutputTransfer, ValidatesInputs) {
   EXPECT_THROW(simulate_output_return({}, cfg), PreconditionError);
   cfg.agent_streams = 0;
   EXPECT_THROW(simulate_output_return({1.0}, cfg), PreconditionError);
-}
-
-// ---- adaptive sampling ---------------------------------------------------------------
-
-struct SamplingFixture : ::testing::Test {
-  void SetUp() override {
-    sc = std::make_unique<ocean::Scenario>(
-        ocean::make_monterey_scenario(20, 16, 4));
-    Rng rng(21);
-    const std::size_t dim = ocean::OceanState::packed_size(sc->grid);
-    // Subspace dominated by one strong mode.
-    la::Matrix e = random_orthonormal(dim, 4, rng);
-    subspace = esse::ErrorSubspace(e, {3.0, 1.0, 0.5, 0.2});
-  }
-  std::unique_ptr<ocean::Scenario> sc;
-  esse::ErrorSubspace subspace;
-
-  obs::ObsOperator candidate_grid(double noise) const {
-    obs::ObservationSet set;
-    for (std::size_t iy = 1; iy < sc->grid.ny(); iy += 3) {
-      for (std::size_t ix = 1; ix < sc->grid.nx(); ix += 3) {
-        if (!sc->grid.is_water(ix, iy)) continue;
-        obs::Observation ob;
-        ob.kind = obs::VarKind::kTemperature;
-        ob.x_km = static_cast<double>(ix) * sc->grid.dx_km();
-        ob.y_km = static_cast<double>(iy) * sc->grid.dy_km();
-        ob.noise_std = noise;
-        set.push_back(ob);
-      }
-    }
-    return obs::ObsOperator(sc->grid, set);
-  }
-};
-
-TEST_F(SamplingFixture, TraceDecreasesMonotonically) {
-  obs::ObsOperator cands = candidate_grid(0.2);
-  auto plan = esse::plan_adaptive_sampling(subspace, cands, 6);
-  ASSERT_GE(plan.chosen.size(), 3u);
-  double prev = plan.initial_trace;
-  for (double t : plan.trace_after) {
-    EXPECT_LT(t, prev);
-    prev = t;
-  }
-  EXPECT_DOUBLE_EQ(plan.final_trace, plan.trace_after.back());
-}
-
-TEST_F(SamplingFixture, GreedyBeatsWorstSingleCandidate) {
-  obs::ObsOperator cands = candidate_grid(0.2);
-  auto plan = esse::plan_adaptive_sampling(subspace, cands, 1);
-  ASSERT_EQ(plan.chosen.size(), 1u);
-  const double best_gain =
-      plan.initial_trace - plan.final_trace;
-  // The greedy pick's gain must equal the max single-candidate gain.
-  double max_gain = 0;
-  for (std::size_t i = 0; i < cands.count(); ++i) {
-    max_gain = std::max(
-        max_gain, esse::candidate_trace_reduction(subspace, cands, i));
-  }
-  EXPECT_NEAR(best_gain, max_gain, 1e-9);
-}
-
-TEST_F(SamplingFixture, DiminishingReturns) {
-  obs::ObsOperator cands = candidate_grid(0.2);
-  auto plan = esse::plan_adaptive_sampling(subspace, cands, 8);
-  ASSERT_GE(plan.chosen.size(), 4u);
-  const double gain1 = plan.initial_trace - plan.trace_after[0];
-  const double gain_last =
-      plan.trace_after[plan.trace_after.size() - 2] -
-      plan.trace_after.back();
-  EXPECT_GE(gain1, gain_last - 1e-12);
-}
-
-TEST_F(SamplingFixture, NoisierCandidatesGainLess) {
-  obs::ObsOperator good = candidate_grid(0.05);
-  obs::ObsOperator bad = candidate_grid(2.0);
-  auto plan_good = esse::plan_adaptive_sampling(subspace, good, 3);
-  auto plan_bad = esse::plan_adaptive_sampling(subspace, bad, 3);
-  EXPECT_LT(plan_good.final_trace, plan_bad.final_trace);
-}
-
-TEST_F(SamplingFixture, ValidatesInputs) {
-  obs::ObsOperator cands = candidate_grid(0.2);
-  EXPECT_THROW(esse::plan_adaptive_sampling(subspace, cands, 0),
-               PreconditionError);
-  EXPECT_THROW(esse::candidate_trace_reduction(subspace, cands, 1u << 20),
-               PreconditionError);
 }
 
 // ---- multi-core (nested MPI) jobs -------------------------------------------------------

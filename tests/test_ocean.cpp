@@ -75,40 +75,27 @@ TEST(OceanState, UnpackRejectsWrongLength) {
   EXPECT_THROW(s.unpack(la::Vector(5), g), PreconditionError);
 }
 
-TEST(OceanState, TemperatureSliceExtractsLevel) {
-  Grid3D g = small_grid();
-  OceanState s(g);
-  s.temperature[g.index(2, 3, 1)] = 42.0;
-  Field2D f = s.temperature_slice(g, 1);
-  EXPECT_EQ(f.nx, 8u);
-  EXPECT_EQ(f.ny, 6u);
-  EXPECT_DOUBLE_EQ(f.at(2, 3), 42.0);
-  EXPECT_THROW(s.temperature_slice(g, 3), PreconditionError);
-}
-
 // ---- wind forcing --------------------------------------------------------------
 
 TEST(WindForcing, UpwellingPhaseHasEquatorwardStress) {
-  WindForcing wind;
+  const WindForcing wind{WindForcing::Params{}};
   // Peak of the upwelling phase is mid-way through it.
   const double t_peak =
       0.5 * wind.params().upwelling_fraction * wind.params().event_period_h;
-  EXPECT_TRUE(wind.upwelling_active(t_peak));
   EXPECT_LT(wind.at(t_peak).tau_y, -0.05);
 }
 
 TEST(WindForcing, RelaxationPhaseReversesAndWeakens) {
-  WindForcing wind;
+  const WindForcing wind{WindForcing::Params{}};
   const double p = wind.params().event_period_h;
   const double t_relax = (wind.params().upwelling_fraction + 0.15) * p;
-  EXPECT_FALSE(wind.upwelling_active(t_relax));
   const WindStress s = wind.at(t_relax);
   EXPECT_GT(s.tau_y, 0.0);
   EXPECT_LT(std::fabs(s.tau_y), wind.params().upwelling_tau);
 }
 
 TEST(WindForcing, PeriodicInTime) {
-  WindForcing wind;
+  const WindForcing wind{WindForcing::Params{}};
   const double p = wind.params().event_period_h;
   const WindStress a = wind.at(10.0);
   const WindStress b = wind.at(10.0 + 3 * p);

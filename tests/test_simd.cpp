@@ -557,7 +557,7 @@ TEST(ColumnArena, AllocationsAre64ByteAlignedAndZeroed) {
 }
 
 TEST(AlignedStorage, MatrixAndDifferColumnsSitOnCacheLines) {
-  const Matrix m(13, 7, 1.0);
+  const Matrix m(13, 7);
   EXPECT_TRUE(is_aligned(m.data().data(), 64));
 
   esse::Differ differ(Vector(33, 0.25));

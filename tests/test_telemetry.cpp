@@ -193,7 +193,7 @@ TEST(Sink, WritesJsonWithMetricsEventsAndSpans) {
     ScopedTimer timer(&sink, "phase_s");
   }
   const std::string path = tmp.file("nested/dir/session.json");
-  sink.write_json(path);  // creates parent directories
+  write_sessions_json(path, {&sink});  // creates parent directories
   const std::string json = slurp(path);
   EXPECT_NE(json.find("\"session\""), std::string::npos);
   EXPECT_NE(json.find("\"unit\""), std::string::npos);

@@ -1,5 +1,5 @@
-// Tests for verification metrics, the ESSE smoother, the real-time
-// experiment driver (Fig. 1) and the OpenDAP staging mode (§5.3.2).
+// Tests for verification metrics, the real-time experiment driver
+// (Fig. 1) and the OpenDAP staging mode (§5.3.2).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,12 +11,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "esse/differ.hpp"
 #include "esse/subspace_io.hpp"
-#include "esse/smoother.hpp"
 #include "esse/verification.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/stats.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/scheduler.hpp"
 #include "ocean/monterey.hpp"
@@ -118,96 +115,6 @@ TEST(RankHistogram, ValidatesInputs) {
   EXPECT_THROW(esse::rank_histogram(one, truth, 10, 1), PreconditionError);
 }
 
-// ---- smoother ----------------------------------------------------------------------
-
-TEST(Smoother, RecoversBackwardIncrementForLinearDynamics) {
-  // Members at t1 are a fixed linear map of members at t0. A present-
-  // time correction along the mapped anomaly of member j must smooth
-  // back to the original anomaly of member j.
-  Rng rng(5);
-  const std::size_t dim = 18, n = 6;
-  la::Matrix map = la::Matrix::identity(dim);
-  for (auto& v : map.data()) v += 0.05 * rng.normal();  // well-conditioned
-
-  la::Vector central0(dim, 1.0);
-  la::Vector central1 = la::matvec(map, central0);
-  esse::Differ d0(central0), d1(central1);
-  std::vector<la::Vector> anoms0;
-  for (std::size_t j = 0; j < n; ++j) {
-    la::Vector a = rng.normals(dim);
-    anoms0.push_back(a);
-    la::Vector x0 = central0;
-    for (std::size_t i = 0; i < dim; ++i) x0[i] += a[i];
-    d0.add_member(j, x0);
-    d1.add_member(j, la::matvec(map, x0));
-  }
-  const auto snap0 = d0.snapshot();
-  const auto snap1 = d1.snapshot();
-
-  // Present correction: exactly the mapped anomaly of member 2.
-  la::Vector delta1 = la::matvec(map, anoms0[2]);
-  la::Vector smoothed_present = central1;
-  for (std::size_t i = 0; i < dim; ++i) smoothed_present[i] += delta1[i];
-
-  auto res = esse::smooth_state(snap0, central0, snap1, central1,
-                                smoothed_present);
-  // The backward increment should reproduce anomaly 2 at t0.
-  la::Vector recovered = la::sub(res.smoothed_state, central0);
-  EXPECT_LT(la::rms_diff(recovered, anoms0[2]),
-            0.05 * la::rms(anoms0[2]));
-  EXPECT_GT(res.representable_fraction, 0.99);
-}
-
-TEST(Smoother, NoPresentCorrectionMeansNoChange) {
-  Rng rng(6);
-  const std::size_t dim = 10;
-  la::Vector central(dim, 0.0);
-  esse::Differ d0(central), d1(central);
-  for (std::size_t j = 0; j < 4; ++j) {
-    d0.add_member(j, rng.normals(dim));
-    d1.add_member(j, rng.normals(dim));
-  }
-  auto res = esse::smooth_state(d0.snapshot(), central, d1.snapshot(),
-                                central, central);
-  EXPECT_NEAR(res.increment_rms, 0.0, 1e-12);
-}
-
-TEST(Smoother, MatchesMembersByIdAcrossDifferentOrders) {
-  // Same ensemble, columns added in different orders at the two times —
-  // the id bookkeeping must pair them correctly (order-free, §4.1).
-  Rng rng(7);
-  const std::size_t dim = 12;
-  la::Vector central(dim, 0.0);
-  std::vector<la::Vector> anoms;
-  for (int j = 0; j < 5; ++j) anoms.push_back(rng.normals(dim));
-
-  esse::Differ d0(central), d1(central);
-  for (int j = 0; j < 5; ++j) d0.add_member(j, anoms[j]);
-  for (int j = 4; j >= 0; --j) d1.add_member(j, anoms[j]);  // reversed
-
-  // With identical anomalies at both times the smoother gain is the
-  // identity on the ensemble span: a correction along anomaly 1 maps to
-  // itself.
-  la::Vector smoothed_present = anoms[1];
-  auto res = esse::smooth_state(d0.snapshot(), central, d1.snapshot(),
-                                central, smoothed_present);
-  EXPECT_LT(la::rms_diff(la::sub(res.smoothed_state, central), anoms[1]),
-            1e-6);
-}
-
-TEST(Smoother, RequiresCommonMembers) {
-  la::Vector central(4, 0.0);
-  esse::Differ d0(central), d1(central);
-  Rng rng(8);
-  d0.add_member(0, rng.normals(4));
-  d0.add_member(1, rng.normals(4));
-  d1.add_member(7, rng.normals(4));
-  d1.add_member(8, rng.normals(4));
-  EXPECT_THROW(esse::smooth_state(d0.snapshot(), central, d1.snapshot(),
-                                  central, central),
-               PreconditionError);
-}
-
 // ---- realtime driver ------------------------------------------------------------------
 
 TEST(RealtimeDriver, MultiCycleCampaignBeatsPersistence) {
@@ -224,7 +131,6 @@ TEST(RealtimeDriver, MultiCycleCampaignBeatsPersistence) {
   cfg.cycle.ensemble = {8, 2.0, 8};
   cfg.cycle.convergence = {0.95, 100};
   cfg.cycle.max_rank = 8;
-  cfg.bootstrap_samples = 8;
   cfg.max_rank = 8;
 
   auto report = workflow::run_realtime_experiment(model, sc.initial, tl, cfg);

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "esse/cycle.hpp"
@@ -233,6 +236,89 @@ TEST_F(RunnerFixture, DrainedRunWithALostMemberRecomputes) {
   for (std::size_t i = 0; i < 16; ++i)
     if (i != 13) ids.push_back(i);
   cfg.arrival_hook = nullptr;
+  const esse::ErrorSubspace ref = drained_reference(*this, cfg, ids);
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.sigmas(), ref.sigmas()));
+  EXPECT_TRUE(same_bytes(res.forecast_subspace.modes().data(),
+                         ref.modes().data()));
+}
+
+// ---- the block-synchronous driver and the bootstrap -------------------------
+
+/// `f`'s subspace with one NaN in its leading mode: every perturbed member
+/// integrates to a non-finite state, the central run stays finite.
+esse::ErrorSubspace poisoned_subspace(const RunnerFixture& f) {
+  la::Matrix modes = f.subspace.modes();
+  modes(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  return esse::ErrorSubspace(std::move(modes), f.subspace.sigmas());
+}
+
+/// Runs `fn`, which must throw PreconditionError; returns its message.
+template <typename Fn>
+std::string precondition_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a PreconditionError";
+  return {};
+}
+
+TEST_F(RunnerFixture, BlockDriverRefusesADivergedMemberAtAnyThreadCount) {
+  // The differ refuses a non-finite member. A member pool that dropped the
+  // error would leave the ensemble short of its target forever.
+  const esse::ErrorSubspace poisoned = poisoned_subspace(*this);
+  for (const std::size_t threads : {1u, 2u}) {
+    esse::CycleParams cp;
+    cp.forecast_hours = 3.0;
+    cp.threads = threads;
+    cp.ensemble = {4, 2.0, 8};
+    const std::string what = precondition_message([&] {
+      esse::run_uncertainty_forecast(*model, sc->initial, poisoned, 0.0, cp);
+    });
+    EXPECT_NE(what.find("non-finite ensemble member column"),
+              std::string::npos)
+        << "threads = " << threads << ": " << what;
+  }
+}
+
+TEST_F(RunnerFixture, ThreadedBootstrapReportsADivergedSample) {
+  // Infinite model noise: every stochastic sample diverges, the
+  // deterministic reference run does not.
+  ocean::ModelParams params = sc->params;
+  params.noise_temp = std::numeric_limits<double>::infinity();
+  const ocean::OceanModel diverging(sc->grid, params,
+                                    ocean::WindForcing(sc->wind), sc->initial);
+  for (const std::size_t threads : {1u, 2u}) {
+    const std::string what = precondition_message([&] {
+      esse::bootstrap_subspace(diverging, sc->initial, 0.0, 3.0, 4, 0.99, 4,
+                               /*seed=*/11, threads);
+    });
+    EXPECT_NE(what.find("non-finite ensemble member column"),
+              std::string::npos)
+        << "threads = " << threads << ": " << what;
+  }
+}
+
+TEST_F(RunnerFixture, BlockDriverTakesItsLastCheckAsTheForecastSubspace) {
+  // Unconverged 8 → 16: the checks at 8 and 16 members are the only
+  // decompositions; the final subspace is the one checked at 16.
+  ParallelRunnerConfig cfg = draining_config(8);
+  esse::CycleParams& cp = cfg.cycle;
+  cp.check_interval = 8;
+  telemetry::Sink sink("block");
+  cp.sink = &sink;
+  const esse::ForecastResult res =
+      esse::run_uncertainty_forecast(*model, sc->initial, subspace, 0.0, cp);
+  cp.sink = nullptr;
+  ASSERT_FALSE(res.converged);
+  ASSERT_EQ(res.members_run, 16u);
+  EXPECT_EQ(sink.metrics().value("esse.convergence_checks"), 2.0);
+  EXPECT_EQ(sink.metrics().value("differ.subspace_checks"),
+            sink.metrics().value("esse.convergence_checks"));
+
+  std::vector<std::size_t> ids(16);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
   const esse::ErrorSubspace ref = drained_reference(*this, cfg, ids);
   EXPECT_TRUE(same_bytes(res.forecast_subspace.sigmas(), ref.sigmas()));
   EXPECT_TRUE(same_bytes(res.forecast_subspace.modes().data(),

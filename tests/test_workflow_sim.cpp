@@ -165,7 +165,6 @@ TEST(CancelPolicies, SpareNearFinishUsesMoreMembersThanImmediate) {
   EsseWorkflowConfig spare = test_config();
   spare.pool_headroom = 2.0;
   spare.cancel_policy = CancelPolicy::kSpareNearFinish;
-  spare.spare_fraction = 0.5;
   WorkflowMetrics mi = run(true, immediate);
   WorkflowMetrics ms = run(true, spare);
   EXPECT_GE(ms.members_diffed, mi.members_diffed);
