@@ -1,9 +1,10 @@
 // Tracked SIMD kernel suite (DESIGN.md §13): times the dispatch-layer
 // hot paths on ESSE's production shapes — the differ's Gram border, the
 // tall-skinny AᵀB product, the U = A·V mode product, the one-sided
-// Jacobi SVD and the subspace analysis update — once under the active
-// dispatch tier and once forced to the scalar reference, and reports the
-// speedup and effective memory bandwidth per kernel.
+// Jacobi SVD, the subspace analysis update and the ocean model's tracer
+// stencil — once under the active dispatch tier and once forced to the
+// scalar reference, and reports the speedup and effective memory
+// bandwidth per kernel.
 //
 // Unlike the other benches this one is CI-gated: the JSON it writes to
 // results/bench_linalg_kernels.json is checked by tools/check_perf.py
@@ -215,6 +216,46 @@ int main(int argc, char** argv) {
           const esse::AnalysisResult r =
               esse::analyze(forecast, sub, esse::ObsSet::from_linear(obs));
           if (r.posterior_state.size() != kM) std::abort();
+        }));
+  }
+
+  {
+    // The ocean integrator's tracer stencil on a Monterey-sized field
+    // (48x40x6): each level's interior rows as runs of 46 columns, two
+    // tracers per step, 40 steps per rep. Traffic per point: the field,
+    // u, v and the output.
+    constexpr std::size_t nx = 48, ny = 40, nz = 6, kSteps = 40;
+    const std::size_t hp = nx * ny;
+    const Matrix fields = random_matrix(hp * nz, 4, 19);
+    std::vector<double> f = fields.col(0), u = fields.col(1),
+                        v = fields.col(2), out(hp * nz);
+    for (auto& x : f) x = 12.0 + x;
+    simd::TracerLevel k{};
+    k.row = nx;
+    k.vertical = true;
+    k.dx = k.dy = 2500.0;
+    k.dx2 = k.dy2 = k.dx * k.dx;
+    k.kappa_h = 50.0;
+    k.kappa_v = 1e-4;
+    k.dz_up2 = k.dz_dn2 = 50.0 * 50.0;
+    k.dt = 300.0;
+    const double points =
+        static_cast<double>(kSteps * 2 * nz * (ny - 2) * (nx - 2));
+    rows.push_back(bench(
+        "tracer_run", "48x40x6, T+S x 40 steps",
+        points * 4 * sizeof(double), reps, [&] {
+          const simd::KernelTable& kern = simd::kernels();
+          for (std::size_t step = 0; step < 2 * kSteps; ++step) {
+            for (std::size_t iz = 0; iz < nz; ++iz) {
+              k.up = iz > 0 ? -static_cast<std::ptrdiff_t>(hp) : 0;
+              k.dn = iz + 1 < nz ? static_cast<std::ptrdiff_t>(hp) : 0;
+              for (std::size_t iy = 1; iy + 1 < ny; ++iy) {
+                const std::size_t id = iz * hp + iy * nx + 1;
+                kern.tracer_run(f.data() + id, u.data() + id, v.data() + id,
+                                nx - 2, k, out.data() + id);
+              }
+            }
+          }
         }));
   }
 

@@ -2,10 +2,11 @@
 //
 // Every dense kernel the DA pipeline spends real time in — the differ's
 // Gram borders, AᵀB products, U = A·V recoveries, Jacobi rotations —
-// funnels through the small kernel table below. Two dispatch tiers
-// exist (scalar reference, AVX2+FMA); the active tier is picked once at
-// startup from cpuid, overridable with ESSEX_SIMD_LEVEL for testing
-// (values: "scalar", "avx2").
+// funnels through the small kernel table below, and so does the tracer
+// stencil the ocean integrator spends most of its time in. Two dispatch
+// tiers exist (scalar reference, AVX2+FMA); the active tier is picked
+// once at startup from cpuid, overridable with ESSEX_SIMD_LEVEL for
+// testing (values: "scalar", "avx2").
 //
 // ## The determinism contract (DESIGN.md §10, §13)
 //
@@ -15,10 +16,11 @@
 // produced it. Two rules make this possible:
 //
 // 1. *Elementwise kernels* (axpy, rotate, scale, the rank-1 row updates
-//    inside the matmuls) carry no cross-element reduction: each output
-//    element is its own rounding chain, so vectorizing over elements is
-//    bitwise-free on every tier. These use plain multiply+add — never a
-//    fused multiply-add, which would round differently per element.
+//    inside the matmuls, the ocean tracer stencil) carry no
+//    cross-element reduction: each output element is its own rounding
+//    chain, so vectorizing over elements is bitwise-free on every tier.
+//    These use plain multiply+add — never a fused multiply-add, which
+//    would round differently per element.
 //
 // 2. *Reduction kernels* (dot, sumsq, the Gram border dots, Jacobi's
 //    pair products) fix one canonical summation shape shared by every
@@ -77,6 +79,22 @@ class ScopedLevel {
 /// this many cached-column dot products (8 accumulator registers on
 /// AVX2). gram_append's column blocking is built on this width.
 inline constexpr std::size_t kDotBlockCols = 8;
+
+/// One horizontal level of the ocean tracer update (KernelTable::
+/// tracer_run): index offsets to a point's neighbours and the update's
+/// coefficients. Lengths in metres, dt in seconds.
+struct TracerLevel {
+  std::ptrdiff_t row;     ///< offset to the north neighbour (−row: south)
+  std::ptrdiff_t up, dn;  ///< offsets to the level above / below (0 at
+                          ///< the top / bottom level)
+  bool vertical;          ///< false on a one-level grid: no vertical term
+  double dx, dy;          ///< cell widths
+  double dx2, dy2;        ///< dx·dx, dy·dy
+  double kappa_h;         ///< horizontal diffusivity (m²/s)
+  double kappa_v;         ///< vertical diffusivity (m²/s)
+  double dz_up2, dz_dn2;  ///< squared spacing to the level above / below
+  double dt;
+};
 
 /// One dispatch tier's kernel set. All pointers are non-null; all
 /// lengths are in doubles; src/dst ranges must not overlap unless a
@@ -139,6 +157,19 @@ struct KernelTable {
   void (*columns_tile)(const double* a, std::size_t rows, std::size_t n,
                        const double* v, std::size_t ldv, std::size_t r,
                        double* out);
+
+  /// One run of n interior water points of a tracer field f, the ocean
+  /// model's upwind advection + diffusion step. Point i reads
+  /// fc = f[i], fw/fe = f[i∓1], fs/fn = f[i∓row], fu/fd = f[i+up]/f[i+dn],
+  /// u[i] and v[i], and writes, in this order,
+  ///   ax  = u > 0 ? u·(fc−fw) : u·(fe−fc)   (ay likewise with v, fs, fn)
+  ///   adv = (0.0 + ax/dx) + ay/dy
+  ///   lap = ((fe − 2·fc) + fw)/dx2 + ((fn − 2·fc) + fs)/dy2
+  ///   vd  = vertical ? κv·((fd − fc)/dz_dn2 − (fc − fu)/dz_up2) : 0.0
+  ///   out[i] = fc + dt·((−adv + κh·lap) + vd)
+  /// The comparison is ordered: u = 0, −0 or NaN takes the second side.
+  void (*tracer_run)(const double* f, const double* u, const double* v,
+                     std::size_t n, const TracerLevel& k, double* out);
 };
 
 /// Kernel table of the active tier (one relaxed atomic load).

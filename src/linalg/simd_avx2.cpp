@@ -285,13 +285,70 @@ void avx2_columns_tile(const double* a, std::size_t rows, std::size_t n,
   }
 }
 
+// Four points per iteration, each lane the exact chain of tracer_point.
+// The upwind side is a select between the two products (an ordered
+// greater-than, so 0, -0 and NaN velocities take the second product, as
+// the scalar branch does), divided once after the select. The 0.0 +
+// turns a -0 term into +0, as in the scalar code. -adv + κh·lap is
+// κh·lap - adv: the same value, and the same NaN sign as the compiled
+// scalar code (which emits the subtraction too).
+void avx2_tracer_run(const double* f, const double* u, const double* v,
+                     std::size_t n, const TracerLevel& k, double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d dx = _mm256_set1_pd(k.dx), dy = _mm256_set1_pd(k.dy);
+  const __m256d dx2 = _mm256_set1_pd(k.dx2), dy2 = _mm256_set1_pd(k.dy2);
+  const __m256d kh = _mm256_set1_pd(k.kappa_h);
+  const __m256d kv = _mm256_set1_pd(k.kappa_v);
+  const __m256d dzu2 = _mm256_set1_pd(k.dz_up2);
+  const __m256d dzd2 = _mm256_set1_pd(k.dz_dn2);
+  const __m256d dt = _mm256_set1_pd(k.dt);
+  const std::size_t nv = n - n % 4;
+  for (std::size_t i = 0; i < nv; i += 4) {
+    const double* p = f + i;
+    const __m256d fc = _mm256_loadu_pd(p);
+    const __m256d fw = _mm256_loadu_pd(p - 1);
+    const __m256d fe = _mm256_loadu_pd(p + 1);
+    const __m256d fs = _mm256_loadu_pd(p - k.row);
+    const __m256d fn = _mm256_loadu_pd(p + k.row);
+    const __m256d uu = _mm256_loadu_pd(u + i);
+    const __m256d vv = _mm256_loadu_pd(v + i);
+    const __m256d ax = _mm256_blendv_pd(
+        _mm256_mul_pd(uu, _mm256_sub_pd(fe, fc)),
+        _mm256_mul_pd(uu, _mm256_sub_pd(fc, fw)),
+        _mm256_cmp_pd(uu, zero, _CMP_GT_OQ));
+    const __m256d ay = _mm256_blendv_pd(
+        _mm256_mul_pd(vv, _mm256_sub_pd(fn, fc)),
+        _mm256_mul_pd(vv, _mm256_sub_pd(fc, fs)),
+        _mm256_cmp_pd(vv, zero, _CMP_GT_OQ));
+    const __m256d adv = _mm256_add_pd(
+        _mm256_add_pd(zero, _mm256_div_pd(ax, dx)), _mm256_div_pd(ay, dy));
+    const __m256d fc2 = _mm256_mul_pd(two, fc);
+    const __m256d lap = _mm256_add_pd(
+        _mm256_div_pd(_mm256_add_pd(_mm256_sub_pd(fe, fc2), fw), dx2),
+        _mm256_div_pd(_mm256_add_pd(_mm256_sub_pd(fn, fc2), fs), dy2));
+    const __m256d tr = _mm256_sub_pd(_mm256_mul_pd(kh, lap), adv);
+    __m256d vd = zero;
+    if (k.vertical) {
+      const __m256d fu = _mm256_loadu_pd(p + k.up);
+      const __m256d fd = _mm256_loadu_pd(p + k.dn);
+      vd = _mm256_mul_pd(
+          kv, _mm256_sub_pd(_mm256_div_pd(_mm256_sub_pd(fd, fc), dzd2),
+                            _mm256_div_pd(_mm256_sub_pd(fc, fu), dzu2)));
+    }
+    _mm256_storeu_pd(
+        out + i, _mm256_add_pd(fc, _mm256_mul_pd(dt, _mm256_add_pd(tr, vd))));
+  }
+  for (std::size_t i = nv; i < n; ++i) out[i] = tracer_point(f, u, v, i, k);
+}
+
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table = {
       avx2_dot,    avx2_sumsq,      avx2_dot_block, avx2_pair_dots,
       avx2_axpy,   avx2_scale,      avx2_rotate,    avx2_atb_update,
-      avx2_ab_row, avx2_columns_tile,
+      avx2_ab_row, avx2_columns_tile, avx2_tracer_run,
   };
   return table;
 }

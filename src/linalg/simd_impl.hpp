@@ -38,5 +38,24 @@ void scalar_ab_row(const double* arow, const double* b, double* crow,
 void scalar_columns_tile(const double* a, std::size_t rows, std::size_t n,
                          const double* v, std::size_t ldv, std::size_t r,
                          double* out);
+void scalar_tracer_run(const double* f, const double* u, const double* v,
+                       std::size_t n, const TracerLevel& k, double* out);
+
+/// Point i of tracer_run, written out once for the scalar tier and the
+/// vector tiers' tails.
+inline double tracer_point(const double* f, const double* u, const double* v,
+                           std::size_t i, const TracerLevel& k) {
+  const double* p = f + i;
+  const double fc = p[0], fw = p[-1], fe = p[1];
+  const double fs = p[-k.row], fn = p[k.row];
+  const double ax = u[i] > 0 ? u[i] * (fc - fw) : u[i] * (fe - fc);
+  const double ay = v[i] > 0 ? v[i] * (fc - fs) : v[i] * (fn - fc);
+  const double adv = (0.0 + ax / k.dx) + ay / k.dy;
+  const double lap = (fe - 2 * fc + fw) / k.dx2 + (fn - 2 * fc + fs) / k.dy2;
+  const double vd = k.vertical ? k.kappa_v * ((p[k.dn] - fc) / k.dz_dn2 -
+                                              (fc - p[k.up]) / k.dz_up2)
+                               : 0.0;
+  return fc + k.dt * ((-adv + k.kappa_h * lap) + vd);
+}
 
 }  // namespace essex::la::simd::detail

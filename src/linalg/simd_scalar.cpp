@@ -152,12 +152,17 @@ void scalar_columns_tile(const double* a, std::size_t rows, std::size_t n,
   }
 }
 
+void scalar_tracer_run(const double* f, const double* u, const double* v,
+                       std::size_t n, const TracerLevel& k, double* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = tracer_point(f, u, v, i, k);
+}
+
 const KernelTable& scalar_table() {
   static const KernelTable table = {
       scalar_dot,     scalar_sumsq,  scalar_dot_block,
       scalar_pair_dots, scalar_axpy, scalar_scale,
       scalar_rotate,  scalar_atb_update, scalar_ab_row,
-      scalar_columns_tile,
+      scalar_columns_tile, scalar_tracer_run,
   };
   return table;
 }

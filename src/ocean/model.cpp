@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "linalg/simd.hpp"
 
 namespace essex::ocean {
 
@@ -58,6 +59,26 @@ OceanModel::OceanModel(const Grid3D& grid, const ModelParams& params,
       columns_.push_back(c);
     }
   }
+
+  for (const double depth : grid_.depths()) {
+    // Ekman flow decays over the mixed layer, geostrophic shear over a
+    // 1.5-layer reduced-gravity depth scale.
+    ek_decay_.push_back(std::exp(-depth / params_.mixed_layer_m));
+    geo_decay_.push_back(std::exp(-depth / 150.0));
+  }
+  // Interior columns (all four neighbours water on the grid) form runs
+  // of consecutive hindex; the others are edges.
+  for (const Column& c : columns_) {
+    const bool interior = c.w + 1 == c.h && c.e == c.h + 1 &&
+                          c.s + nx == c.h && c.n == c.h + nx;
+    if (!interior) {
+      edges_.push_back(c);
+    } else if (!runs_.empty() && runs_.back().h + runs_.back().n == c.h) {
+      ++runs_.back().n;
+    } else {
+      runs_.push_back({c.h, 1});
+    }
+  }
 }
 
 double OceanModel::max_stable_dt_hours() const {
@@ -83,41 +104,47 @@ void OceanModel::diagnose_currents(OceanState& state, double t_hours) const {
   // Land carries no current.
   std::fill(state.u.begin(), state.u.end(), 0.0);
   std::fill(state.v.begin(), state.v.end(), 0.0);
-  for (std::size_t iz = 0; iz < grid_.nz(); ++iz) {
-    const double depth = grid_.depths()[iz];
-    const double ek_decay = std::exp(-depth / params_.mixed_layer_m);
-    // Geostrophic shear decays with depth too (1.5-layer reduced gravity).
-    const double geo_decay = std::exp(-depth / 150.0);
-    double* u = state.u.data() + iz * hp;
-    double* v = state.v.data() + iz * hp;
-    for (const Column& c : columns_) {
-      // Centred SSH gradients; a land neighbour reads the centre.
-      const double detadx = (state.ssh[c.e] - state.ssh[c.w]) / c.span_x;
-      const double detady = (state.ssh[c.n] - state.ssh[c.s]) / c.span_y;
-      double ug = -gf * detady * geo_decay;
-      double vg = gf * detadx * geo_decay;
-      ug += ue * ek_decay;
-      vg += ve * ek_decay;
-      u[c.h] = std::clamp(ug, -cap, cap);
-      v[c.h] = std::clamp(vg, -cap, cap);
+  for (const Column& c : columns_) {
+    // Centred SSH gradients; a land neighbour reads the centre.
+    const double detadx = (state.ssh[c.e] - state.ssh[c.w]) / c.span_x;
+    const double detady = (state.ssh[c.n] - state.ssh[c.s]) / c.span_y;
+    const double ug0 = -gf * detady;
+    const double vg0 = gf * detadx;
+    // Per level: geostrophic shear, then the Ekman flow, each decayed.
+    for (std::size_t iz = 0, id = c.h; iz < grid_.nz(); ++iz, id += hp) {
+      const double ug = ug0 * geo_decay_[iz] + ue * ek_decay_[iz];
+      const double vg = vg0 * geo_decay_[iz] + ve * ek_decay_[iz];
+      state.u[id] = std::clamp(ug, -cap, cap);
+      state.v[id] = std::clamp(vg, -cap, cap);
     }
   }
 }
 
 void OceanModel::apply_stochastic_forcing(OceanState& state, double dt_hours,
-                                          Rng& rng) const {
+                                          Rng& rng, Scratch& scratch) const {
   const std::size_t hp = grid_.horizontal_points();
   const double sqrt_dt = std::sqrt(dt_hours);
 
   // Spatially-correlated horizontal noise pattern shared by T and SSH,
   // produced by Jacobi-smoothing white noise over the water columns.
   // Smoothing shrinks the variance, so re-normalise to unit RMS afterwards.
-  std::vector<double> pattern(hp);
+  // The land entries keep their white noise through every pass (both
+  // buffers start with the same values and passes write water only):
+  // the RMS sums over all hp points.
+  const auto row = static_cast<std::ptrdiff_t>(grid_.nx());
+  std::vector<double>& pattern = scratch.pattern;
+  std::vector<double>& smoothed = scratch.smoothed;
+  pattern.resize(hp);
   for (auto& x : pattern) x = rng.normal();
-  std::vector<double> smoothed;
+  smoothed = pattern;
   for (std::size_t p = 0; p < params_.noise_smooth_passes; ++p) {
-    smoothed = pattern;
-    for (const Column& c : columns_) {
+    for (const Run& r : runs_) {
+      for (std::size_t h = r.h; h < r.h + r.n; ++h) {
+        const double* q = pattern.data() + h;
+        smoothed[h] = ((((q[0] + q[-1]) + q[1]) + q[-row]) + q[row]) / 5.0;
+      }
+    }
+    for (const Column& c : edges_) {
       double sum = pattern[c.h];
       double w = 1.0;
       for (const std::size_t nb : {c.w, c.e, c.s, c.n}) {
@@ -140,11 +167,15 @@ void OceanModel::apply_stochastic_forcing(OceanState& state, double dt_hours,
     const double depth = grid_.depths()[iz];
     const double decay = std::exp(-depth / 100.0);  // surface intensified
     const double amp = params_.noise_temp * sqrt_dt * decay;
-    double* t = state.temperature.data() + iz * hp;
-    for (const Column& c : columns_) t[c.h] += amp * pattern[c.h];
+    add_on_water(amp, pattern.data(), state.temperature.data() + iz * hp);
   }
-  const double amp_ssh = params_.noise_ssh * sqrt_dt;
-  for (const Column& c : columns_) state.ssh[c.h] += amp_ssh * pattern[c.h];
+  add_on_water(params_.noise_ssh * sqrt_dt, pattern.data(), state.ssh.data());
+}
+
+void OceanModel::add_on_water(double a, const double* x, double* y) const {
+  const la::simd::KernelTable& kernels = la::simd::kernels();
+  for (const Run& r : runs_) kernels.axpy(a, x + r.h, y + r.h, r.n);
+  for (const Column& c : edges_) y[c.h] += a * x[c.h];
 }
 
 void OceanModel::relax_boundaries(OceanState& state, double dt_seconds) const {
@@ -194,20 +225,50 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
                 "step dt exceeds the stable limit");
   ESSEX_REQUIRE(state.temperature.size() == grid_.points(),
                 "state does not match the model grid");
+  Scratch scratch{state.temperature, state.salinity, state.ssh, {}, {}};
+  advance(state, t_hours, dt_hours, rng, scratch);
+}
 
+void OceanModel::advance(OceanState& state, double t_hours, double dt_hours,
+                         Rng* rng, Scratch& scratch) const {
   const std::size_t nz = grid_.nz(), hp = grid_.horizontal_points();
   const std::vector<double>& depths = grid_.depths();
   const double dt = dt_hours * 3600.0;  // seconds
   const WindStress tau = forcing_.at(t_hours);
+  std::vector<double>& newT = scratch.t;
+  std::vector<double>& newS = scratch.s;
 
-  // --- tracer advection-diffusion (upwind + Laplacian), level by level ---
-  std::vector<double> newT = state.temperature;
-  std::vector<double> newS = state.salinity;
+  // --- tracer advection-diffusion (upwind + Laplacian), level by level:
+  // interior runs through the tracer_run kernel, the other columns
+  // through transport(), with the same operations in the same order ---
+  const la::simd::KernelTable& kernels = la::simd::kernels();
+  la::simd::TracerLevel k{};
+  k.row = static_cast<std::ptrdiff_t>(grid_.nx());
+  k.vertical = nz > 1;
+  k.dx = grid_.dx_km() * 1000.0;
+  k.dy = grid_.dy_km() * 1000.0;
+  k.dx2 = k.dx * k.dx;
+  k.dy2 = k.dy * k.dy;
+  k.kappa_h = params_.kappa_h;
+  k.kappa_v = params_.kappa_v;
+  k.dt = dt;
+  const auto level = static_cast<std::ptrdiff_t>(hp);
   for (std::size_t iz = 0; iz < nz; ++iz) {
     const std::size_t off = iz * hp;
     const double dz_up = (iz > 0) ? depths[iz] - depths[iz - 1] : 1.0;
     const double dz_dn = (iz + 1 < nz) ? depths[iz + 1] - depths[iz] : 1.0;
-    for (const Column& c : columns_) {
+    k.up = (iz > 0) ? -level : 0;
+    k.dn = (iz + 1 < nz) ? level : 0;
+    k.dz_up2 = dz_up * dz_up;
+    k.dz_dn2 = dz_dn * dz_dn;
+    for (const Run& r : runs_) {
+      const std::size_t id = off + r.h;
+      kernels.tracer_run(state.temperature.data() + id, state.u.data() + id,
+                         state.v.data() + id, r.n, k, newT.data() + id);
+      kernels.tracer_run(state.salinity.data() + id, state.u.data() + id,
+                         state.v.data() + id, r.n, k, newS.data() + id);
+    }
+    for (const Column& c : edges_) {
       const std::size_t id = off + c.h;
       const double uu = state.u[id];
       const double vv = state.v[id];
@@ -249,7 +310,7 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
 
   // --- SSH: advection by surface flow, wind-stress input, damping,
   // diffusion ---
-  std::vector<double> newSsh = state.ssh;
+  std::vector<double>& newSsh = scratch.ssh;
   for (const Column& c : columns_) {
     const double ec = state.ssh[c.h];
     // Coastal setup/setdown: equatorward wind lowers coastal SSH
@@ -272,7 +333,7 @@ void OceanModel::step(OceanState& state, double t_hours, double dt_hours,
 
   relax_boundaries(state, dt);
 
-  if (rng != nullptr) apply_stochastic_forcing(state, dt_hours, *rng);
+  if (rng != nullptr) apply_stochastic_forcing(state, dt_hours, *rng, scratch);
 
   // Refresh diagnosed currents so the returned state is self-consistent
   // and the next step starts from currents at its own t.
@@ -288,10 +349,14 @@ std::size_t OceanModel::run(OceanState& state, double t0_hours,
   std::size_t steps = 0;
   double t = t0_hours;
   double remaining = duration_hours;
-  if (remaining > 1e-12) diagnose_currents(state, t);
+  if (remaining <= 1e-12) return 0;
+  ESSEX_REQUIRE(state.temperature.size() == grid_.points(),
+                "state does not match the model grid");
+  Scratch scratch{state.temperature, state.salinity, state.ssh, {}, {}};
+  diagnose_currents(state, t);
   while (remaining > 1e-12) {
     const double dt = std::min(dt_max, remaining);
-    step(state, t, dt, rng);
+    advance(state, t, dt, rng, scratch);
     t += dt;
     remaining -= dt;
     ++steps;

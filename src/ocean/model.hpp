@@ -64,7 +64,8 @@ class OceanModel {
   /// `t_hours + dt_hours`, so consecutive steps chain. If `rng` is
   /// provided, one Wiener increment of stochastic forcing is applied
   /// (scaled by sqrt(dt)); without it the step is deterministic. dt must
-  /// not exceed max_stable_dt_hours().
+  /// not exceed max_stable_dt_hours(). Copies T, S and SSH into fresh
+  /// scratch fields at every call; run() makes them once.
   void step(OceanState& state, double t_hours, double dt_hours,
             Rng* rng = nullptr) const;
 
@@ -72,6 +73,7 @@ class OceanModel {
   /// `duration_hours`, sub-stepping at (at most) max_stable_dt_hours().
   /// Diagnoses the currents at t0 before the first step; a run that takes
   /// no step leaves the state untouched. Returns the number of steps taken.
+  /// The steps are step()'s, bit for bit, without its allocations.
   std::size_t run(OceanState& state, double t0_hours, double duration_hours,
                   Rng* rng = nullptr) const;
 
@@ -88,9 +90,24 @@ class OceanModel {
   void diagnose_currents(OceanState& state, double t_hours) const;
 
  private:
+  /// Fields one integration owns beside the state: run() makes them
+  /// once and every step swaps them with the state's, so a step
+  /// allocates nothing. t/s/ssh start as copies of the state's fields,
+  /// and since a step writes every water entry and no land entry, both
+  /// sides of each swap keep the same land values. pattern/smoothed
+  /// hold the stochastic forcing's horizontal noise.
+  struct Scratch {
+    std::vector<double> t, s, ssh, pattern, smoothed;
+  };
+
+  /// step() without the argument checks, writing through `scratch`.
+  void advance(OceanState& state, double t_hours, double dt_hours, Rng* rng,
+               Scratch& scratch) const;
   void apply_stochastic_forcing(OceanState& state, double dt_hours,
-                                Rng& rng) const;
+                                Rng& rng, Scratch& scratch) const;
   void relax_boundaries(OceanState& state, double dt_seconds) const;
+  /// y[h] += a·x[h] at every water column h of one horizontal level.
+  void add_on_water(double a, const double* x, double* y) const;
 
   /// One water column with its land and edge geometry resolved.
   struct Column {
@@ -102,6 +119,15 @@ class OceanModel {
     double sponge;           ///< 1 − d/w of the open-boundary sponge, else 0
   };
 
+  /// A maximal run of consecutive interior columns h, h+1, …, h+n−1:
+  /// water columns whose four neighbours are water on the grid, so W/E
+  /// sit at ∓1 and S/N at ∓nx and every neighbour read is a contiguous
+  /// load (la::simd tracer_run). Sponge columns may be interior; the
+  /// sponge is applied separately by relax_boundaries.
+  struct Run {
+    std::size_t h, n;
+  };
+
   /// −u·∇f + κ_h∇²f at `c` of one horizontal level `f`: upwind advection
   /// by (uu, vv) plus Laplacian diffusion.
   double transport(const double* f, const Column& c, double uu,
@@ -111,7 +137,13 @@ class OceanModel {
   ModelParams params_;
   WindForcing forcing_;
   OceanState climatology_;
-  std::vector<Column> columns_;  ///< water columns in (iy, ix) order
+  // Built once by the constructor. Every water column is in columns_,
+  // and also either in one of runs_ or in edges_.
+  std::vector<Column> columns_;    ///< water columns in (iy, ix) order
+  std::vector<Run> runs_;          ///< interior columns, in (iy, ix) order
+  std::vector<Column> edges_;      ///< the water columns in no run
+  std::vector<double> ek_decay_;   ///< Ekman current decay per level
+  std::vector<double> geo_decay_;  ///< geostrophic shear decay per level
 };
 
 }  // namespace essex::ocean

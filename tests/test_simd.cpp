@@ -14,12 +14,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/aligned.hpp"
 #include "common/proptest.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "esse/differ.hpp"
 #include "linalg/arena.hpp"
@@ -297,6 +299,140 @@ TEST(SimdExactness, ColumnsTileMatchesReferenceLoopBitwise) {
     return true;
   });
   ASSERT_TRUE(r.ok) << r.message;
+}
+
+// ---- ocean tracer stencil ---------------------------------------------
+
+// One run of a tracer level: a (3 levels × 3 rows × width) block whose
+// middle row holds the run, so every neighbour read stays in bounds.
+struct TracerCase {
+  std::size_t n = 1;      // run length
+  std::size_t width = 3;  // n + 2
+  std::size_t nz = 3;     // 1 for the one-level mode
+  std::size_t iz = 0;     // level of the run (0 = top, nz − 1 = bottom)
+  std::vector<double> f, u, v;
+  simd::TracerLevel k{};
+  std::size_t first() const { return iz * 3 * width + width + 1; }
+};
+
+// A velocity that is 0, −0, NaN or tiny a third of the time: the upwind
+// select must send each to the same side as the scalar branch.
+double draw_velocity(Rng& rng) {
+  switch (rng.uniform_index(9)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return std::nan("");
+    case 3: return rng.uniform_index(2) == 0 ? 4.9e-324 : -4.9e-324;
+    default: return 0.5 * rng.normal();
+  }
+}
+
+tk::Gen<TracerCase> gen_tracer() {
+  tk::Gen<TracerCase> g;
+  g.create = [](Rng& rng) {
+    TracerCase tc;
+    tc.n = 1 + rng.uniform_index(21);  // 1, 4k±1, 4k, across the tails
+    tc.width = tc.n + 2;
+    tc.nz = rng.uniform_index(4) == 0 ? 1 : 3;
+    tc.iz = tc.nz == 1 ? 0 : rng.uniform_index(3);
+    const std::size_t points = 3 * 3 * tc.width;
+    // A field of signed zeros makes every difference ±0, so the 0.0 +
+    // term and the signs of zero products decide the bits.
+    const bool zero_field = rng.uniform_index(4) == 0;
+    for (std::size_t i = 0; i < points; ++i) {
+      const double zero = rng.uniform_index(2) == 0 ? 0.0 : -0.0;
+      tc.f.push_back(zero_field ? zero : 12.0 + 3.0 * rng.normal());
+      tc.u.push_back(draw_velocity(rng));
+      tc.v.push_back(draw_velocity(rng));
+    }
+    const auto level = static_cast<std::ptrdiff_t>(3 * tc.width);
+    simd::TracerLevel& k = tc.k;
+    k.row = static_cast<std::ptrdiff_t>(tc.width);
+    k.vertical = tc.nz > 1;
+    k.up = tc.nz > 1 && tc.iz > 0 ? -level : 0;
+    k.dn = tc.nz > 1 && tc.iz + 1 < tc.nz ? level : 0;
+    k.dx = 2500.0 + 100.0 * static_cast<double>(rng.uniform_index(10));
+    k.dy = 3000.0;
+    k.dx2 = k.dx * k.dx;
+    k.dy2 = k.dy * k.dy;
+    k.kappa_h = 50.0;
+    k.kappa_v = 1e-4;
+    k.dz_up2 = k.up != 0 ? 40.0 * 40.0 : 1.0;
+    k.dz_dn2 = k.dn != 0 ? 60.0 * 60.0 : 1.0;
+    k.dt = 1234.5;
+    return tc;
+  };
+  return g;
+}
+
+TEST(SimdExactness, TracerRunMatchesScalarBitwise) {
+  // The model-level check against the historical transport() path is
+  // Determinism.TracerStepMatchesTheScalarTransportPath; here every tier
+  // must match the scalar tier point for point, NaNs included.
+  tk::PropConfig cfg;
+  cfg.name = "simd tracer_run == scalar reference";
+  cfg.cases = 300;
+  const auto r = tk::check(cfg, gen_tracer(), [&](const TracerCase& tc) {
+    const std::size_t i0 = tc.first();
+    std::vector<double> ref(tc.n, -1.0);
+    simd::detail::scalar_tracer_run(tc.f.data() + i0, tc.u.data() + i0,
+                                    tc.v.data() + i0, tc.n, tc.k,
+                                    ref.data());
+    for (std::size_t i = 0; i < tc.n; ++i) {
+      // The scalar tier is the per-point formula, point by point.
+      const double p = simd::detail::tracer_point(
+          tc.f.data() + i0, tc.u.data() + i0, tc.v.data() + i0, i, tc.k);
+      if (!bits_equal(p, ref[i])) return false;
+    }
+    for (const simd::Level level : all_levels()) {
+      std::vector<double> out(tc.n, -1.0);
+      simd::kernels_for(level).tracer_run(tc.f.data() + i0, tc.u.data() + i0,
+                                          tc.v.data() + i0, tc.n, tc.k,
+                                          out.data());
+      if (!bits_equal(out, ref)) return false;
+    }
+    return true;
+  });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(SimdExactness, TracerRunUpwindTakesTheScalarBranchSide) {
+  // The first point of a run gets an infinite west and south neighbour,
+  // so the upwind product on that side is 0·∞ = NaN for a zero velocity.
+  // The scalar branch sends u = +0, −0 (and NaN) to the other side: the
+  // advection term stays finite and the Laplacian's +∞ is the result.
+  // u = ±1 give +∞ too; only a NaN velocity gives NaN. The first point
+  // is a vector lane in a 4-point run and the scalar tail in a 1-point
+  // run.
+  const std::size_t width = 6;
+  simd::TracerLevel k{};
+  k.row = width;
+  k.dx = k.dy = k.dx2 = k.dy2 = k.dz_up2 = k.dz_dn2 = 1.0;
+  k.kappa_h = 1.0;
+  k.dt = 1.0;
+  const std::size_t i0 = width + 1;  // row 1, column 1
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double vel : {1.0, -1.0, 0.0, -0.0, std::nan("")}) {
+    std::vector<double> f(3 * width, 1.0), u(f.size(), 0.5),
+        v(f.size(), 0.5);
+    f[i0 - 1] = f[i0 - width] = inf;
+    u[i0] = v[i0] = vel;
+    for (const std::size_t n : {std::size_t{4}, std::size_t{1}}) {
+      for (const simd::Level level : all_levels()) {
+        double out[4];
+        simd::kernels_for(level).tracer_run(f.data() + i0, u.data() + i0,
+                                            v.data() + i0, n, k, out);
+        if (std::isnan(vel)) {
+          EXPECT_TRUE(std::isnan(out[0])) << simd::level_name(level);
+        } else {
+          EXPECT_EQ(out[0], inf) << "velocity " << vel << ", run of " << n
+                                 << ", " << simd::level_name(level);
+        }
+        for (std::size_t i = 1; i < n; ++i)
+          EXPECT_TRUE(std::isfinite(out[i])) << simd::level_name(level);
+      }
+    }
+  }
 }
 
 TEST(SimdExactness, ColumnsMatmulIdenticalForAnyPoolSplit) {
