@@ -72,27 +72,15 @@ int main(int argc, char** argv) {
   if (!agree) return 1;
 
   // Per-method analysis digests (DESIGN.md §16): every registered
-  // AnalysisMethod must produce one digest across thread counts and an
-  // adversarial observation-assembly shuffle.
+  // AnalysisMethod must produce one digest across thread counts.
   const auto analysis1 = service::golden_analysis_digests(1);
   const auto analysis4 = service::golden_analysis_digests(4);
-  const auto shuffled = service::golden_analysis_digests(
-      4, {}, /*obs_order_seed=*/0x0b5e7a11ULL);
   bool methods_agree = true;
   for (const auto& [method, digest] : analysis1) {
     const std::string key = std::string(service::kGoldenRunKey) + "-" +
                             esse::to_string(method);
     std::cout << digest << "  " << key << "\n";
     if (analysis4.at(method) != digest) methods_agree = false;
-    // Observation-assembly shuffle invariance is the ESRF's obligation:
-    // its serial sweep is order-dependent by construction, so analyze()
-    // canonicalizes the set and the digest must not move. The batch-form
-    // filters consume the set in the given order (a shuffle permutes
-    // their reduction order), so their contract covers threads and
-    // member arrival only.
-    if (method == esse::AnalysisMethod::kEsrf &&
-        shuffled.at(method) != digest)
-      methods_agree = false;
   }
   std::cout << (methods_agree ? "all analysis-method digests agree"
                               : "ANALYSIS METHOD DIGEST MISMATCH")

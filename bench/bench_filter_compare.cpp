@@ -1,5 +1,5 @@
-// Filter-comparison bench (DESIGN.md §16): every registered
-// AnalysisMethod against the same forecast, the same ensemble and the
+// Filter-comparison bench (DESIGN.md §16): both registered
+// AnalysisMethods against the same forecast, the same ensemble and the
 // same observation batch — the equal-footing comparison behind the
 // EXPERIMENTS.md filter table.
 //
@@ -9,14 +9,14 @@
 // are exactly what every filter assumes); one noisy observation batch
 // sampling the truth. Each method then assimilates the identical batch,
 // recording posterior RMSE against the truth, the subspace similarity ρ
-// to the subspace-Kalman reference posterior, and the analysis
-// wall-clock (best of --reps repetitions; the forecast is shared, so
-// only the update is timed). The multi-model combiner's surrogate is the
-// coarse companion run with a deliberate bias — the wrong-but-useful
-// second model.
+// to the subspace-Kalman posterior, and the analysis wall-clock (best of
+// --reps repetitions; the forecast is shared, so only the update is
+// timed). The multi-model combiner's surrogate is the coarse companion
+// run with a deliberate bias — the wrong-but-useful second model.
 //
 // Writes results/bench_filter_compare.json; --quick shrinks the grid and
-// ensemble for the CI smoke run.
+// ensemble for the CI smoke run. Exits 1 when the Kalman update fails to
+// improve on the prior or any method inflates the posterior trace.
 //
 // Usage: bench_filter_compare [--out FILE] [--quick] [--reps N]
 #include <algorithm>
@@ -175,20 +175,13 @@ int main(int argc, char** argv) {
   }
 
   // Smoke invariants, so the CI --quick run fails loudly on regression.
-  // The equivalent filters must improve on the prior AND sit on the
-  // reference posterior (ρ ≈ 1); the combiner assimilates a *biased*
-  // second model, so its truth-RMSE may legitimately trade against the
-  // bias — its contract is trace contraction in its own error metric.
+  // The Kalman update must improve on the prior. The combiner assimilates
+  // a *biased* second model, so its truth-RMSE may legitimately trade
+  // against the bias; trace contraction binds both methods.
   bool ok = true;
   for (const Row& row : rows) {
-    const bool equivalent = row.method != "multi_model";
-    if (equivalent && row.rmse_posterior > rmse_prior) {
+    if (row.method == "subspace_kalman" && row.rmse_posterior > rmse_prior) {
       std::printf("FAIL: %s posterior rmse exceeds the prior\n",
-                  row.method.c_str());
-      ok = false;
-    }
-    if (equivalent && row.rho_vs_kalman < 0.9999) {
-      std::printf("FAIL: %s drifted off the Kalman reference posterior\n",
                   row.method.c_str());
       ok = false;
     }

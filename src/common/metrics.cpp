@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -178,23 +177,6 @@ std::string json_number(double v) {
 }
 
 }  // namespace
-
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  os << "kind,name,count,value,mean,min,max,p50,p95\n";
-  for (const auto& [name, c] : counters_) {
-    os << "counter," << name << ",," << fmt(c->value()) << ",,,,,\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << "gauge," << name << ",," << fmt(g->value()) << ",,,,,\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << "histogram," << name << ',' << h->count() << ','
-       << fmt(h->sum()) << ',' << fmt(h->mean()) << ',' << fmt(h->min())
-       << ',' << fmt(h->max()) << ',' << fmt(h->quantile(0.5)) << ','
-       << fmt(h->quantile(0.95)) << '\n';
-  }
-}
 
 void MetricsRegistry::append_json(std::string& out) const {
   std::lock_guard<std::mutex> lk(mu_);

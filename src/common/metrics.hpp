@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,8 +97,6 @@ class MetricsRegistry {
   std::vector<std::string> gauge_names() const;
   std::vector<std::string> histogram_names() const;
 
-  /// CSV rows: kind,name,count,value,mean,min,max,p50,p95.
-  void write_csv(std::ostream& os) const;
   /// Append this registry as a JSON object {"counters":…, "gauges":…,
   /// "histograms":…} to `out`.
   void append_json(std::string& out) const;

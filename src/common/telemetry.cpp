@@ -112,21 +112,6 @@ void append_session_json(std::string& out, const Sink& sink) {
 
 }  // namespace
 
-void Sink::write_metrics_csv(const std::string& path) const {
-  auto os = open_for_write(path);
-  metrics_.write_csv(os);
-  ESSEX_REQUIRE(os.good(), "write failed for '" + path + "'");
-}
-
-void Sink::write_events_csv(const std::string& path) const {
-  auto os = open_for_write(path);
-  os << "t,name,value\n";
-  for (const Event& e : recorder_.events()) {
-    os << num(e.t) << ',' << e.name << ',' << num(e.value) << '\n';
-  }
-  ESSEX_REQUIRE(os.good(), "write failed for '" + path + "'");
-}
-
 void write_sessions_json(const std::string& path,
                          const std::vector<const Sink*>& sinks) {
   std::string out;

@@ -8,8 +8,7 @@
 // Timestamps are plain doubles: DES components stamp simulated seconds,
 // real-thread components stamp wall_seconds(). Exporters write the whole
 // session (metrics + events + spans) as JSON into results/ so the §5
-// paper figures are read out of recorded telemetry, and as CSV for
-// spreadsheet post-processing.
+// paper figures are read out of recorded telemetry.
 #pragma once
 
 #include <cstdint>
@@ -79,11 +78,6 @@ class Sink {
   void event(const std::string& name, double t, double value = 0.0) {
     recorder_.event(name, t, value);
   }
-
-  /// Metrics as CSV (kind,name,count,value,mean,min,max,p50,p95).
-  void write_metrics_csv(const std::string& path) const;
-  /// Events as CSV (t,name,value).
-  void write_events_csv(const std::string& path) const;
 
  private:
   std::string name_;

@@ -20,10 +20,6 @@ const char* to_string(AnalysisMethod method) {
   switch (method) {
     case AnalysisMethod::kSubspaceKalman:
       return "subspace_kalman";
-    case AnalysisMethod::kEtkf:
-      return "etkf";
-    case AnalysisMethod::kEsrf:
-      return "esrf";
     case AnalysisMethod::kMultiModel:
       return "multi_model";
   }
@@ -32,8 +28,7 @@ const char* to_string(AnalysisMethod method) {
 
 const std::vector<AnalysisMethod>& analysis_method_registry() {
   static const std::vector<AnalysisMethod> kRegistry = {
-      AnalysisMethod::kSubspaceKalman, AnalysisMethod::kEtkf,
-      AnalysisMethod::kEsrf, AnalysisMethod::kMultiModel};
+      AnalysisMethod::kSubspaceKalman, AnalysisMethod::kMultiModel};
   return kRegistry;
 }
 
@@ -63,94 +58,6 @@ std::size_t kept_rank(const la::Vector& eigenvalues) {
     ++keep;
   }
   return std::max<std::size_t>(keep, 1);
-}
-
-void etkf_solve(const la::Vector& sigmas, const la::Matrix& g,
-                const la::Vector& rhs, la::Vector& w, la::Matrix& smat) {
-  const std::size_t k = sigmas.size();
-  // A = Bᵀ G B in coefficient space; its eigenpairs (V, Γ) define the
-  // transform T = V (I+Γ)⁻¹ Vᵀ with C = B T B the Kalman core.
-  la::Matrix a(k, k);
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = 0; j < k; ++j)
-      a(i, j) = sigmas[i] * g(i, j) * sigmas[j];
-  la::EigSym eig = la::eig_sym(a);
-  la::Vector inv_one(k), inv_half(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const double gamma = std::max(eig.eigenvalues[j], 0.0);
-    inv_one[j] = 1.0 / (1.0 + gamma);
-    inv_half[j] = 1.0 / std::sqrt(1.0 + gamma);
-  }
-
-  // w = B V (I+Γ)⁻¹ Vᵀ B rhs.
-  la::Vector br(k), vt(k);
-  for (std::size_t j = 0; j < k; ++j) br[j] = sigmas[j] * rhs[j];
-  for (std::size_t j = 0; j < k; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < k; ++i)
-      s += eig.eigenvectors(i, j) * br[i];
-    vt[j] = s * inv_one[j];
-  }
-  w.assign(k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < k; ++j)
-      s += eig.eigenvectors(i, j) * vt[j];
-    w[i] = sigmas[i] * s;
-  }
-
-  // S = B·T^{1/2} with the symmetric square root T^{1/2} =
-  // V (I+Γ)^{-1/2} Vᵀ — a spectral function of A, so eigenvector sign
-  // conventions cancel and S is canonical without explicit sign fixing.
-  smat = la::Matrix(k, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double s = 0.0;
-      for (std::size_t t = 0; t < k; ++t)
-        s += eig.eigenvectors(i, t) * inv_half[t] * eig.eigenvectors(j, t);
-      smat(i, j) = sigmas[i] * s;
-    }
-  }
-}
-
-void esrf_solve(const la::Vector& sigmas, const la::Matrix& he,
-                const la::Vector& d, const la::Vector& rvar,
-                const std::vector<std::pair<std::size_t, double>>& local,
-                la::Vector& w, la::Matrix& smat) {
-  const std::size_t k = sigmas.size();
-  w.assign(k, 0.0);
-  smat = la::Matrix(k, k);
-  for (std::size_t j = 0; j < k; ++j) smat(j, j) = sigmas[j];
-  la::Vector shat(k), ws(k);
-  for (const auto& [i, taper] : local) {
-    const double r = rvar[i] / taper;  // taper ∈ (0, 1]: inflated noise
-    const double* row = he.data().data() + i * he.cols();
-    // ŝ = Wᵀh: the observation's footprint on the factor's columns.
-    for (std::size_t j = 0; j < k; ++j) {
-      double s = 0.0;
-      for (std::size_t a = 0; a < k; ++a) s += row[a] * smat(a, j);
-      shat[j] = s;
-    }
-    double e = 0.0;
-    for (std::size_t j = 0; j < k; ++j) e += shat[j] * shat[j];
-    const double f = e + r;  // innovation variance of this scalar
-    double di = d[i];
-    for (std::size_t a = 0; a < k; ++a) di -= row[a] * w[a];
-    // Mean: K = Wŝ/f. Factor: Potter's rank-one downdate
-    // W ← W(I − β ŝŝᵀ) with β = 1/(f + √(rf)), the exact square root
-    // of (I − ŝŝᵀ/f).
-    for (std::size_t a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < k; ++j) s += smat(a, j) * shat[j];
-      ws[a] = s;
-    }
-    const double gain = di / f;
-    for (std::size_t a = 0; a < k; ++a) w[a] += ws[a] * gain;
-    const double beta = 1.0 / (f + std::sqrt(r * f));
-    for (std::size_t a = 0; a < k; ++a)
-      for (std::size_t j = 0; j < k; ++j)
-        smat(a, j) -= beta * ws[a] * shat[j];
-  }
 }
 
 }  // namespace detail
@@ -186,126 +93,6 @@ void require_finite_obs(const ObsSet& obs) {
   }
 }
 
-/// G = HEᵀ R⁻¹ HE, accumulated exactly as the historical global update
-/// did (upper triangle row-by-row, mirrored) — extracted so the ETKF
-/// shares the identical arithmetic.
-la::Matrix obs_gram(const la::Matrix& he, const la::Vector& rvar) {
-  const std::size_t p = he.rows();
-  const std::size_t k = he.cols();
-  la::Matrix g(k, k);
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a; b < k; ++b) {
-      double s = 0.0;
-      for (std::size_t i = 0; i < p; ++i)
-        s += he(i, a) * he(i, b) / rvar[i];
-      g(a, b) = s;
-      g(b, a) = s;
-    }
-  }
-  return g;
-}
-
-/// HEᵀ R⁻¹ d — same extraction.
-la::Vector obs_rhs(const la::Matrix& he, const la::Vector& d,
-                   const la::Vector& rvar) {
-  const std::size_t p = he.rows();
-  const std::size_t k = he.cols();
-  la::Vector rhs(k, 0.0);
-  for (std::size_t a = 0; a < k; ++a) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < p; ++i) s += he(i, a) * d[i] / rvar[i];
-    rhs[a] = s;
-  }
-  return rhs;
-}
-
-/// The global subspace-Kalman update: given HE = H·E (p×k), the
-/// innovation d = yᵒ − H·x_f and diagonal R, produce the posterior
-/// mean/subspace.
-AnalysisResult analyze_core(const la::Vector& forecast,
-                            const ErrorSubspace& subspace,
-                            const la::Matrix& he, const la::Vector& d,
-                            const la::Vector& rvar) {
-  // Information-form core: C = (Λ⁻¹ + HEᵀ R⁻¹ HE)⁻¹, computed as
-  // C = B (I + Bᵀ G B)⁻¹ B with B = Λ^{1/2}, G = HEᵀ R⁻¹ HE.
-  la::Matrix g = obs_gram(he, rvar);
-  la::Matrix c = detail::posterior_core(subspace.sigmas(), g);
-
-  // w = C · HEᵀ R⁻¹ d (subspace coefficients of the increment).
-  la::Vector rhs = obs_rhs(he, d, rvar);
-  const la::Vector w = la::matvec(c, rhs);
-
-  AnalysisResult out;
-  out.posterior_state = forecast;
-  const la::Vector incr = subspace.expand(w);
-  for (std::size_t i = 0; i < out.posterior_state.size(); ++i)
-    out.posterior_state[i] += incr[i];
-
-  // Posterior subspace from the symmetric eigendecomposition of C.
-  la::EigSym eig = la::eig_sym(c);
-  const std::size_t keep = detail::kept_rank(eig.eigenvalues);
-  la::Matrix post_modes =
-      la::matmul(subspace.modes(), eig.eigenvectors.first_cols(keep));
-  la::Vector post_sig(keep);
-  for (std::size_t j = 0; j < keep; ++j)
-    post_sig[j] = std::sqrt(std::max(eig.eigenvalues[j], 0.0));
-  out.posterior_subspace =
-      ErrorSubspace(std::move(post_modes), std::move(post_sig));
-
-  out.prior_innovation_rms = la::rms(d);
-  out.prior_trace = subspace.total_variance();
-  out.posterior_trace = out.posterior_subspace.total_variance();
-  return out;
-}
-
-/// Epilogue of the square-root methods: mean update from w plus the
-/// posterior subspace from the k×k factor S (C = S·Sᵀ) by the method of
-/// snapshots — P_a = (E S)(E S)ᵀ, so the posterior modes are
-/// E·S·V̂·Λ̂^{-1/2} with (V̂, Λ̂) the eigenpairs of SᵀS.
-AnalysisResult finish_sqrt(const la::Vector& forecast,
-                           const ErrorSubspace& subspace,
-                           const la::Vector& w, const la::Matrix& smat,
-                           const la::Vector& d) {
-  const std::size_t k = subspace.rank();
-  AnalysisResult out;
-  out.posterior_state = forecast;
-  const la::Vector incr = subspace.expand(w);
-  for (std::size_t i = 0; i < out.posterior_state.size(); ++i)
-    out.posterior_state[i] += incr[i];
-
-  la::Matrix gram(k, k);
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a; b < k; ++b) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < k; ++j) s += smat(j, a) * smat(j, b);
-      gram(a, b) = s;
-      gram(b, a) = s;
-    }
-  }
-  la::EigSym eig = la::eig_sym(gram);
-  const std::size_t keep = detail::kept_rank(eig.eigenvalues);
-  la::Vector post_sig(keep);
-  la::Matrix coeff(k, keep);  // S·V̂·Λ̂^{-1/2}
-  for (std::size_t j = 0; j < keep; ++j) {
-    post_sig[j] = std::sqrt(std::max(eig.eigenvalues[j], 0.0));
-    const double inv = post_sig[j] > 0.0 ? 1.0 / post_sig[j] : 0.0;
-    for (std::size_t a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (std::size_t b = 0; b < k; ++b)
-        s += smat(a, b) * eig.eigenvectors(b, j);
-      coeff(a, j) = s * inv;
-    }
-  }
-  la::Matrix post_modes = la::matmul(subspace.modes(), coeff);
-  out.posterior_subspace =
-      ErrorSubspace(std::move(post_modes), std::move(post_sig));
-
-  out.prior_innovation_rms = la::rms(d);
-  out.prior_trace = subspace.total_variance();
-  out.posterior_trace = out.posterior_subspace.total_variance();
-  return out;
-}
-
 /// Fill HE = H·E. Serial when one worker (the pre-refactor loop, bit for
 /// bit); otherwise contiguous row blocks fan out over a pool — every
 /// entry is computed by the same per-entry stencil accumulation into a
@@ -336,10 +123,10 @@ void build_he(la::Matrix& he, const ObsSet& obs, const la::Matrix& modes,
   for (auto& f : futs) f.get();
 }
 
-/// The historical dense path over the whole domain, generalized over the
-/// self-contained methods. The HE/innovation arithmetic accumulates in
-/// stencil order, exactly as ObsOperator does, so the default method
-/// stays bitwise unchanged whichever ObsSet front end built the set.
+/// The historical dense subspace-Kalman update over the whole domain.
+/// The HE/innovation arithmetic accumulates in stencil order, exactly as
+/// ObsOperator does, so the update stays bitwise unchanged whichever
+/// ObsSet front end built the set.
 AnalysisResult analyze_global(const la::Vector& forecast,
                               const ErrorSubspace& subspace,
                               const ObsSet& obs,
@@ -355,38 +142,54 @@ AnalysisResult analyze_global(const la::Vector& forecast,
     options.sink->gauge_set("analysis.threads",
                             static_cast<double>(workers));
   }
-  la::Vector d = obs.innovations(forecast);
+  const la::Vector d = obs.innovations(forecast);
   la::Vector rvar(p);
   for (std::size_t i = 0; i < p; ++i) rvar[i] = obs.entry(i).variance;
 
-  AnalysisResult out;
-  switch (options.method) {
-    case AnalysisMethod::kSubspaceKalman:
-      out = analyze_core(forecast, subspace, he, d, rvar);
-      break;
-    case AnalysisMethod::kEtkf: {
-      const la::Matrix g = obs_gram(he, rvar);
-      const la::Vector rhs = obs_rhs(he, d, rvar);
-      la::Vector w;
-      la::Matrix smat;
-      detail::etkf_solve(subspace.sigmas(), g, rhs, w, smat);
-      out = finish_sqrt(forecast, subspace, w, smat, d);
-      break;
+  // Information-form core: C = (Λ⁻¹ + HEᵀ R⁻¹ HE)⁻¹, computed as
+  // C = B (I + Bᵀ G B)⁻¹ B with B = Λ^{1/2}, G = HEᵀ R⁻¹ HE (upper
+  // triangle row by row, mirrored).
+  la::Matrix g(k, k);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a; b < k; ++b) {
+      double s = 0.0;
+      for (std::size_t i = 0; i < p; ++i)
+        s += he(i, a) * he(i, b) / rvar[i];
+      g(a, b) = s;
+      g(b, a) = s;
     }
-    case AnalysisMethod::kEsrf: {
-      std::vector<std::pair<std::size_t, double>> all(p);
-      for (std::size_t i = 0; i < p; ++i) all[i] = {i, 1.0};
-      la::Vector w;
-      la::Matrix smat;
-      detail::esrf_solve(subspace.sigmas(), he, d, rvar, all, w, smat);
-      out = finish_sqrt(forecast, subspace, w, smat, d);
-      break;
-    }
-    default:
-      ESSEX_REQUIRE(false,
-                    "analysis method is not self-contained on the "
-                    "global path");
   }
+  const la::Matrix c = detail::posterior_core(subspace.sigmas(), g);
+
+  // w = C · HEᵀ R⁻¹ d (subspace coefficients of the increment).
+  la::Vector rhs(k, 0.0);
+  for (std::size_t a = 0; a < k; ++a) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < p; ++i) s += he(i, a) * d[i] / rvar[i];
+    rhs[a] = s;
+  }
+  const la::Vector w = la::matvec(c, rhs);
+
+  AnalysisResult out;
+  out.posterior_state = forecast;
+  const la::Vector incr = subspace.expand(w);
+  for (std::size_t i = 0; i < out.posterior_state.size(); ++i)
+    out.posterior_state[i] += incr[i];
+
+  // Posterior subspace from the symmetric eigendecomposition of C.
+  la::EigSym eig = la::eig_sym(c);
+  const std::size_t keep = detail::kept_rank(eig.eigenvalues);
+  la::Matrix post_modes =
+      la::matmul(subspace.modes(), eig.eigenvectors.first_cols(keep));
+  la::Vector post_sig(keep);
+  for (std::size_t j = 0; j < keep; ++j)
+    post_sig[j] = std::sqrt(std::max(eig.eigenvalues[j], 0.0));
+  out.posterior_subspace =
+      ErrorSubspace(std::move(post_modes), std::move(post_sig));
+
+  out.prior_innovation_rms = la::rms(d);
+  out.prior_trace = subspace.total_variance();
+  out.posterior_trace = out.posterior_subspace.total_variance();
   out.posterior_innovation_rms =
       la::rms(obs.innovations(out.posterior_state));
   return out;
@@ -479,15 +282,8 @@ AnalysisResult analyze(const la::Vector& forecast,
                         static_cast<double>(obs.size()));
   }
 
-  // The ESRF is the one order-dependent method: pin the serial sweep to
-  // the canonical content order so digests cannot depend on how the
-  // batch was assembled (§10).
-  const bool canonicalize = options.method == AnalysisMethod::kEsrf;
-  const ObsSet canon = canonicalize ? canonical_obs_order(obs) : ObsSet();
-  const ObsSet& use = canonicalize ? canon : obs;
-
   if (!options.localization.enabled)
-    return analyze_global(forecast, subspace, use, options);
+    return analyze_global(forecast, subspace, obs, options);
 
   ESSEX_REQUIRE(options.grid != nullptr,
                 "localized analysis needs grid geometry");
@@ -498,11 +294,10 @@ AnalysisResult analyze(const la::Vector& forecast,
                 "grid packed size does not match the state");
   if (options.threads > 1) {
     ThreadPool pool(options.threads);
-    return analyze_tiled(forecast, subspace, use, tiling,
-                         options.localization, &pool, options.method);
+    return analyze_tiled(forecast, subspace, obs, tiling,
+                         options.localization, &pool);
   }
-  return analyze_tiled(forecast, subspace, use, tiling, options.localization,
-                       nullptr, options.method);
+  return analyze_tiled(forecast, subspace, obs, tiling, options.localization);
 }
 
 }  // namespace essex::esse

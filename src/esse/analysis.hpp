@@ -31,36 +31,25 @@ class Sink;
 
 namespace essex::esse {
 
-/// The pluggable analysis filters behind the unified analyze() entry
-/// point (DESIGN.md §16). Every method consumes the same inputs — prior
-/// mean, error subspace, ObsSet — and obeys the same contract: the
-/// posterior covariance never exceeds the prior (analysis never hurts),
-/// and results are bitwise invariant to thread count and observation
-/// arrival order.
+/// The analysis methods behind the unified analyze() entry point
+/// (DESIGN.md §16). Both consume the same inputs — prior mean, error
+/// subspace, ObsSet — and obey the same contract: the posterior
+/// covariance never exceeds the prior (analysis never hurts), and
+/// results are bitwise invariant to thread count. The values are stable
+/// integers; 1 and 2 are retired and rejected like any unregistered
+/// value.
 enum class AnalysisMethod {
   /// The paper's information-form subspace Kalman update (Eq. B1c) —
   /// the default, bitwise identical to the pre-refactor path.
   kSubspaceKalman = 0,
-  /// Ensemble-transform Kalman filter: the update is solved in the
-  /// k-dimensional coefficient space via the *symmetric* square root of
-  /// the transform, T^{1/2} = V (I+Γ)^{-1/2} Vᵀ. Mathematically the
-  /// identical posterior mean and covariance as kSubspaceKalman (the
-  /// filter-equivalence property the testkit pins to 1e-10).
-  kEtkf,
-  /// Serial (Potter/integral-form) ensemble square-root filter: scalar
-  /// observations assimilated one at a time in *canonical* order —
-  /// analyze() content-sorts the ObsSet first, so the result is
-  /// invariant to how the batch was assembled (§10 determinism).
-  kEsrf,
   /// Multi-model combiner (mm-enkf): a deliberately-biased coarse
   /// surrogate forecast is assimilated as pseudo-observations appended
   /// after the real ones, then the subspace-Kalman core runs on the
   /// combined set.
-  kMultiModel,
+  kMultiModel = 3,
 };
 
-/// Canonical lowercase name ("subspace_kalman", "etkf", "esrf",
-/// "multi_model").
+/// Canonical lowercase name ("subspace_kalman", "multi_model").
 const char* to_string(AnalysisMethod method);
 
 /// Every method analyze() dispatches over, in canonical enum order —
@@ -147,12 +136,12 @@ struct AnalysisParams {
 /// first-class localization taper.
 double gaspari_cohn(double dist, double half_support);
 
-/// Perform the ESSE analysis with options.method. Requires a non-empty
-/// subspace, at least one observation, and forecast.size() ==
-/// subspace.dim(); every observation needs a finite value, finite stencil
-/// weights, a finite positive variance and, when positioned, finite
-/// coordinates (PreconditionError otherwise, before any path runs);
-/// when options.localization.enabled, also a grid whose
+/// Perform the ESSE analysis with options.method. Requires a registered
+/// method, a non-empty subspace, at least one observation, and
+/// forecast.size() == subspace.dim(); every observation needs a finite
+/// value, finite stencil weights, a finite positive variance and, when
+/// positioned, finite coordinates (PreconditionError otherwise, before
+/// any path runs); when options.localization.enabled, also a grid whose
 /// packed size matches the state; when method == kMultiModel, also a
 /// surrogate forecast of the same dimension.
 AnalysisResult analyze(const la::Vector& forecast,
@@ -179,27 +168,6 @@ la::Matrix posterior_core(const la::Vector& sigmas, const la::Matrix& g);
 /// Shared truncation rule for posterior spectra: modes kept while the
 /// eigenvalue clears 1e-14 of the leading one, never fewer than one.
 std::size_t kept_rank(const la::Vector& eigenvalues);
-
-/// ETKF solve in coefficient space: given the prior spectrum B =
-/// diag(sigmas), G = HEᵀR⁻¹HE and rhs = HEᵀR⁻¹d, produce the increment
-/// coefficients w = B T B·rhs and the square-root factor S = B·T^{1/2}
-/// (so C = S·Sᵀ equals the Kalman posterior core exactly). T^{1/2} is
-/// the *symmetric* square root — a spectral function of A = BᵀGB, so
-/// eigenvector sign conventions cancel and the factor is canonical by
-/// construction.
-void etkf_solve(const la::Vector& sigmas, const la::Matrix& g,
-                const la::Vector& rhs, la::Vector& w, la::Matrix& smat);
-
-/// Serial square-root (Potter) sweep: assimilate the observations named
-/// by `local` (obs index, taper weight) one scalar at a time, in the
-/// given order, against rows of `he` with noise rvar[i]/taper. Produces
-/// the increment coefficients w and the posterior square-root factor
-/// W (k×k, starts at diag(sigmas)); for diagonal R the result equals
-/// the joint Kalman update exactly.
-void esrf_solve(const la::Vector& sigmas, const la::Matrix& he,
-                const la::Vector& d, const la::Vector& rvar,
-                const std::vector<std::pair<std::size_t, double>>& local,
-                la::Vector& w, la::Matrix& smat);
 
 }  // namespace detail
 

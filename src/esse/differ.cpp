@@ -9,6 +9,7 @@
 #include "linalg/eig_sym.hpp"
 #include "linalg/gram.hpp"
 #include "linalg/simd.hpp"
+#include "linalg/svd.hpp"
 
 namespace essex::esse {
 
@@ -267,24 +268,10 @@ AnomalyView Differ::contiguous_view() const {
   return v;
 }
 
-SpreadSnapshot Differ::snapshot() const {
-  const AnomalyView v = view();
-  ESSEX_REQUIRE(v.count() >= 2,
-                "need at least two members for a spread estimate");
-  return SpreadSnapshot{v.materialize()};
-}
-
-ErrorSubspace Differ::subspace(double variance_fraction, std::size_t max_rank,
-                               la::SvdMethod method) const {
-  if (method == la::SvdMethod::kGram) {
-    return subspace_from_view(view(), variance_fraction, max_rank, nullptr,
-                              sink_);
-  }
-  // Jacobi: dense from-scratch decomposition, highest accuracy.
-  const SpreadSnapshot snap = snapshot();
-  if (sink_) sink_->count("differ.full_recomputes");
-  const la::ThinSvd svd = la::svd_thin(snap.anomalies, method);
-  return ErrorSubspace::from_svd(svd.u, svd.s, variance_fraction, max_rank);
+ErrorSubspace Differ::subspace(double variance_fraction,
+                               std::size_t max_rank) const {
+  return subspace_from_view(view(), variance_fraction, max_rank, nullptr,
+                            sink_);
 }
 
 }  // namespace essex::esse

@@ -19,9 +19,7 @@
 // live pair) are modelled by view(): the caller receives a versioned,
 // copy-free column-prefix view over the shared column storage — O(n)
 // pointer copies, never an O(m·n) matrix copy — while the live store
-// keeps growing. snapshot() materialises a view into the dense
-// SpreadSnapshot for the from-scratch decomposition that wants the full
-// matrix.
+// keeps growing.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +34,6 @@
 #include "esse/error_subspace.hpp"
 #include "linalg/arena.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/svd.hpp"
 #include "ocean/tiling.hpp"
 
 namespace essex::telemetry {
@@ -44,12 +41,6 @@ class Sink;
 }
 
 namespace essex::esse {
-
-/// A snapshot of the accumulated ensemble spread, normalised so that
-/// A Aᵀ is the sample covariance estimate.
-struct SpreadSnapshot {
-  la::Matrix anomalies;  ///< m × n, already scaled by 1/√(n−1)
-};
 
 /// One absorbed member: the unnormalised anomaly column plus the border
 /// row of the Gram matrix linking it to every column absorbed before it
@@ -176,17 +167,11 @@ class Differ {
   /// contiguous_view().prefix(c) payloads.
   AnomalyView contiguous_view() const;
 
-  /// Materialise the normalised anomaly matrix (the dense "safe file").
-  /// Requires count() >= 2.
-  SpreadSnapshot snapshot() const;
-
-  /// Compute the error subspace, truncated to `variance_fraction` /
-  /// `max_rank` (0 = no cap). kGram (the default) uses the incremental
-  /// cached-Gram path; kOneSidedJacobi forces the dense from-scratch
-  /// decomposition (highest accuracy, full price).
+  /// Compute the error subspace of every absorbed member, truncated to
+  /// `variance_fraction` / `max_rank` (0 = no cap): subspace_from_view
+  /// over view().
   ErrorSubspace subspace(double variance_fraction = 0.99,
-                         std::size_t max_rank = 0,
-                         la::SvdMethod method = la::SvdMethod::kGram) const;
+                         std::size_t max_rank = 0) const;
 
   const la::Vector& central() const { return central_; }
 

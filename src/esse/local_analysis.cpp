@@ -45,11 +45,7 @@ AnalysisResult analyze_tiled(const la::Vector& forecast,
                              const ErrorSubspace& subspace, const ObsSet& obs,
                              const ocean::Tiling& tiling,
                              const LocalizationParams& localization,
-                             ThreadPool* pool, AnalysisMethod method) {
-  ESSEX_REQUIRE(method == AnalysisMethod::kSubspaceKalman ||
-                    method == AnalysisMethod::kEtkf ||
-                    method == AnalysisMethod::kEsrf,
-                "analyze_tiled handles only self-contained methods");
+                             ThreadPool* pool) {
   ESSEX_REQUIRE(!subspace.empty(), "analysis needs a non-empty subspace");
   ESSEX_REQUIRE(!obs.empty(), "analysis needs at least one observation");
   ESSEX_REQUIRE(forecast.size() == subspace.dim(),
@@ -106,14 +102,6 @@ AnalysisResult analyze_tiled(const la::Vector& forecast,
       return;
     }
 
-    if (method == AnalysisMethod::kEsrf) {
-      // Serial Potter sweep over the tapered local set, in obs-index
-      // order (canonical by the time analyze() hands the set over). The
-      // factor satisfies W·Wᵀ = C_t, which is all the blend needs.
-      detail::esrf_solve(sig, he, d, rvar, local, ts.w, ts.smat);
-      return;
-    }
-
     // G_t = HEᵀ R_loc⁻¹ HE and rhs_t = HEᵀ R_loc⁻¹ d over the local
     // observations, accumulated row by row in obs-index order.
     la::Matrix g(k, k);
@@ -130,14 +118,6 @@ AnalysisResult analyze_tiled(const la::Vector& forecast,
     // it exactly symmetric for the eigensolver.
     for (std::size_t a = 0; a < k; ++a)
       for (std::size_t b = a + 1; b < k; ++b) g(b, a) = g(a, b);
-
-    if (method == AnalysisMethod::kEtkf) {
-      // The transform solve is per-tile local state only — exactly as
-      // tile-parallel as the Kalman core, and its symmetric-square-root
-      // factor is canonical without sign fixing.
-      detail::etkf_solve(sig, g, rhs, ts.w, ts.smat);
-      return;
-    }
 
     la::Matrix cmat = detail::posterior_core(sig, g);
     ts.w = la::matvec(cmat, rhs);

@@ -24,22 +24,14 @@
 
 namespace essex::esse {
 
-/// Run the tiled update. `tiling` must match forecast.size(); `pool` is
-/// optional (serial when null). Reached only through analyze(), which has
-/// already checked every observation for finite values, weights,
-/// positions and a finite positive variance.
-///
-/// `method` selects the per-tile solver; only the self-contained filters
-/// compose (kMultiModel resolves to a combined ObsSet inside analyze()
-/// before reaching here). The blend machinery is method-agnostic: it
-/// needs only C_t = S_t·S_tᵀ, which every solver's factor satisfies.
-/// Note: for kEsrf the per-tile sweep runs in obs-index order of `obs` —
-/// analyze() canonicalizes the set first; direct callers passing kEsrf
-/// must do the same to keep results arrival-invariant.
+/// Run the tiled subspace-Kalman update. `tiling` must match
+/// forecast.size(); `pool` is optional (serial when null). Reached only
+/// through analyze(), which has already checked every observation for
+/// finite values, weights, positions and a finite positive variance, and
+/// has already resolved kMultiModel to a combined ObsSet.
 AnalysisResult analyze_tiled(
     const la::Vector& forecast, const ErrorSubspace& subspace,
     const ObsSet& obs, const ocean::Tiling& tiling,
-    const LocalizationParams& localization, ThreadPool* pool = nullptr,
-    AnalysisMethod method = AnalysisMethod::kSubspaceKalman);
+    const LocalizationParams& localization, ThreadPool* pool = nullptr);
 
 }  // namespace essex::esse

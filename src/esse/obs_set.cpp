@@ -1,44 +1,8 @@
 #include "esse/obs_set.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace essex::esse {
-
-namespace {
-
-/// Three-way exact comparison of entry content. Every field participates
-/// (bit-for-bit on the doubles), so the induced order is total up to
-/// fully-identical entries — which commute under any serial update.
-int compare_entries(const ObsEntry& a, const ObsEntry& b) {
-  const auto cmp = [](double x, double y) {
-    return x < y ? -1 : (x > y ? 1 : 0);
-  };
-  if (a.stencil.size() != b.stencil.size())
-    return a.stencil.size() < b.stencil.size() ? -1 : 1;
-  for (std::size_t j = 0; j < a.stencil.size(); ++j) {
-    if (a.stencil[j].first != b.stencil[j].first)
-      return a.stencil[j].first < b.stencil[j].first ? -1 : 1;
-    if (int c = cmp(a.stencil[j].second, b.stencil[j].second)) return c;
-  }
-  if (int c = cmp(a.value, b.value)) return c;
-  if (int c = cmp(a.variance, b.variance)) return c;
-  if (a.positioned != b.positioned) return a.positioned ? 1 : -1;
-  if (int c = cmp(a.x_km, b.x_km)) return c;
-  return cmp(a.y_km, b.y_km);
-}
-
-}  // namespace
-
-ObsSet canonical_obs_order(const ObsSet& obs) {
-  std::vector<ObsEntry> entries = obs.entries();
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const ObsEntry& a, const ObsEntry& b) {
-                     return compare_entries(a, b) < 0;
-                   });
-  return ObsSet(std::move(entries));
-}
 
 ObsSet ObsSet::from_operator(const obs::ObsOperator& h) {
   std::vector<ObsEntry> entries;

@@ -75,13 +75,4 @@ class ObsSet {
   std::vector<ObsEntry> entries_;
 };
 
-/// The same observations in *canonical* order: a total content order
-/// (stencil, then value, variance and position, compared exactly), so
-/// any permutation of the same entries sorts to one sequence — entries
-/// with identical content are interchangeable, so even their relative
-/// order cannot change a serial sweep. This is what makes the
-/// order-dependent ESRF method arrival-invariant (DESIGN.md §16): the
-/// result depends on the *set*, never on how the batch was assembled.
-ObsSet canonical_obs_order(const ObsSet& obs);
-
 }  // namespace essex::esse

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "linalg/stats.hpp"
 
 namespace essex::esse {
@@ -41,42 +40,6 @@ double spread_skill_ratio(const ErrorSubspace& subspace,
       std::sqrt(subspace.total_variance() /
                 static_cast<double>(subspace.dim()));
   return spread / rmse;
-}
-
-std::vector<std::size_t> rank_histogram(
-    const std::vector<la::Vector>& members, const la::Vector& truth,
-    std::size_t n_probe, std::uint64_t seed) {
-  ESSEX_REQUIRE(members.size() >= 2, "need at least two members");
-  ESSEX_REQUIRE(n_probe >= 1, "need at least one probe");
-  const std::size_t dim = truth.size();
-  for (const auto& m : members) {
-    ESSEX_REQUIRE(m.size() == dim, "member length mismatch");
-  }
-  std::vector<std::size_t> hist(members.size() + 1, 0);
-  Rng rng(seed);
-  for (std::size_t p = 0; p < n_probe; ++p) {
-    const std::size_t i = rng.uniform_index(dim);
-    std::size_t rank = 0;
-    for (const auto& m : members) {
-      if (m[i] < truth[i]) ++rank;
-    }
-    ++hist[rank];
-  }
-  return hist;
-}
-
-double histogram_flatness(const std::vector<std::size_t>& histogram) {
-  ESSEX_REQUIRE(!histogram.empty(), "empty histogram");
-  double total = 0;
-  for (auto c : histogram) total += static_cast<double>(c);
-  if (total == 0) return 0.0;
-  const double expected = total / static_cast<double>(histogram.size());
-  double chi2 = 0;
-  for (auto c : histogram) {
-    const double d = static_cast<double>(c) - expected;
-    chi2 += d * d / expected;
-  }
-  return chi2;
 }
 
 }  // namespace essex::esse

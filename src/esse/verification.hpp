@@ -3,9 +3,8 @@
 // "A comprehensive prediction should include the reliability of estimated
 // quantities" (paper §2). This module supplies the standard diagnostics a
 // real-time system reports against withheld truth or observations: RMSE,
-// bias, anomaly correlation, the spread–skill ratio (is the predicted
-// uncertainty the right size?) and the rank histogram (is the ensemble
-// statistically indistinguishable from the truth?).
+// bias, anomaly correlation and the spread–skill ratio (is the predicted
+// uncertainty the right size?).
 #pragma once
 
 #include <cstddef>
@@ -34,17 +33,5 @@ SkillScore skill(const la::Vector& estimate, const la::Vector& truth,
 double spread_skill_ratio(const ErrorSubspace& subspace,
                           const la::Vector& estimate,
                           const la::Vector& truth);
-
-/// Rank (Talagrand) histogram: for each of `n_probe` randomly probed
-/// state components, the rank of the truth among the ensemble member
-/// values. Flat ⇒ calibrated; U-shaped ⇒ under-dispersive.
-/// `members` holds the packed member states (>= 2 members).
-std::vector<std::size_t> rank_histogram(
-    const std::vector<la::Vector>& members, const la::Vector& truth,
-    std::size_t n_probe, std::uint64_t seed);
-
-/// Chi-square statistic of a histogram against the uniform distribution
-/// (a scalar summary for tests: small ⇒ flat).
-double histogram_flatness(const std::vector<std::size_t>& histogram);
 
 }  // namespace essex::esse

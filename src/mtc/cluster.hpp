@@ -19,7 +19,6 @@ struct NodeSpec {
   std::string name;
   std::size_t cores = 1;
   double cpu_speed = 1.0;  ///< relative to local Opteron 250 @2.4 GHz
-  double local_disk_bps = 200e6;  ///< local scratch read bandwidth
   bool reserved_by_others = false;  ///< cores in use by other users
 };
 

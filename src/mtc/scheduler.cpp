@@ -68,16 +68,6 @@ void JobContext::transfer(BandwidthResource& resource, double bytes,
                           });
 }
 
-void JobContext::local_io(double bytes, std::function<void()> next) {
-  const double secs = bytes / node().local_disk_bps;
-  auto self = shared_from_this();
-  sched_.sim_.after(secs, [self, secs, next = std::move(next)] {
-    if (!self->alive_) return;
-    self->sched_.records_[self->id_].io_seconds += secs;
-    next();
-  });
-}
-
 void JobContext::busy_wait(double seconds, std::function<void()> next) {
   ESSEX_REQUIRE(seconds >= 0, "negative busy wait");
   auto self = shared_from_this();

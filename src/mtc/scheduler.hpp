@@ -56,9 +56,6 @@ class JobContext : public std::enable_shared_from_this<JobContext> {
   void transfer(BandwidthResource& resource, double bytes,
                 std::function<void()> next);
 
-  /// Read `bytes` from the node's local disk (no contention modelled).
-  void local_io(double bytes, std::function<void()> next);
-
   /// Busy time that does not scale with CPU speed (buffered local-
   /// filesystem handling); accounted as busy, not I/O wait.
   void busy_wait(double seconds, std::function<void()> next);

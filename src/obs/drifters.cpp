@@ -94,21 +94,4 @@ std::vector<DrifterFix> advect_drifter(const ocean::OceanModel& model,
   return fixes;
 }
 
-ObservationSet drifter_observations(const std::vector<DrifterFix>& fixes,
-                                    double noise_std) {
-  ObservationSet set;
-  set.reserve(fixes.size());
-  for (const auto& fix : fixes) {
-    Observation ob;
-    ob.kind = VarKind::kTemperature;
-    ob.x_km = fix.x_km;
-    ob.y_km = fix.y_km;
-    ob.depth_m = 0.0;
-    ob.value = fix.sst;
-    ob.noise_std = noise_std;
-    set.push_back(ob);
-  }
-  return set;
-}
-
 }  // namespace essex::obs

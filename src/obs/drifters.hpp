@@ -39,8 +39,4 @@ std::vector<DrifterFix> advect_drifter(const ocean::OceanModel& model,
                                        double report_interval_h,
                                        double sst_noise, Rng& rng);
 
-/// Convert drifter fixes into assimilable SST observations.
-ObservationSet drifter_observations(const std::vector<DrifterFix>& fixes,
-                                    double noise_std);
-
 }  // namespace essex::obs

@@ -96,8 +96,7 @@ std::string golden_multilevel_digest(
 }
 
 std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
-    std::size_t threads, std::function<void(std::size_t)> arrival_hook,
-    std::uint64_t obs_order_seed) {
+    std::size_t threads, std::function<void(std::size_t)> arrival_hook) {
   const GoldenFixture fx;
   const ocean::Scenario& sc = fx.sc;
   const esse::ForecastResult fc =
@@ -129,17 +128,7 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
   for (std::size_t i = 0; i < set.size(); ++i)
     set[i].value = at_forecast[i] + value_rng.normal(0.0, set[i].noise_std);
   obs::ObsOperator h(sc.grid, std::move(set));
-  esse::ObsSet obs = esse::ObsSet::from_operator(h);
-
-  if (obs_order_seed != 0) {
-    // Adversarial assembly order (Fisher–Yates on the entries): the §10
-    // contract demands identical digests regardless.
-    std::vector<esse::ObsEntry> entries = obs.entries();
-    Rng shuffle_rng(obs_order_seed);
-    for (std::size_t i = entries.size(); i > 1; --i)
-      std::swap(entries[i - 1], entries[shuffle_rng.uniform_index(i)]);
-    obs = esse::ObsSet(std::move(entries));
-  }
+  const esse::ObsSet obs = esse::ObsSet::from_operator(h);
 
   // The combiner's second opinion: the same coarse companion integration
   // the runner attaches for kMultiModel cycles.

@@ -68,15 +68,10 @@ std::string golden_multilevel_digest(
 /// AnalysisMethod analyzes the same forecast (the multi-model combiner's
 /// surrogate comes from esse::run_surrogate_forecast on the same
 /// scenario). No digest may depend on `threads` or the arrival
-/// schedule. `obs_order_seed` != 0 hands analyze() an adversarially
-/// shuffled copy of the batch: the ESRF digest must not move (analyze()
-/// pins its serial sweep to canonical content order), while the
-/// batch-form filters legitimately reduce in the given order. Keys in
-/// tests/golden/analysis_methods.sha256 are
+/// schedule. Keys in tests/golden/analysis_methods.sha256 are
 /// "<kGoldenRunKey>-<method_name>".
 std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
-    std::size_t threads, std::function<void(std::size_t)> arrival_hook = {},
-    std::uint64_t obs_order_seed = 0);
+    std::size_t threads, std::function<void(std::size_t)> arrival_hook = {});
 
 /// Digests of bare OceanModel trajectories, keyed as in
 /// tests/golden/ocean.sha256. The forecast goldens above run a land-free

@@ -60,21 +60,16 @@ struct AnalysisMethodReport {
   bool ok = true;
   /// Failure narrative; every line embeds the reproducing seed + method.
   std::string detail;
-  double posterior_rms_vs_kalman = 0;  ///< global method vs reference
   double tiled_rms_diff = 0;  ///< tiled vs global at untapered radius
   double prior_trace = 0;
   double posterior_trace = 0;  ///< must never exceed the prior
 };
 
 /// Cross-validate one AnalysisMethod on the seeded scenario the
-/// tiled-vs-global oracle uses: (1) the global update agrees with the
-/// subspace-Kalman reference posterior mean to round-off for the
-/// equivalent filters (ETKF/ESRF — both are algebraic rewrites of the
-/// same update; the multi-model combiner assimilates extra data, so only
-/// its contraction clauses apply); (2) the tiled update collapses onto
-/// the method's own global update at an untapered radius; (3) "analysis
-/// never hurts" — the posterior trace never exceeds the prior — both
-/// globally and at a tight localization radius.
+/// tiled-vs-global oracle uses: (1) "analysis never hurts" globally —
+/// the posterior trace never exceeds the prior; (2) the tiled update
+/// collapses onto the method's own global update at an untapered radius,
+/// and never hurts at a tight localization radius either.
 AnalysisMethodReport run_analysis_method_oracle(std::uint64_t seed,
                                                 esse::AnalysisMethod method,
                                                 std::size_t threads = 3);

@@ -1,12 +1,14 @@
-// ESSEX: the real (in-process) Fig. 4 parallel ESSE runner.
+// ESSEX: the Fig.-4 forecast request and its up-front checks.
 //
-// Runs actual ocean-model ensemble members on a thread pool with the MTC
-// semantics of §4.1: a task pool of size M ≥ N, a continuously-updated
-// differ, an SVD/convergence thread reading the differ's copy-free
-// canonical snapshots (the in-memory "safe file"), cancellation of
-// queued members on convergence, and staged pool growth. This is the
-// scientific counterpart of the DES driver in esse_workflow_sim.hpp —
-// same structure, real numbers.
+// A ForecastRequest bundles the model, the initial state, the prior
+// error subspace and the ParallelRunnerConfig of one real (in-process)
+// Fig.-4 forecast. This header holds what every entry point needs before
+// a member runs: validate(), which turns a malformed request into named
+// issues instead of an abort, and forecast_work_units(), the admission
+// cost the ForecastService estimates runtimes in. The runner itself is
+// service/runner_core (entry points in service/forecast_service.hpp:
+// ForecastService and the one-shot run_parallel_forecast); its DES
+// counterpart is esse_workflow_sim.hpp.
 #pragma once
 
 #include <cstddef>

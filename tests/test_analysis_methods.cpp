@@ -1,17 +1,11 @@
-// The pluggable-filter cross-validation harness (DESIGN.md §16).
+// The analysis-method cross-validation harness (DESIGN.md §16).
 //
-// Every AnalysisMethod behind the unified analyze() entry point is held
-// to the same contract, and the equivalent filters are held to each
-// other: the ETKF and the serial ESRF are algebraic rewrites of the
-// subspace-Kalman update, so on full-rank, well-conditioned generated
-// ensembles their posterior mean AND dense posterior covariance must
-// match the reference to 1e-10. The ESRF must additionally be bitwise
-// invariant to how the observation batch was assembled (analyze() pins
-// its sweep to canonical content order), every method must be bitwise
-// invariant to the worker-thread count, the multi-model combiner must be
-// exactly "subspace Kalman on the pseudo-augmented set", and no method
-// may ever inflate the posterior trace above the prior. Labelled
-// `analysis`: CI runs it in both the default and tsan jobs.
+// Both AnalysisMethods behind the unified analyze() entry point are held
+// to the same contract: every method must be bitwise invariant to the
+// worker-thread count, the multi-model combiner must be exactly
+// "subspace Kalman on the pseudo-augmented set", and no method may ever
+// inflate the posterior trace above the prior. Labelled `analysis`: CI
+// runs it in both the default and tsan jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,28 +48,6 @@ esse::ObsSet make_obs_for(const SurrogatePair& sp, std::size_t stride = 3) {
   return esse::ObsSet(std::move(entries));
 }
 
-// Dense P = E Λ Eᵀ — affordable because the generated dims stay small.
-la::Matrix dense_cov(const esse::ErrorSubspace& s) {
-  const std::size_t m = s.dim(), k = s.rank();
-  la::Matrix p(m, m);
-  for (std::size_t t = 0; t < k; ++t) {
-    const double var = s.sigmas()[t] * s.sigmas()[t];
-    for (std::size_t i = 0; i < m; ++i) {
-      const double ei = s.modes()(i, t) * var;
-      for (std::size_t j = 0; j < m; ++j) p(i, j) += ei * s.modes()(j, t);
-    }
-  }
-  return p;
-}
-
-double max_abs_diff(const la::Matrix& a, const la::Matrix& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      worst = std::max(worst, std::abs(a(i, j) - b(i, j)));
-  return worst;
-}
-
 double rms_diff(const la::Vector& a, const la::Vector& b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -85,9 +57,8 @@ double rms_diff(const la::Vector& a, const la::Vector& b) {
   return a.empty() ? 0.0 : std::sqrt(acc / static_cast<double>(a.size()));
 }
 
-// Well-conditioned generation knobs shared by the equivalence and
-// invariance properties: full-rank spectra, modest dims so the dense
-// covariance comparison stays cheap.
+// Well-conditioned generation knobs shared by the properties: full-rank
+// spectra, modest dims.
 SubspaceOpts equivalence_opts() {
   SubspaceOpts opts;
   opts.dim_lo = 8;
@@ -147,87 +118,17 @@ esse::AnalysisOptions options_for(const MethodCase& c,
 
 TEST(AnalysisMethods, RegistryNamesRoundTrip) {
   const auto& reg = esse::analysis_method_registry();
-  ASSERT_EQ(reg.size(), 4u);
+  ASSERT_EQ(reg.size(), 2u);
   std::set<std::string> names;
   for (const esse::AnalysisMethod m : reg) {
     EXPECT_TRUE(esse::is_registered(m));
     const std::string name = esse::to_string(m);
     EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
   }
-  EXPECT_FALSE(esse::is_registered(static_cast<esse::AnalysisMethod>(99)));
-}
-
-TEST(AnalysisMethods, SqrtFiltersMatchKalmanPosteriorTo1em10) {
-  // The filter-equivalence property: ETKF and ESRF are algebraic
-  // rewrites of the subspace-Kalman update, so on full-rank
-  // well-conditioned cases the posterior mean and the *dense* posterior
-  // covariance must agree with the reference to 1e-10 (relative to the
-  // prior scale) — not merely "close".
-  PropConfig config;
-  config.name = "sqrt filters ≡ subspace Kalman";
-  config.cases = 80;
-  const PropResult r = check<SurrogatePair>(
-      config, gen_surrogate_pair(equivalence_opts()),
-      [](const SurrogatePair& sp) {
-        const esse::ObsSet obs = make_obs_for(sp);
-        const esse::AnalysisResult ref =
-            esse::analyze(sp.forecast, sp.subspace, obs);
-        const la::Matrix ref_cov = dense_cov(ref.posterior_subspace);
-        const double scale = std::max(1.0, ref.prior_trace);
-        for (const esse::AnalysisMethod method :
-             {esse::AnalysisMethod::kEtkf, esse::AnalysisMethod::kEsrf}) {
-          esse::AnalysisOptions options;
-          options.method = method;
-          const esse::AnalysisResult got =
-              esse::analyze(sp.forecast, sp.subspace, obs, options);
-          if (rms_diff(got.posterior_state, ref.posterior_state) >
-              1e-10 * scale)
-            throw std::runtime_error(
-                std::string(esse::to_string(method)) +
-                " posterior mean diverged from the Kalman reference");
-          if (max_abs_diff(dense_cov(got.posterior_subspace), ref_cov) >
-              1e-10 * scale)
-            throw std::runtime_error(
-                std::string(esse::to_string(method)) +
-                " posterior covariance diverged from the Kalman reference");
-          if (std::abs(got.posterior_trace - ref.posterior_trace) >
-              1e-10 * scale)
-            throw std::runtime_error(
-                std::string(esse::to_string(method)) +
-                " posterior trace diverged from the Kalman reference");
-        }
-        return true;
-      });
-  ASSERT_TRUE(r.ok) << r.message;
-}
-
-TEST(AnalysisMethods, EsrfIsObservationAssemblyOrderInvariant) {
-  // The serial sweep is order-dependent by construction; analyze() pins
-  // it to canonical content order, so an adversarially shuffled copy of
-  // the same batch must produce a bitwise-identical product (equal
-  // analysis digests, which cover state, subspace and diagnostics).
-  PropConfig config;
-  config.name = "ESRF assembly-order invariance";
-  config.cases = 80;
-  const PropResult r = check<SurrogatePair>(
-      config, gen_surrogate_pair(equivalence_opts()),
-      [](const SurrogatePair& sp) {
-        const esse::ObsSet obs = make_obs_for(sp);
-        std::vector<esse::ObsEntry> entries = obs.entries();
-        Rng shuffle_rng(0x0b5e7a11ULL ^ sp.truth.size());
-        for (std::size_t i = entries.size(); i > 1; --i)
-          std::swap(entries[i - 1], entries[shuffle_rng.uniform_index(i)]);
-        const esse::ObsSet shuffled{std::move(entries)};
-
-        esse::AnalysisOptions options;
-        options.method = esse::AnalysisMethod::kEsrf;
-        const std::string a = esse::analysis_digest(
-            esse::analyze(sp.forecast, sp.subspace, obs, options));
-        const std::string b = esse::analysis_digest(
-            esse::analyze(sp.forecast, sp.subspace, shuffled, options));
-        return a == b;
-      });
-  ASSERT_TRUE(r.ok) << r.message;
+  // The retired values and anything else cast from an integer.
+  for (const int value : {1, 2, 99})
+    EXPECT_FALSE(
+        esse::is_registered(static_cast<esse::AnalysisMethod>(value)));
 }
 
 TEST(AnalysisMethods, EveryMethodIsBitwiseThreadInvariant) {
@@ -368,8 +269,7 @@ TEST(AnalysisMethods, MultiModelTelemetryAndPreconditions) {
 }
 
 TEST(AnalysisMethods, OracleCrossValidatesEveryMethod) {
-  // The end-to-end cross-validation on a real seeded scenario: global
-  // agreement with the Kalman reference for the equivalent filters,
+  // The end-to-end cross-validation on a real seeded scenario:
   // tiled-vs-global collapse at an untapered radius, and never-hurts
   // both globally and under tight localization (DESIGN.md §16).
   for (const std::uint64_t seed : {7ULL, 21ULL}) {
@@ -435,12 +335,13 @@ TEST(AnalysisMethods, MethodGeneratorCoversRegistryAndShrinks) {
   EXPECT_EQ(seen.size(), esse::analysis_method_registry().size())
       << "64 draws should cover every registered method";
 
-  const auto from_etkf = gen.shrink(esse::AnalysisMethod::kEtkf);
-  ASSERT_FALSE(from_etkf.empty());
-  EXPECT_EQ(from_etkf.front(), esse::AnalysisMethod::kSubspaceKalman);
+  const auto from_mm = gen.shrink(esse::AnalysisMethod::kMultiModel);
+  ASSERT_FALSE(from_mm.empty());
+  EXPECT_EQ(from_mm.front(), esse::AnalysisMethod::kSubspaceKalman);
   EXPECT_TRUE(gen.shrink(esse::AnalysisMethod::kSubspaceKalman).empty())
       << "the reference filter is the shrink fixed point";
-  EXPECT_EQ(gen.describe(esse::AnalysisMethod::kEsrf), "method esrf");
+  EXPECT_EQ(gen.describe(esse::AnalysisMethod::kMultiModel),
+            "method multi_model");
 }
 
 TEST(AnalysisMethods, SurrogatePairGeneratorKeepsItsPromises) {

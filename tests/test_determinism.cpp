@@ -128,13 +128,8 @@ TEST(Determinism, MultilevelForecastIsThreadAndArrivalInvariant) {
 TEST(Determinism, AnalysisMethodIsThreadAndArrivalInvariant) {
   // Every registered filter obeys the §10 contract end to end: one
   // analysis digest per method across thread counts {1, 4, 8} and
-  // adversarial member-arrival schedules. Observation-assembly shuffle
-  // invariance is additionally demanded of the ESRF — the one filter
-  // whose algorithm is order-dependent, pinned by canonical content
-  // ordering; the batch-form filters consume the set in the given order,
-  // so a shuffle legitimately permutes their reduction order. One golden
-  // forecast feeds all four methods per schedule, so this costs four
-  // forecast runs, not sixteen.
+  // adversarial member-arrival schedules. One golden forecast feeds both
+  // methods per schedule, so this costs three forecast runs, not six.
   const auto baseline = golden_analysis_digests(1);
   ASSERT_EQ(baseline.size(), esse::analysis_method_registry().size());
   // Distinct filters must produce distinct products on the same data —
@@ -143,24 +138,17 @@ TEST(Determinism, AnalysisMethodIsThreadAndArrivalInvariant) {
             baseline.at(esse::AnalysisMethod::kMultiModel));
 
   const auto threads8 = golden_analysis_digests(8);
-  // Adversarial member-arrival schedule, natural observation order: the
-  // golden forecast is arrival-invariant and the analysis is a pure
-  // function of it, so every method's digest must hold.
+  // Adversarial member-arrival schedule: the golden forecast is
+  // arrival-invariant and the analysis is a pure function of it, so
+  // every method's digest must hold.
   const auto arrival = golden_analysis_digests(4, [](std::size_t id) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds((id * 37 + 11) % 7));
   });
-  // Adversarial observation-assembly shuffle: only the ESRF — whose
-  // serial sweep analyze() pins to canonical content order — must hold.
-  const auto obs_shuffled =
-      golden_analysis_digests(4, {}, /*obs_order_seed=*/0x0b5e7a11ULL);
   for (const auto& [method, digest] : baseline) {
     SCOPED_TRACE(esse::to_string(method));
     EXPECT_EQ(threads8.at(method), digest);
     EXPECT_EQ(arrival.at(method), digest);
-    if (method == esse::AnalysisMethod::kEsrf) {
-      EXPECT_EQ(obs_shuffled.at(method), digest);
-    }
   }
 }
 

@@ -352,19 +352,5 @@ TEST_F(DrifterFixture, RejectsNonFiniteTimesAndPositions) {
   EXPECT_THROW(drift(0.0, 10.0, 40.0, nan), PreconditionError);
 }
 
-TEST_F(DrifterFixture, FixesConvertToAssimilableObservations) {
-  Rng rng(6);
-  auto fixes = obs::advect_drifter(*model, sc->initial, 0.0, 24.0, 40.0,
-                                   60.0, 6.0, 0.02, rng);
-  auto set = obs::drifter_observations(fixes, 0.05);
-  ASSERT_EQ(set.size(), fixes.size());
-  EXPECT_NO_THROW(obs::ObsOperator(sc->grid, set));
-  for (const auto& ob : set) {
-    EXPECT_EQ(ob.kind, obs::VarKind::kTemperature);
-    EXPECT_DOUBLE_EQ(ob.depth_m, 0.0);
-    EXPECT_DOUBLE_EQ(ob.noise_std, 0.05);
-  }
-}
-
 }  // namespace
 }  // namespace essex

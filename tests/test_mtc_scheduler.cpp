@@ -207,21 +207,6 @@ TEST(JobContext, BusyWaitCountsAsCpuAndIgnoresSpeed) {
   EXPECT_NEAR(r.cpu_seconds, 5.0, 1e-9);
 }
 
-TEST(JobContext, LocalIoUsesNodeDiskBandwidth) {
-  Simulator sim;
-  ClusterSpec spec = tiny_cluster(1, 1);
-  spec.nodes[0].local_disk_bps = 100.0;
-  SchedulerParams p = sge_params();
-  p.dispatch_latency_s = 0.0;
-  p.array_submit_overhead_s = 0.0;
-  ClusterScheduler sched(sim, spec, p);
-  JobId id = sched.submit([](JobContext& ctx) {
-    ctx.local_io(500.0, [&ctx] { ctx.finish(); });
-  });
-  sim.run();
-  EXPECT_NEAR(sched.record(id).io_seconds, 5.0, 1e-9);
-}
-
 // ---- cancellation -----------------------------------------------------------------------
 
 TEST(Cancellation, QueuedJobNeverRuns) {

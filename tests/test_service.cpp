@@ -19,7 +19,9 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
+#include "esse/analysis.hpp"
 #include "esse/convergence.hpp"
+#include "esse/obs_set.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
@@ -612,6 +614,40 @@ TEST_F(ServiceFixture, InvalidRequestsGetStructuredRejections) {
   EXPECT_THROW(h.result(), PreconditionError);
   // The one-shot wrapper keeps throwing, as it always did.
   EXPECT_THROW(run_parallel_forecast(bad), PreconditionError);
+}
+
+TEST_F(ServiceFixture, UnregisteredAnalysisMethodIsRefusedBeforeAnyMember) {
+  // An analysis method cast from an untrusted integer: the retired
+  // values 1 and 2 and an arbitrary 99. Validation names the field, the
+  // service rejects the request at submit() without admitting it (so no
+  // member is ever dispatched), and analyze() itself refuses the value.
+  const esse::ObsSet obs = esse::ObsSet::from_linear({{{{0, 1.0}}, 0.0, 1.0}});
+  const la::Vector forecast = sc->initial.pack();
+  for (const int value : {1, 2, 99}) {
+    SCOPED_TRACE(value);
+    const auto method = static_cast<esse::AnalysisMethod>(value);
+    workflow::ForecastRequest bad = quick_request();
+    bad.config.cycle.analysis.method = method;
+
+    const auto issues = workflow::validate(bad);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].field, "config.cycle.analysis.method");
+
+    ForecastService svc(ServiceConfig{});
+    ForecastHandle h = svc.submit(wrap(bad));
+    ASSERT_EQ(h.state(), RequestState::kRejected);
+    EXPECT_EQ(h.rejection().reason, RejectReason::kInvalidRequest);
+    EXPECT_NE(h.rejection().message.find("config.cycle.analysis.method"),
+              std::string::npos);
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.admitted, 0u);
+    EXPECT_EQ(st.rejected_invalid, 1u);
+
+    esse::AnalysisOptions options;
+    options.method = method;
+    EXPECT_THROW(esse::analyze(forecast, subspace, obs, options),
+                 PreconditionError);
+  }
 }
 
 TEST_F(ServiceFixture, InfeasibleDeadlinesAreRefusedUpFront) {

@@ -122,21 +122,6 @@ TEST(MetricsRegistry, NamesAreSortedAndComplete) {
   EXPECT_EQ(reg.histogram_names(), (std::vector<std::string>{"h"}));
 }
 
-TEST(MetricsRegistry, CsvHasHeaderAndOneRowPerMetric) {
-  MetricsRegistry reg;
-  reg.counter("done").add(5.0);
-  reg.gauge("util").set(0.5);
-  reg.histogram("wait").observe(2.0);
-  std::ostringstream os;
-  reg.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("kind,name,count,value,mean,min,max,p50,p95"),
-            std::string::npos);
-  EXPECT_NE(csv.find("counter,done,"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,util,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,wait,"), std::string::npos);
-}
-
 // ---- recorder -----------------------------------------------------------------
 
 TEST(Recorder, EventsAndSpansRoundTrip) {
@@ -204,20 +189,6 @@ TEST(Sink, WritesJsonWithMetricsEventsAndSpans) {
   EXPECT_NE(json.find("\"phase_s\""), std::string::npos);
   // The ScopedTimer also fed the histogram of the same name.
   EXPECT_EQ(sink.metrics().histogram_at("phase_s").count(), 1u);
-}
-
-TEST(Sink, WritesMetricsAndEventsCsv) {
-  testkit::TempDir tmp;
-  Sink sink("csv");
-  sink.count("done", 2.0);
-  sink.event("tick", 1.0, 0.5);
-  sink.write_metrics_csv(tmp.file("metrics.csv"));
-  sink.write_events_csv(tmp.file("events.csv"));
-  EXPECT_NE(slurp(tmp.file("metrics.csv")).find("counter,done,"),
-            std::string::npos);
-  const std::string events = slurp(tmp.file("events.csv"));
-  EXPECT_NE(events.find("t,name,value"), std::string::npos);
-  EXPECT_NE(events.find("tick"), std::string::npos);
 }
 
 TEST(Sessions, MultipleSinksLandInOneJsonArray) {

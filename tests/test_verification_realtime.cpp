@@ -75,46 +75,6 @@ TEST(SpreadSkill, CalibratedWhenSpreadMatchesError) {
   EXPECT_NEAR(ratio, 1.0, 1e-9);
 }
 
-// ---- rank histogram ----------------------------------------------------------------
-
-TEST(RankHistogram, CalibratedEnsembleIsFlat) {
-  Rng rng(3);
-  const std::size_t dim = 4000, n_members = 9;
-  // Truth and members drawn from the same distribution per component.
-  la::Vector truth(dim);
-  for (auto& v : truth) v = rng.normal();
-  std::vector<la::Vector> members(n_members, la::Vector(dim));
-  for (auto& m : members)
-    for (auto& v : m) v = rng.normal();
-  auto hist = esse::rank_histogram(members, truth, 5000, 7);
-  ASSERT_EQ(hist.size(), n_members + 1);
-  // Chi-square with 9 dof: flat histograms stay well under ~30.
-  EXPECT_LT(esse::histogram_flatness(hist), 30.0);
-}
-
-TEST(RankHistogram, UnderdispersedEnsembleIsUShaped) {
-  Rng rng(4);
-  const std::size_t dim = 4000, n_members = 9;
-  la::Vector truth(dim);
-  for (auto& v : truth) v = rng.normal();
-  // Members with 10x too little spread: the truth lands at the extremes.
-  std::vector<la::Vector> members(n_members, la::Vector(dim));
-  for (auto& m : members)
-    for (auto& v : m) v = 0.1 * rng.normal();
-  auto hist = esse::rank_histogram(members, truth, 5000, 7);
-  const std::size_t extremes = hist.front() + hist.back();
-  std::size_t middle = 0;
-  for (std::size_t i = 1; i + 1 < hist.size(); ++i) middle += hist[i];
-  EXPECT_GT(extremes, middle);  // U-shape
-  EXPECT_GT(esse::histogram_flatness(hist), 100.0);
-}
-
-TEST(RankHistogram, ValidatesInputs) {
-  la::Vector truth(4, 0.0);
-  std::vector<la::Vector> one(1, la::Vector(4, 0.0));
-  EXPECT_THROW(esse::rank_histogram(one, truth, 10, 1), PreconditionError);
-}
-
 // ---- realtime driver ------------------------------------------------------------------
 
 TEST(RealtimeDriver, MultiCycleCampaignBeatsPersistence) {
