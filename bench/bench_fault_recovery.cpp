@@ -56,7 +56,7 @@ int main() {
                std::to_string(m.evictions),
                std::to_string(m.retries),
                std::to_string(m.speculative_launched),
-               std::to_string(m.ledger.members_lost),
+               std::to_string(m.members_lost),
                m.degraded ? "yes" : "no"});
   };
   add_row("failure-free", base);
@@ -111,9 +111,9 @@ int main() {
   const bool enough_evictions =
       outage.evictions * 20 >= 600;  // >= 5 % of the ensemble
   const bool ok = outage.converged && enough_evictions &&
-                  outage.ledger.members_lost == 0 && overhead < 2.0;
+                  outage.members_lost == 0 && overhead < 2.0;
   std::cout << "\nacceptance: evicted=" << outage.evictions
-            << " (need >= 30), lost=" << outage.ledger.members_lost
+            << " (need >= 30), lost=" << outage.members_lost
             << ", overhead=" << Table::num(overhead, 2) << "x (need < 2)"
             << " -> " << (ok ? "PASS" : "FAIL") << '\n'
             << "series in results/bench_fault_recovery.csv, telemetry in "

@@ -25,6 +25,21 @@ struct MemberLedger {
   }
 };
 
+/// A ledger plus the attempt tallies behind it: how a Fig.-4 run's
+/// members executed. mtc::FaultTolerantExecutor counts into one;
+/// esse::MtcAccounting and workflow::WorkflowMetrics extend it.
+struct MemberTally : MemberLedger {
+  std::size_t attempts_failed = 0;  ///< attempts that ended failed
+  std::size_t evictions = 0;        ///< attempts that ended evicted
+  std::size_t timeouts = 0;         ///< attempts killed by the timeout
+  std::size_t retries = 0;          ///< re-submissions issued
+  std::size_t speculative_launched = 0;  ///< straggler backup copies
+  std::size_t speculative_won = 0;  ///< backup finished before original
+  /// Converged with members lost (graceful degradation); set by
+  /// workflow::EnsembleOrchestrator, which knows convergence.
+  bool degraded = false;
+};
+
 /// "done D + cancelled C + lost L of submitted S", for oracle messages.
 inline std::string to_string(const MemberLedger& ledger) {
   return "done " + std::to_string(ledger.members_done) + " + cancelled " +

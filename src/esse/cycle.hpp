@@ -75,21 +75,16 @@ struct CycleParams {
 
 /// MTC execution accounting attached to a forecast by task-parallel
 /// runners (service::run_parallel_forecast); absent for the serial
-/// block-synchronous driver. The inherited ledger is the executor's:
-/// members_submitted is the pool size M issued (M ≥ N), and every
-/// submitted member is done, cancelled or lost.
-struct MtcAccounting : MemberLedger {
+/// block-synchronous driver. The inherited tally is the executor's:
+/// members_submitted is the pool size M issued (M ≥ N), every submitted
+/// member is done, cancelled or lost, and the attempt tallies are zero
+/// for failure-free runs.
+struct MtcAccounting : MemberTally {
   /// Submitted members the forecast does not use (members_submitted −
   /// members_run): cancelled on convergence (§4.1), past the deciding
   /// milestone, or lost.
   std::size_t members_unused = 0;
   std::size_t svd_runs = 0;           ///< decoupled SVD invocations
-  // Fault-layer attempt tallies (zero for failure-free runs).
-  std::size_t attempts_failed = 0;    ///< attempts that threw/were injected
-  std::size_t retries = 0;            ///< re-submissions issued
-  std::size_t speculative_launched = 0;
-  std::size_t speculative_won = 0;
-  bool degraded = false;              ///< converged with N′ < N members
 };
 
 /// Outcome of the uncertainty-forecast stage. The single forecast result

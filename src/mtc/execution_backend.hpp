@@ -1,13 +1,13 @@
 // ESSEX: the unified execution API both Fig.-4 drivers submit through.
 //
-// The DES workflow driver (esse_workflow_sim) and the real thread-pool
-// runner (parallel_runner) used to own divergent execution paths — the
-// former over ClusterScheduler's JobStatus, the latter over raw
-// thread-pool exceptions. ExecutionBackend abstracts the four things the
-// fault layer needs — submit / cancel / poll and a terminal TaskReport
-// stream — plus a clock and one-shot timers, so FaultTolerantExecutor is
-// written exactly once and both drivers inherit retry, speculation and
-// graceful degradation.
+// workflow::EnsembleOrchestrator runs the Fig.-4 loop for the DES
+// workflow driver (esse_workflow_sim) over ClusterScheduler jobs and for
+// the real runner (service/runner_core) over in-process thread-pool
+// tasks. ExecutionBackend abstracts the four things the fault layer
+// needs — submit / cancel / poll and a terminal TaskReport stream — plus
+// a clock and one-shot timers, so FaultTolerantExecutor is written
+// exactly once and both drivers inherit retry, speculation and graceful
+// degradation.
 //
 //  * SimExecutionBackend wraps a ClusterScheduler: tasks are simulated
 //    member jobs, time is Simulator time, eviction comes from the node

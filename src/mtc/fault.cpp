@@ -63,11 +63,6 @@ void FaultTolerantExecutor::set_member_hook(MemberHook hook) {
   member_hook_ = std::move(hook);
 }
 
-void FaultTolerantExecutor::set_report_observer(ReportObserver observer) {
-  std::lock_guard<std::mutex> lk(mu_);
-  observer_ = std::move(observer);
-}
-
 void FaultTolerantExecutor::run_member(std::size_t member) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -76,7 +71,7 @@ void FaultTolerantExecutor::run_member(std::size_t member) {
                   "member already submitted to the fault layer");
     members_.emplace(member,
                      MemberState(Rng(policy_.seed, member + 1)));
-    ++stats_.ledger.members_submitted;
+    ++stats_.members_submitted;
   }
   launch(member, /*speculative=*/false);
 }
@@ -257,7 +252,7 @@ void FaultTolerantExecutor::on_timeout(std::size_t member,
 void FaultTolerantExecutor::resolve_locked(MemberState& st,
                                            TaskOutcome outcome) {
   st.resolved = true;
-  record_final(stats_.ledger, outcome);
+  record_final(stats_, outcome);
   if (sink_ && outcome != TaskOutcome::kDone &&
       outcome != TaskOutcome::kCancelled) {
     sink_->count("fault.members_lost");
@@ -271,7 +266,6 @@ void FaultTolerantExecutor::on_report(const TaskReport& report) {
   double backoff = 0.0;
   std::vector<TaskId> cancels;
   MemberHook hook;
-  ReportObserver observer;
 
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -293,7 +287,6 @@ void FaultTolerantExecutor::on_report(const TaskReport& report) {
       outcome = TaskOutcome::kTimedOut;
     }
 
-    observer = observer_;
     if (st.resolved || shutdown_) {
       // Sibling of a resolved member, or teardown: bookkeeping only.
     } else if (outcome == TaskOutcome::kDone) {
@@ -361,7 +354,6 @@ void FaultTolerantExecutor::on_report(const TaskReport& report) {
   if (action == Action::kResolved && hook) {
     hook(report.member, final_outcome);
   }
-  if (observer) observer(report);
 }
 
 void FaultTolerantExecutor::on_retry_timer(std::size_t member) {
@@ -466,7 +458,7 @@ FaultTolerantExecutor::live_members() const {
   return out;
 }
 
-FaultStats FaultTolerantExecutor::stats() const {
+MemberTally FaultTolerantExecutor::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
 }

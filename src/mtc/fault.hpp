@@ -3,10 +3,12 @@
 // The paper's MTC redesign exists because real platforms misbehave —
 // Condor harvest delays, NFS contention, TeraGrid host heterogeneity
 // (Table 1), EC2 instance loss. This header defines the one vocabulary
-// both Fig.-4 drivers speak: a typed TaskOutcome per attempt, a
-// FaultPolicy (retry/backoff/timeout/speculation/degradation floor), a
+// the Fig.-4 loop speaks: a typed TaskOutcome per attempt, a FaultPolicy
+// (retry/backoff/timeout/speculation/degradation floor), a
 // FaultInjection model for the DES, and the FaultTolerantExecutor that
 // implements recovery once against the abstract ExecutionBackend.
+// workflow::EnsembleOrchestrator submits every member through it, for
+// the real runner and the DES driver alike, and reports its MemberTally.
 #pragma once
 
 #include <cstddef>
@@ -120,19 +122,6 @@ struct FaultInjection {
   std::uint64_t seed = 1234;
 };
 
-/// Everything the fault layer counted, for metrics structs and benches.
-struct FaultStats {
-  std::size_t attempts_failed = 0;  ///< attempts that ended kFailed
-  std::size_t evictions = 0;        ///< attempts that ended kEvicted
-  std::size_t timeouts = 0;         ///< attempts killed by the timeout
-  std::size_t retries = 0;          ///< re-submissions issued
-  std::size_t speculative_launched = 0;
-  std::size_t speculative_won = 0;  ///< backup finished before original
-  /// Member-level final outcomes. Once cancel_all() has run, every
-  /// member passed to run_member() is in exactly one bucket.
-  MemberLedger ledger;
-};
-
 /// Book a member's final outcome: kDone is done, kCancelled is
 /// cancelled, and any failure outcome is a lost member. The executor
 /// resolves through this, and so do the drivers that run one attempt
@@ -150,14 +139,11 @@ class FaultTolerantExecutor {
   /// Fired exactly once per member with its final outcome: kDone, the
   /// last failure outcome when retries are exhausted, or kCancelled.
   using MemberHook = std::function<void(std::size_t member, TaskOutcome)>;
-  /// Fired after every processed attempt report (drain bookkeeping).
-  using ReportObserver = std::function<void(const TaskReport&)>;
 
   FaultTolerantExecutor(ExecutionBackend& backend, FaultPolicy policy,
                         telemetry::Sink* sink = nullptr);
 
   void set_member_hook(MemberHook hook);
-  void set_report_observer(ReportObserver observer);
 
   /// Launch (the first attempt of) ensemble member `member`.
   void run_member(std::size_t member);
@@ -181,7 +167,9 @@ class FaultTolerantExecutor {
   /// its primary attempt). Used by cancel policies (spare-near-finish).
   std::vector<std::pair<std::size_t, TaskReport>> live_members() const;
 
-  FaultStats stats() const;
+  /// Everything the layer counted. Once cancel_all() has run, every
+  /// member passed to run_member() is in exactly one ledger bucket.
+  MemberTally stats() const;
 
   /// Scan running attempts against the p95 straggler threshold and
   /// launch speculative copies. Normally self-armed via backend timers;
@@ -220,12 +208,11 @@ class FaultTolerantExecutor {
   FaultPolicy policy_;
   telemetry::Sink* sink_;
   MemberHook member_hook_;
-  ReportObserver observer_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::size_t, MemberState> members_;
   std::vector<double> durations_;  ///< completed attempt durations
-  FaultStats stats_;
+  MemberTally stats_;
   std::size_t live_attempts_ = 0;
   std::size_t retries_pending_ = 0;
   std::size_t speculative_live_ = 0;

@@ -198,12 +198,12 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
     const std::uint64_t id = rec->id;
     hooks.demand = [this, id](std::size_t want) { update_demand(id, want); };
   }
-  ExecOutcome outcome;
+  std::optional<esse::ForecastResult> result;
   std::exception_ptr err;
   {
     telemetry::ScopedTimer span(config_.sink, "service.request_s");
     try {
-      outcome = execute_forecast(rec->forecast, *member_pool_, hooks);
+      result = execute_forecast(rec->forecast, *member_pool_, hooks);
     } catch (...) {
       err = std::current_exception();
     }
@@ -215,11 +215,11 @@ void ForecastService::run_request(const std::shared_ptr<RequestRecord>& rec) {
     if (err) {
       rec->state = RequestState::kFailed;
       rec->error = err;
-    } else if (outcome.cancelled) {
+    } else if (!result) {
       rec->state = RequestState::kCancelled;
     } else {
       rec->state = RequestState::kDone;
-      rec->result = std::move(outcome.result);
+      rec->result = std::move(*result);
       rec->has_result = true;
     }
     final_state = rec->state;

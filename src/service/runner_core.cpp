@@ -11,52 +11,107 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "mtc/execution_backend.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::service {
 
 namespace {
 
-/// Teardown in the one legal order — resolve every member and cancel
-/// live attempts, join the timer thread (no retry can launch after it),
-/// then drain THIS request's tasks off the shared pool — on every exit
-/// path, including exceptions thrown mid-loop. Without this guard a
-/// throwing SVD would unwind the differ and condition variables while
-/// member workers still reference them.
-struct Teardown {
-  mtc::FaultTolerantExecutor& exec;
-  mtc::ThreadExecutionBackend& backend;
-  bool done = false;
+/// The real member work: members integrate and absorb on pool workers; a
+/// check decomposes the canonical member-id prefix 0..c-1 (never
+/// "whatever arrived first") on the orchestrating thread, so the ρ
+/// history and the deciding milestone are pure functions of the seed and
+/// configuration (DESIGN.md §10).
+class RealMemberWork final : public workflow::MemberWork {
+ public:
+  RealMemberWork(mtc::ThreadExecutionBackend& backend, esse::Differ& differ,
+                 esse::ConvergenceTest& conv, const esse::CycleParams& cp,
+                 telemetry::Sink* sink, const ExecHooks& hooks)
+      : backend_(backend), differ_(differ), conv_(conv), cp_(cp),
+        sink_(sink), hooks_(hooks) {}
 
-  void run() {
-    if (done) return;
-    done = true;
-    exec.cancel_all();
-    backend.shutdown_timers();
-    backend.drain_tasks();
+  std::size_t milestone_count() const override {
+    return differ_.contiguous_count();
   }
-  ~Teardown() { run(); }
+  std::size_t absorbed() const override { return differ_.count(); }
+
+  std::optional<bool> check(std::size_t c) override {
+    if (c < 2) return false;  // spread needs two members
+    ++svd_runs;
+    telemetry::ScopedTimer timer(sink_, "runner.svd_s");
+    // The differ's copy-free snapshot: prefix(c) is the same bytes
+    // however late it is cut.
+    const auto rho = conv_.update(
+        esse::subspace_from_view(differ_.contiguous_view().prefix(c),
+                                 cp_.variance_fraction, cp_.max_rank,
+                                 nullptr, sink_),
+        c);
+    if (sink_ && rho) {
+      sink_->event("runner.convergence", static_cast<double>(c), *rho);
+    }
+    return conv_.converged();
+  }
+
+  void wake() override {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++wakes_;
+    cv_.notify_all();
+  }
+
+  void pool_changed(const workflow::EnsemblePool& pool, bool) override {
+    const auto cap = static_cast<double>(pool.cap());
+    if (sink_) {
+      sink_->gauge_set("runner.pool_size", cap);
+      sink_->event("runner.pool_size", telemetry::wall_seconds(), cap);
+    }
+    // The service stretches the shared pool toward this request's want.
+    if (hooks_.demand) hooks_.demand(pool.cap());
+  }
+
+  void finished() override {
+    // Join the timer thread (no retry launches after it), then drain THIS
+    // request's tasks off the shared pool: only then may the executor and
+    // the differ go out of scope.
+    backend_.shutdown_timers();
+    backend_.drain_tasks();
+  }
+
+  /// Wait for a wake() since the last wait; false once the request is
+  /// cancelled. The bounded wait keeps cancellation responsive.
+  bool wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait_for(lk, std::chrono::milliseconds(50),
+                 [&] { return wakes_ != seen_ || hooks_.cancelled(); });
+    seen_ = wakes_;
+    return !hooks_.cancelled();
+  }
+
+  std::size_t svd_runs = 0;
+
+ private:
+  mtc::ThreadExecutionBackend& backend_;
+  esse::Differ& differ_;
+  esse::ConvergenceTest& conv_;
+  const esse::CycleParams& cp_;
+  telemetry::Sink* sink_;
+  const ExecHooks& hooks_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t wakes_ = 0;
+  std::size_t seen_ = 0;
 };
 
 }  // namespace
 
-ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
-                             ThreadPool& pool, const ExecHooks& hooks) {
+std::optional<esse::ForecastResult> execute_forecast(
+    const workflow::ForecastRequest& request, ThreadPool& pool,
+    const ExecHooks& hooks) {
   const workflow::ParallelRunnerConfig& config = request.config;
-  {
-    const auto issues = workflow::validate(request);
-    if (!issues.empty()) {
-      throw PreconditionError(workflow::describe(issues));
-    }
-  }
+  if (const auto issues = workflow::validate(request); !issues.empty())
+    throw PreconditionError(workflow::describe(issues));
   esse::CycleParams cp = config.cycle;
   telemetry::Sink* sink = request.sink;
-  // The numerics stream their convergence samples into the same session
-  // unless the caller routed them elsewhere explicitly.
-  if (sink && !cp.sink) cp.sink = sink;
-
-  const auto cancelled_now = [&hooks] {
-    return hooks.cancel && hooks.cancel->load(std::memory_order_relaxed);
-  };
+  if (sink && !cp.sink) cp.sink = sink;  // unless routed elsewhere
 
   const ocean::OceanModel& model = request.model;
   const la::Vector packed_initial = request.initial.pack();
@@ -64,11 +119,7 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                 "initial subspace does not match the state dimension");
   const double t0_hours = request.t0_hours;
 
-  ExecOutcome outcome;
-  if (cancelled_now()) {
-    outcome.cancelled = true;
-    return outcome;
-  }
+  if (hooks.cancelled()) return std::nullopt;
 
   // Central forecast first (also what the differ normalises against).
   la::Vector central;
@@ -80,10 +131,9 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   }
 
   esse::PerturbationGenerator pert(request.subspace, cp.perturbation);
-  // Multilevel mode (DESIGN.md §15): coarse-level models and their
-  // deterministic central forecasts are fixed up front, before any
-  // member runs, so every coarse anomaly column is a pure function of
-  // (seed, level, member id) — never of scheduling.
+  // Multilevel mode (DESIGN.md §15): coarse models and centrals are fixed
+  // before any member runs, so a coarse anomaly column is a pure function
+  // of (seed, level, member id), never of scheduling.
   const esse::MultilevelParams& mlp = cp.multilevel;
   std::optional<esse::MultilevelEnsemble> ml;
   if (mlp.enabled()) {
@@ -91,28 +141,18 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
     ml.emplace(model, mlp);
     ml->run_centrals(packed_initial, t0_hours, cp.forecast_hours);
   }
-  // Localized requests shard the differ's column store by the analysis
-  // tiling so forecast-stage reductions use the same fixed per-tile
-  // shapes the tiled analysis does (DESIGN.md §14).
+  // Localized requests shard the differ's store by the analysis tiling
+  // (DESIGN.md §14).
   std::shared_ptr<const ocean::Tiling> tiling;
   if (cp.localization.enabled)
     tiling = std::make_shared<const ocean::Tiling>(model.grid(), cp.tiling);
   esse::Differ differ(central, tiling);
   differ.set_sink(sink);  // differ.* cache counters + check latency
   esse::ConvergenceTest conv(cp.convergence);
-  esse::EnsembleSizeController sizer(cp.ensemble);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t resolved = 0;  // members with a final outcome
-
-  esse::ForecastResult out;
-  esse::MtcAccounting acct;
-  std::size_t submitted = 0;
-
-  // The member closure both Fig.-4 drivers share in shape: it runs one
-  // attempt of one member; throwing reports TaskOutcome::kFailed and the
-  // fault layer decides whether to resubmit.
+  // The member closure: it runs one attempt of one member; throwing
+  // reports TaskOutcome::kFailed and the fault layer decides whether to
+  // resubmit.
   mtc::ThreadExecutionBackend backend(
       pool,
       [&](std::size_t id, std::size_t attempt,
@@ -129,13 +169,10 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
         }
         la::Vector x0 = pert.perturbed_state(packed_initial, id);
         if (ml && id >= mlp.members_per_level[0]) {
-          // Coarse member: the fine perturbed state restricts to the
-          // member's level (restriction is linear, so the coarse IC is
-          // the restricted central plus the restricted perturbation),
-          // integrates on the level's model with the member's own RNG
-          // stream, and lands as a prolongated, weight-scaled anomaly
-          // about the level's central — global id keeps the canonical
-          // (level, member) order and exactly-once resolution.
+          // Coarse member: the perturbed state restricts (linearly) to
+          // the member's level, integrates there on its own RNG stream,
+          // and lands as a prolongated, weight-scaled anomaly about the
+          // level's central; the global id keeps the canonical order.
           const std::size_t level = mlp.level_of(id);
           la::Vector x0c = ml->hierarchy().restrict_state(x0, level);
           la::Vector xfc = esse::run_member(
@@ -152,127 +189,46 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
                                            cp.perturbation.seed, id);
           if (cancelled.load(std::memory_order_relaxed)) return;
           if (config.arrival_hook) config.arrival_hook(id);
-          // dedups a speculative duplicate; weight 1.0 (single-level)
-          // is the exact historical path.
-          differ.add_member(id, xf,
-                            ml ? mlp.column_weight(0) : 1.0);
+          // Dedups a speculative duplicate.
+          differ.add_member(id, xf, ml ? mlp.column_weight(0) : 1.0);
         }
         if (sink) sink->count("runner.members_run");
-        // Wake the orchestrator. Notifying under `mu` orders this wakeup
-        // after its predicate check, so it cannot be lost.
-        std::lock_guard<std::mutex> lk(mu);
-        cv.notify_all();
       });
-  mtc::FaultTolerantExecutor exec(backend, config.fault, sink);
-  exec.set_member_hook([&](std::size_t /*member*/, mtc::TaskOutcome) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      ++resolved;
+  RealMemberWork work(backend, differ, conv, cp, sink, hooks);
+  // A multilevel plan is its own pool: ids beyond it have no level.
+  workflow::EnsembleOrchestrator orch(
+      backend, work,
+      {workflow::EnsemblePool(cp.ensemble, config.pool_headroom,
+                              ml ? mlp.total_members() : 0),
+       config.svd_min_new_members, workflow::CancelPolicy::kCancelImmediately,
+       config.fault, sink});
+  orch.start();
+  while (!orch.finished()) {
+    if (!work.wait()) {
+      orch.finish();
+      return std::nullopt;
     }
-    cv.notify_all();
-  });
-  Teardown teardown{exec, backend};
-
-  auto fill_pool = [&] {
-    // A multilevel plan is its own pool: no speculative headroom (ids
-    // beyond the plan have no level, and column weights are derived from
-    // the planned counts).
-    const std::size_t cap =
-        ml ? mlp.total_members() : sizer.pool_target(config.pool_headroom);
-    while (submitted < cap) exec.run_member(submitted++);
-    if (sink) {
-      sink->gauge_set("runner.pool_size", static_cast<double>(submitted));
-      sink->event("runner.pool_size", telemetry::wall_seconds(),
-                  static_cast<double>(submitted));
-    }
-    // Tell the service how many member workers this request can use so
-    // the shared pool can stretch toward it (and hand slots back later).
-    if (hooks.demand) hooks.demand(cap);
-  };
-
-  fill_pool();
-
-  // Deterministic milestone schedule: convergence is checked at ensemble
-  // sizes k·svd_min_new_members over the canonical member-id prefix
-  // 0..c-1, never over "whatever happened to arrive first". The SVD
-  // reads a contiguous_view() — the differ's versioned, copy-free safe
-  // snapshot — which may cover several newly-completed milestones at
-  // once; they are processed strictly in order, so the ρ history — and
-  // the milestone that declares convergence — is a pure function of the
-  // seed and configuration.
-  std::size_t next_check = config.svd_min_new_members;
-  for (;;) {
-    // Wait for the next milestone's prefix, full resolution (done, or
-    // lost after its retries), or a request-level cancel. The bounded
-    // wait keeps cancellation responsive without a dedicated waker.
-    std::size_t resolved_now;
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
-        return differ.contiguous_count() >= next_check ||
-               resolved >= submitted || cancelled_now();
-      });
-      resolved_now = resolved;
-    }
-    if (cancelled_now()) {
-      outcome.cancelled = true;
-      teardown.run();
-      return outcome;
-    }
-    // Cut after reading `resolved`: a drained pool's view then holds
-    // every member that will ever land in this growth stage.
-    const esse::AnomalyView view = differ.contiguous_view();
-    while (next_check <= view.count() && !conv.converged()) {
-      const std::size_t c = next_check;
-      next_check += config.svd_min_new_members;
-      if (c < 2) continue;  // spread needs two members
-      ++acct.svd_runs;
-      telemetry::ScopedTimer timer(sink, "runner.svd_s");
-      const auto rho = conv.update(
-          esse::subspace_from_view(view.prefix(c), cp.variance_fraction,
-                                   cp.max_rank, nullptr, sink),
-          c);
-      if (sink && rho) {
-        sink->event("runner.convergence", static_cast<double>(c), *rho);
-      }
-    }
-    if (conv.converged()) break;  // §4.1: cancel the remaining members
-    if (resolved_now >= submitted) {
-      // Pool drained without convergence: grow toward Nmax or stop (the
-      // multilevel mix is fixed — no growth stage to fall back on).
-      if (ml || sizer.at_max()) break;
-      sizer.grow();
-      fill_pool();
-    }
+    orch.pump();
   }
-  // Stop launching and cancel live attempts, let running workers land,
-  // then join the timer thread — only after that is it safe for the
-  // executor and its hooks to go out of scope.
-  teardown.run();
-  const mtc::FaultStats fstats = exec.stats();
 
-  // Graceful degradation has a floor (FaultPolicy::min_members): proceed
-  // with the survivors of a faulty run, but not below N′.
-  const std::size_t floor_n =
-      std::max<std::size_t>(1, config.fault.min_members);
-  ESSEX_REQUIRE(differ.count() >= floor_n,
+  // Graceful degradation has a floor N′ (FaultPolicy::min_members).
+  ESSEX_REQUIRE(differ.count() >=
+                    std::max<std::size_t>(1, config.fault.min_members),
                 "graceful degradation floor: fewer surviving members than "
                 "FaultPolicy.min_members");
+  esse::ForecastResult out;
   out.central_forecast = std::move(central);
   out.converged = conv.converged();
   if (out.converged) {
-    // The forecast subspace is the converged milestone's — never
-    // recomputed later from the racy post-cancellation member set.
+    // The deciding milestone's subspace, never the racy
+    // post-cancellation member set.
     out.members_run = conv.latest_members();
     out.forecast_subspace = conv.take_latest();
   } else {
-    // Drained without convergence (Nmax reached, or survivors of a
-    // faulty run): the forecast covers every absorbed member in
-    // canonical member-id order — still schedule-free, because which
-    // members completed is decided by the deterministic per-(member,
-    // attempt) injection stream, not by timing. When the last milestone
-    // already decomposed exactly that set (ids 0..count-1), its subspace
-    // holds the same bytes, so it is taken instead of recomputed.
+    // Drained without convergence: every absorbed member in canonical id
+    // order — schedule-free, as which members survive is decided by the
+    // per-(member, attempt) injection stream. When the last milestone
+    // decomposed exactly that set, its subspace is the same bytes.
     out.members_run = differ.count();
     if (conv.latest_members() == differ.count() &&
         differ.contiguous_count() == differ.count()) {
@@ -285,20 +241,16 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
   }
   out.convergence_history = conv.history();
   if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
-    // The coarse companion integration is one deterministic task, run
-    // after the ensemble so cancellation semantics are untouched.
+    // One deterministic task after the ensemble, outside cancellation.
     telemetry::ScopedTimer timer(sink, "runner.surrogate_s");
     out.surrogate_forecast = esse::run_surrogate_forecast(
         model, request.initial, t0_hours, cp.forecast_hours, cp.analysis);
     if (sink) sink->count("runner.surrogate_runs");
   }
-  static_cast<MemberLedger&>(acct) = fstats.ledger;
+  esse::MtcAccounting acct;
+  static_cast<MemberTally&>(acct) = orch.tally();
   acct.members_unused = acct.members_submitted - out.members_run;
-  acct.attempts_failed = fstats.attempts_failed;
-  acct.retries = fstats.retries;
-  acct.speculative_launched = fstats.speculative_launched;
-  acct.speculative_won = fstats.speculative_won;
-  acct.degraded = out.converged && acct.members_lost > 0;
+  acct.svd_runs = work.svd_runs;
   if (sink) {
     sink->count("runner.members_submitted",
                 static_cast<double>(acct.members_submitted));
@@ -313,8 +265,7 @@ ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
     sink->gauge_set("runner.degraded", acct.degraded ? 1.0 : 0.0);
   }
   out.mtc = acct;
-  outcome.result = std::move(out);
-  return outcome;
+  return out;
 }
 
 }  // namespace essex::service

@@ -1,23 +1,21 @@
 // ESSEX: the Fig. 4 parallel ESSE execution core, service edition.
 //
-// This is run_parallel_forecast's former body, re-housed so a persistent
-// ForecastService can run many concurrent requests over ONE shared member
-// pool: the pool is borrowed (not owned), teardown drains only this
-// request's attempts (ThreadExecutionBackend::drain_tasks, never the
-// pool-wide wait_idle), a request-level cancel flag aborts mid-run, and a
-// demand hook reports the runner's desired worker count whenever the
-// ensemble target moves — the service's elasticity loop turns that into
-// ThreadPool::resize, so workers join a running ensemble without restart.
-//
-// The determinism contract (DESIGN.md §10) is untouched: the member
-// closure, milestone schedule and canonical prefix logic are verbatim,
-// and neither pool sharing nor mid-run resizes can change which members
-// feed which convergence check.
+// execute_forecast() is the real member work of the one Fig.-4 loop
+// (workflow::EnsembleOrchestrator, which owns the pool, milestones,
+// growth, drain and cancel-on-convergence): it sets up the request,
+// integrates and absorbs members on a borrowed, shared ThreadPool,
+// decomposes the canonical member-id prefix at each check, and assembles
+// the result. Teardown drains only this request's attempts, a request
+// cancel flag aborts mid-run, and a demand hook reports the wanted worker
+// count whenever the pool cap moves, so the ForecastService can resize
+// the shared pool under a running ensemble. Neither sharing nor resizing
+// changes which members feed which check (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "workflow/parallel_runner.hpp"
@@ -27,27 +25,25 @@ namespace essex::service {
 /// Service-side knobs of one core execution.
 struct ExecHooks {
   /// Request-level cancellation: when it turns true the core cancels all
-  /// live attempts, drains its tasks and returns with `cancelled` set.
-  /// Null = not cancellable.
+  /// live attempts, drains its tasks and returns nullopt. Null = not
+  /// cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Called (on the orchestrating thread, outside locks) when the
-  /// runner's desired member-worker count changes — pool fills and
-  /// ensemble growth stages. The service aggregates demands across
-  /// in-flight requests and resizes the shared pool.
+  /// Called (on the orchestrating thread, outside locks) with the
+  /// runner's wanted member-worker count at the first pool fill and each
+  /// growth stage; the service sums demands and resizes the shared pool.
   std::function<void(std::size_t workers_wanted)> demand;
+
+  bool cancelled() const {
+    return cancel && cancel->load(std::memory_order_relaxed);
+  }
 };
 
-/// Outcome wrapper: `result` is meaningful only when !cancelled.
-struct ExecOutcome {
-  esse::ForecastResult result;
-  bool cancelled = false;
-};
-
-/// Run one validated forecast request on `pool`. Throws (PreconditionError
-/// on a violated degradation floor, model errors, ...) — the service
-/// catches and maps exceptions onto the handle; the one-shot wrapper lets
-/// them propagate exactly as run_parallel_forecast always did.
-ExecOutcome execute_forecast(const workflow::ForecastRequest& request,
-                             ThreadPool& pool, const ExecHooks& hooks);
+/// Run one validated forecast request on `pool`; nullopt when cancelled.
+/// Throws (PreconditionError on a violated degradation floor, model
+/// errors, ...) — the service maps exceptions onto the handle; the
+/// one-shot wrapper lets them propagate.
+std::optional<esse::ForecastResult> execute_forecast(
+    const workflow::ForecastRequest& request, ThreadPool& pool,
+    const ExecHooks& hooks);
 
 }  // namespace essex::service

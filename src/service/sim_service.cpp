@@ -19,6 +19,8 @@ double member_cost_s(const mtc::EsseJobShape& shape) {
 
 /// Floor of any running request's member-slot budget.
 constexpr std::size_t kMinSlotsPerRequest = 2;
+/// M = headroom × N when filling a request's member pool.
+constexpr double kPoolHeadroom = 1.1;
 
 /// The request's ensemble-size schedule N → growth·N → … → Nmax.
 esse::EnsembleSizeController::Params sizer_params(const SimRequestSpec& spec) {
@@ -114,7 +116,7 @@ void SimForecastService::pump() {
 
 void SimForecastService::start(std::uint64_t id) {
   const SimRequestSpec spec = std::move(queued_specs_.extract(id).mapped());
-  Active a(spec, sizer_params(spec), multilevel_plan(spec));
+  Active a(spec, sizer_params(spec), multilevel_plan(spec), kPoolHeadroom);
   a.id = id;
   if (a.plan.enabled()) {
     // Fixed plan: every planned (level, member) runs unless convergence
@@ -130,15 +132,9 @@ void SimForecastService::start(std::uint64_t id) {
   fill(it->second);
 }
 
-std::size_t SimForecastService::pool_cap(const Active& a) const {
-  // Multilevel plans are fixed budgets: no headroom, no growth stages.
-  if (a.plan.enabled()) return a.plan.total_members();
-  return a.sizer.pool_target(config_.pool_headroom);
-}
-
 void SimForecastService::fill(Active& a) {
   if (a.finishing) return;
-  const std::size_t cap = pool_cap(a);
+  const std::size_t cap = a.pool.cap();
   while (a.outstanding < a.slots && a.ledger.members_submitted < cap)
     submit_member(a);
 }
@@ -193,18 +189,16 @@ void SimForecastService::on_member_done(std::uint64_t request_id,
     begin_finish(a);
     return;
   }
-  if (a.outstanding == 0 && a.ledger.members_submitted >= pool_cap(a)) {
-    // Pool drained without reaching the goal: grow toward Nmax or give
-    // up with what landed (the real runner's unconverged fallback). A
-    // multilevel plan is its own budget — nothing left to grow.
-    if (a.plan.enabled() || a.sizer.at_max()) {
+  if (a.outstanding == 0 && a.ledger.members_submitted >= a.pool.cap()) {
+    // Pool drained without reaching the goal: grow, or give up with what
+    // landed (the real runner's unconverged fallback).
+    if (!a.pool.grow_on_drain()) {
       begin_finish(a);
       return;
     }
-    a.sizer.grow();
     if (config_.sink) {
       config_.sink->event("service.ensemble_grow", sim_.now(),
-                          static_cast<double>(a.sizer.target()));
+                          static_cast<double>(a.pool.target()));
     }
   }
   fill(a);
@@ -213,7 +207,7 @@ void SimForecastService::on_member_done(std::uint64_t request_id,
 void SimForecastService::maybe_shrink_for_deadline(Active& a) {
   if (a.plan.enabled()) return;  // fixed plan; no growth stages to undo
   if (!std::isfinite(a.spec.deadline_s)) return;
-  if (a.sizer.at_min()) return;
+  if (a.pool.sizer().at_min()) return;
   const double cost = member_cost_s(config_.shape);
   const double slots = static_cast<double>(std::max<std::size_t>(a.slots, 1));
   const double remaining =
@@ -222,7 +216,7 @@ void SimForecastService::maybe_shrink_for_deadline(Active& a) {
   if (eta_s <= a.spec.deadline_s) return;
   // Blowing the deadline at the current target: walk the ensemble back a
   // growth stage and settle for a smaller (degraded) subspace instead.
-  const std::size_t new_target = a.sizer.shrink();
+  const std::size_t new_target = a.pool.sizer().shrink();
   const std::size_t new_goal =
       std::max(std::min(a.goal, new_target),
                std::max<std::size_t>(a.spec.min_members, 2));

@@ -6,8 +6,8 @@
 // member-slot budgets rebalance cleanly as tenants come and go — cannot
 // be asked of the real server with real 25-minute PE forecasts. This twin
 // runs the SAME request bookkeeping (RequestDesk: admission, queue,
-// estimator, tallies, `service.*` telemetry) and the same
-// esse::EnsembleSizeController over the DES
+// estimator, tallies, `service.*` telemetry) and the same pool cap and
+// grow-or-stop rule (workflow::EnsemblePool) over the DES
 // ClusterScheduler in simulated time, with the member *cost* modelled by
 // the calibrated EsseJobShape and convergence modelled by converge_at —
 // exactly the modelled-convergence idea of the Fig.-4 DES driver.
@@ -36,6 +36,7 @@
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
 #include "service/admission.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::telemetry {
 class Sink;
@@ -50,8 +51,6 @@ struct SimServiceConfig {
   std::size_t max_inflight = 4;
   /// Per-member cost model (pert + pemodel CPU seconds at unit speed).
   mtc::EsseJobShape shape;
-  /// M = headroom × N when filling a request's member pool.
-  double pool_headroom = 1.1;
   /// Telemetry (nullable, not owned): `service.*` series stamped with
   /// simulated seconds — the same names the real server records.
   telemetry::Sink* sink = nullptr;
@@ -140,8 +139,8 @@ class SimForecastService {
   struct Active {
     SimRequestSpec spec;
     std::uint64_t id = 0;
-    esse::EnsembleSizeController sizer;
     esse::MultilevelParams plan;  ///< level layout and per-level costs
+    workflow::EnsemblePool pool;  ///< cap and grow-or-stop rule
     std::size_t goal = 0;   ///< members needed to finish (may shrink)
     std::size_t slots = 0;  ///< member-slot budget (elasticity)
     MemberLedger ledger;
@@ -153,8 +152,11 @@ class SimForecastService {
 
     Active(const SimRequestSpec& s,
            const esse::EnsembleSizeController::Params& ensemble,
-           esse::MultilevelParams p)
-        : spec(s), sizer(ensemble), plan(std::move(p)) {}
+           esse::MultilevelParams p, double headroom)
+        : spec(s),
+          plan(std::move(p)),
+          pool(ensemble, headroom,
+               plan.enabled() ? plan.total_members() : 0) {}
   };
 
   void pump();  ///< start queued requests while inflight slots remain
@@ -167,7 +169,6 @@ class SimForecastService {
   void begin_finish(Active& a);
   void finalize(std::uint64_t id);
   void rebalance_slots();
-  std::size_t pool_cap(const Active& a) const;
 
   mtc::Simulator& sim_;
   mtc::ClusterScheduler& sched_;

@@ -211,7 +211,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
     OracleCheck c{"member-accounting", true, ""};
     const bool sim = spec.backend == BackendKind::kSim;
     const MemberLedger* ledger =
-        sim ? &out.des.ledger
+        sim ? static_cast<const MemberLedger*>(&out.des)
             : (out.science.mtc ? &*out.science.mtc : nullptr);
     if (!ledger) {
       c.ok = false;

@@ -1,8 +1,8 @@
 #include "workflow/esse_workflow_sim.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
@@ -24,8 +24,6 @@ using mtc::JobRecord;
 using mtc::JobStatus;
 using mtc::Simulator;
 using mtc::TaskOutcome;
-using mtc::TaskReport;
-using mtc::TaskState;
 
 /// Per-member accounting collected by the drivers.
 struct MemberStats {
@@ -105,12 +103,9 @@ ClusterScheduler::JobBody make_member_body(std::shared_ptr<BodyEnv> env,
 
 /// The ensemble-size schedule N → growth·N → … → Nmax both drivers
 /// follow (the DES drivers have no shrink floor of their own).
-esse::EnsembleSizeController make_sizer(const EsseWorkflowConfig& cfg) {
-  esse::EnsembleSizeController::Params p;
-  p.initial = cfg.initial_members;
-  p.growth = cfg.growth;
-  p.max_members = cfg.max_members;
-  return esse::EnsembleSizeController(p);
+esse::EnsembleSizeController::Params sizer_params(
+    const EsseWorkflowConfig& cfg) {
+  return {cfg.initial_members, cfg.growth, cfg.max_members};
 }
 
 double head_speed(const ClusterScheduler& sched,
@@ -139,14 +134,14 @@ void fill_serial_metrics(const ClusterScheduler& sched,
                          WorkflowMetrics& m) {
   // One job per member and no retry layer: the job's status is the
   // member's final outcome, and a failed or evicted job is a lost member.
-  m.ledger.members_submitted = member_jobs.size();
+  m.members_submitted = member_jobs.size();
   for (JobId id : member_jobs) {
     const JobRecord& r = sched.record(id);
     const TaskOutcome outcome = r.status == JobStatus::kQueued ||
                                         r.status == JobStatus::kRunning
                                     ? TaskOutcome::kCancelled
                                     : mtc::to_outcome(r.status);
-    mtc::record_final(m.ledger, outcome);
+    mtc::record_final(m, outcome);
     if (outcome == TaskOutcome::kCancelled) {
       ++m.attempts_cancelled;
       // Wasted work = core occupancy of a killed member (its partial
@@ -174,7 +169,7 @@ void publish_workflow_metrics(telemetry::Sink* sink,
   sink->gauge_set("workflow.wasted_cpu_seconds", m.wasted_cpu_seconds);
   sink->gauge_set("workflow.svd_idle_wait_s", m.svd_idle_wait_s);
   sink->count("workflow.members_completed",
-              static_cast<double>(m.ledger.members_done));
+              static_cast<double>(m.members_done));
   sink->count("workflow.members_cancelled",
               static_cast<double>(m.attempts_cancelled));
   sink->count("workflow.members_failed",
@@ -187,7 +182,7 @@ void publish_workflow_metrics(telemetry::Sink* sink,
   sink->count("workflow.members_evicted",
               static_cast<double>(m.evictions));
   sink->count("workflow.members_lost",
-              static_cast<double>(m.ledger.members_lost));
+              static_cast<double>(m.members_lost));
   sink->gauge_set("workflow.degraded", m.degraded ? 1.0 : 0.0);
   const double denom =
       m.makespan_s * static_cast<double>(sched.schedulable_cores());
@@ -213,7 +208,7 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
 
   SerialDriver(Simulator& s, ClusterScheduler& c,
                const EsseWorkflowConfig& config)
-      : sim(s), sched(c), cfg(config), sizer(make_sizer(config)) {
+      : sim(s), sched(c), cfg(config), sizer(sizer_params(config)) {
     env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
     env->stats.resize(cfg.max_members + 1);
   }
@@ -302,50 +297,35 @@ struct SerialDriver : std::enable_shared_from_this<SerialDriver> {
 
 // ---- parallel driver (Fig. 4) ------------------------------------------
 
-struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
+/// The modelled member work of the Fig.-4 loop: members are simulated
+/// jobs, the differ a head-node queue absorbing outputs in completion
+/// order (§4.1's fix for bottleneck 2), and a check an svd_seconds timer
+/// over everything diffed, converged once that reaches converge_at.
+struct ParallelDriver final : MemberWork,
+                              std::enable_shared_from_this<ParallelDriver> {
   Simulator& sim;
   ClusterScheduler& sched;
   EsseWorkflowConfig cfg;
   std::shared_ptr<BodyEnv> env;
   WorkflowMetrics metrics;
 
-  // Members are submitted through the unified ExecutionBackend API; the
-  // fault layer owns retries, timeouts and straggler speculation, and
-  // reports each member's *final* outcome exactly once.
-  std::unique_ptr<mtc::SimExecutionBackend> backend;
-  std::unique_ptr<mtc::FaultTolerantExecutor> exec;
-
-  esse::EnsembleSizeController sizer;  // N, grown in stages toward Nmax
-  std::size_t submitted = 0;  // members issued to the pool (M)
   std::size_t diffed = 0;
-  std::size_t last_svd_n = 0;
-  std::deque<std::size_t> diff_queue;
-  std::vector<bool> output_seen;  // one diff per member, ever
+  std::size_t diff_pending = 0;  // outputs waiting for the differ
   bool differ_busy = false;
-  bool svd_busy = false;
-  bool svd_waiting = false;
-  double svd_wait_start = 0;
-  std::size_t next_check = 0;
-  bool done = false;
-  bool draining = false;  // post-convergence final pass
-  double last_activity = 0;  // last member/differ/SVD event time
+  double svd_free_since = -1.0;  // SVD idle since (< 0: no diff yet)
+
+  std::unique_ptr<mtc::SimExecutionBackend> backend;
+  std::unique_ptr<EnsembleOrchestrator> orch;  // last: torn down first
 
   ParallelDriver(Simulator& s, ClusterScheduler& c,
                  const EsseWorkflowConfig& config)
-      : sim(s), sched(c), cfg(config), sizer(make_sizer(config)) {
-    auto self_env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
-    self_env->stats.resize(cfg.max_members + 1);
-    env = self_env;
-    output_seen.resize(cfg.max_members + 1, false);
+      : sim(s), sched(c), cfg(config) {
+    env = std::make_shared<BodyEnv>(BodyEnv{sched, cfg, {}, nullptr});
+    env->stats.resize(cfg.max_members + 1);
   }
 
   void start() {
     if (cfg.sink) sched.set_telemetry(cfg.sink);
-    next_check = std::min(cfg.svd_stride, sizer.target());
-    auto self = shared_from_this();
-    env->on_output_home = [self](std::size_t m) {
-      self->on_member_output(m);
-    };
     // Expected single-attempt runtime at unit speed — the calibrated
     // EsseJobShape timings — anchors timeouts and straggler scans.
     const double expected_runtime =
@@ -356,76 +336,52 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
           return make_member_body(body_env, member);
         },
         expected_runtime);
-    exec = std::make_unique<mtc::FaultTolerantExecutor>(*backend, cfg.fault,
-                                                        cfg.sink);
-    exec->set_member_hook([self](std::size_t, TaskOutcome) {
-      self->last_activity = self->sim.now();
-      self->maybe_drained();
-    });
-    exec->set_report_observer([self](const TaskReport&) {
-      self->last_activity = self->sim.now();
-      self->maybe_drained();
-    });
-    submit_up_to_pool();
+    orch = std::make_unique<EnsembleOrchestrator>(
+        *backend, *this,
+        EnsembleOrchestrator::Params{
+            EnsemblePool(sizer_params(cfg), cfg.pool_headroom),
+            cfg.svd_stride, cfg.cancel_policy, cfg.fault, cfg.sink});
+    auto self = shared_from_this();
+    env->on_output_home = [self](std::size_t) { self->on_member_output(); };
+    orch->start();
     if (cfg.deadline_s > 0) {
       sim.at(cfg.deadline_s, [self] {
-        if (!self->done) {
+        if (!self->orch->finished()) {
           self->metrics.deadline_hit = true;
-          self->conclude(self->sim.now());
+          self->orch->finish();
         }
       });
     }
   }
 
-  std::size_t pool_size() const {
-    return sizer.pool_target(cfg.pool_headroom);
-  }
-
-  void submit_up_to_pool() {
-    while (submitted < pool_size()) {
-      exec->run_member(submitted++);
-    }
-  }
-
-  void on_member_output(std::size_t member) {
-    if (done || output_seen[member]) return;
-    output_seen[member] = true;
-    // The differ runs continuously, absorbing results in completion
-    // order (§4.1's fix for bottleneck 2: bookkeeping, not ordering).
-    diff_queue.push_back(member);
+  void on_member_output() {
+    if (orch->finished()) return;
+    ++diff_pending;
     pump_differ();
   }
 
   void pump_differ() {
-    if (differ_busy || diff_queue.empty() || done) return;
+    if (differ_busy || diff_pending == 0 || orch->finished()) return;
     differ_busy = true;
-    diff_queue.pop_front();
+    --diff_pending;
     auto self = shared_from_this();
     sim.after(cfg.shape.diff_cpu_s / head_speed(sched, cfg), [self] {
       self->differ_busy = false;
       ++self->diffed;
-      self->last_activity = self->sim.now();
-      self->poke_svd();
+      if (self->svd_free_since < 0) self->svd_free_since = self->sim.now();
+      self->orch->pump();
       self->pump_differ();
-      self->maybe_drained();
     });
   }
 
-  void poke_svd() {
-    if (done || svd_busy) return;
-    if (!draining && diffed < next_check) {
-      if (!svd_waiting) {
-        svd_waiting = true;
-        svd_wait_start = sim.now();
-      }
-      return;
+  std::size_t milestone_count() const override { return diffed; }
+  std::size_t absorbed() const override { return diffed; }
+
+  std::optional<bool> check(std::size_t /*c*/) override {
+    // Time the SVD sat waiting for data, up to convergence.
+    if (!metrics.converged) {
+      metrics.svd_idle_wait_s += sim.now() - svd_free_since;
     }
-    if (draining && diffed <= last_svd_n) return;
-    if (svd_waiting) {
-      metrics.svd_idle_wait_s += sim.now() - svd_wait_start;
-      svd_waiting = false;
-    }
-    svd_busy = true;
     const std::size_t n = diffed;  // the "safe file" snapshot
     ++metrics.svd_runs;
     if (cfg.sink)
@@ -433,116 +389,50 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
                       static_cast<double>(n));
     auto self = shared_from_this();
     sim.after(cfg.shape.svd_seconds(n, head_speed(sched, cfg)), [self, n] {
-      self->svd_busy = false;
-      self->last_svd_n = n;
-      self->last_activity = self->sim.now();
-      self->convergence_check(n);
+      if (self->orch->finished()) return;
+      self->svd_free_since = self->sim.now();
+      const bool converged = n >= self->cfg.converge_at;
+      if (converged && !self->metrics.converged) {
+        self->metrics.converged = true;
+        self->metrics.converged_at_s = self->sim.now();
+        if (self->cfg.sink)
+          self->cfg.sink->event("workflow.converged", self->sim.now(),
+                                static_cast<double>(n));
+      }
+      self->orch->check_done(converged);
     });
+    return std::nullopt;
   }
 
-  void convergence_check(std::size_t n) {
-    if (done) return;
+  void wake() override { orch->pump(); }
+
+  void pool_changed(const EnsemblePool& pool, bool grown) override {
+    if (grown && cfg.sink)
+      cfg.sink->event("workflow.pool_grown", sim.now(),
+                      static_cast<double>(pool.target()));
+  }
+
+  bool near_finish(const mtc::TaskReport& r) const override {
+    const double expected =
+        (cfg.shape.pert_cpu_s + cfg.shape.pemodel_cpu_s) / r.node_speed +
+        cfg.shape.pert_fs_s;
+    return sim.now() - r.started >= kSpareFraction * expected;
+  }
+
+  void finished() override {
+    // Break the shared_ptr cycle through the job bodies so the driver is
+    // reclaimed once run_parallel_esse returns.
+    env->on_output_home = nullptr;
+    metrics.makespan_s = sim.now();
     metrics.members_diffed = diffed;
-    if (draining) {
-      maybe_drained();
-      return;
-    }
-    if (n >= cfg.converge_at) {
-      metrics.converged = true;
-      metrics.converged_at_s = sim.now();
-      if (cfg.sink)
-        cfg.sink->event("workflow.converged", sim.now(),
-                        static_cast<double>(n));
-      apply_cancel_policy();
-      return;
-    }
-    // Uncapped on purpose: once every possible member has been diffed a
-    // next_check beyond max_members simply never triggers again, letting
-    // the event queue drain (capping here would re-fire the SVD forever).
-    next_check += cfg.svd_stride;
-    // Staged pool growth: enlarge before the pipeline can drain (§4.1).
-    if (diffed + cfg.svd_stride >= pool_size() && !sizer.at_max()) {
-      sizer.grow();
-      if (cfg.sink)
-        cfg.sink->event("workflow.pool_grown", sim.now(),
-                        static_cast<double>(sizer.target()));
-      submit_up_to_pool();
-    }
-    poke_svd();
-  }
-
-  void apply_cancel_policy() {
-    // Stop issuing retries and speculative copies first: convergence has
-    // been reached, remaining work only runs out (or is spared).
-    exec->enter_drain_mode();
-    const bool spare = cfg.cancel_policy == CancelPolicy::kSpareNearFinish;
-    for (const auto& [member, r] : exec->live_members()) {
-      if (spare && r.state == TaskState::kRunning && r.started > 0) {
-        // "spare any ensemble calculations close to finishing
-        // (according to performance estimates ... and accumulated
-        // runtime)" (§4.1).
-        const double expected =
-            (cfg.shape.pert_cpu_s + cfg.shape.pemodel_cpu_s) / r.node_speed +
-            cfg.shape.pert_fs_s;
-        const double elapsed = sim.now() - r.started;
-        if (elapsed >= kSpareFraction * expected) continue;
-      }
-      exec->cancel_member(member);
-    }
-    if (cfg.cancel_policy == CancelPolicy::kCancelImmediately) {
-      conclude(sim.now());
-      return;
-    }
-    // kUseAllFinished / kSpareNearFinish: diff what landed, final SVD.
-    draining = true;
-    maybe_drained();
-  }
-
-  void maybe_drained() {
-    if (!draining || done) return;
-    pump_differ();
-    if (!exec->idle() || !diff_queue.empty() || differ_busy || svd_busy) {
-      return;
-    }
-    if (last_svd_n < diffed) {
-      poke_svd();  // the final SVD over all available results
-      return;
-    }
-    conclude(sim.now());
-  }
-
-  void conclude(double t) {
-    if (done) return;
-    done = true;
-    metrics.makespan_s = t;
-    metrics.members_diffed = diffed;
-    exec->cancel_all();
-    const mtc::FaultStats fs = exec->stats();
-    metrics.ledger = fs.ledger;
-    metrics.retries = fs.retries;
-    metrics.evictions = fs.evictions;
-    metrics.speculative_launched = fs.speculative_launched;
-    metrics.speculative_won = fs.speculative_won;
-    // Graceful degradation: the subspace converged, but with fewer
-    // members than planned because some exhausted their retries.
-    metrics.degraded = metrics.converged && fs.ledger.members_lost > 0;
-    // Per-attempt accounting straight off the scheduler's records (every
-    // job this driver runs on the scheduler is a member attempt).
+    static_cast<MemberTally&>(metrics) = orch->tally();
+    // Cancelled (incl. timed-out and losing speculative) and evicted
+    // attempts burnt core time; every job here is a member attempt.
     for (const JobRecord& r : sched.records()) {
-      switch (r.status) {
-        case JobStatus::kDone:
-          break;
-        case JobStatus::kFailed:
-          ++metrics.attempts_failed;
-          break;
-        case JobStatus::kEvicted:
-          if (r.started > 0) metrics.wasted_cpu_seconds += r.finished - r.started;
-          break;
-        default:  // cancelled (incl. timed-out and losing speculative)
-          ++metrics.attempts_cancelled;
-          if (r.started > 0) metrics.wasted_cpu_seconds += r.finished - r.started;
-          break;
-      }
+      if (r.status == JobStatus::kDone || r.status == JobStatus::kFailed)
+        continue;
+      if (r.status != JobStatus::kEvicted) ++metrics.attempts_cancelled;
+      if (r.started > 0) metrics.wasted_cpu_seconds += r.finished - r.started;
     }
     metrics.pert_cpu_utilization = pert_utilization(env->stats);
     metrics.nfs_bytes_moved = sched.nfs().bytes_moved();
@@ -550,14 +440,9 @@ struct ParallelDriver : std::enable_shared_from_this<ParallelDriver> {
     if (cfg.sink) {
       cfg.sink->gauge_set(
           "fault.degradation",
-          static_cast<double>(fs.ledger.members_lost) /
-              static_cast<double>(sizer.target()));
+          static_cast<double>(metrics.members_lost) /
+              static_cast<double>(orch->pool().target()));
     }
-    // Break the shared_ptr cycles through the hooks so the driver is
-    // reclaimed once run_parallel_esse returns.
-    exec->set_member_hook(nullptr);
-    exec->set_report_observer(nullptr);
-    env->on_output_home = nullptr;
   }
 };
 
@@ -576,14 +461,11 @@ WorkflowMetrics run_serial_esse(mtc::Simulator& sim,
 WorkflowMetrics run_parallel_esse(mtc::Simulator& sim,
                                   mtc::ClusterScheduler& sched,
                                   const EsseWorkflowConfig& config) {
-  ESSEX_REQUIRE(config.pool_headroom >= 1.0, "pool headroom must be >= 1");
   auto driver = std::make_shared<ParallelDriver>(sim, sched, config);
   driver->start();
   sim.run();
-  // No-op when already concluded. A run that drains without converging
-  // ends at its last real member/differ/SVD event, not at whatever
-  // leftover fault-layer timer fired last.
-  driver->conclude(driver->last_activity);
+  ESSEX_ASSERT(driver->orch->finished(),
+               "the simulation ran dry before the ensemble concluded");
   return driver->metrics;
 }
 

@@ -2,13 +2,16 @@
 //
 // Two drivers share a calibrated workload shape and a cluster scheduler:
 //
-//  * SerialEsseWorkflow (Fig. 3): stage barriers — the perturb/forecast
+//  * run_serial_esse (Fig. 3): stage barriers — the perturb/forecast
 //    loop must finish before the diff loop starts, diff before SVD; on a
 //    failed convergence test the pool is enlarged and the stages repeat.
-//  * ParallelEsseWorkflow (Fig. 4): a pool of M ≥ N member jobs, a
-//    continuously-running differ absorbing results in completion order, a
-//    decoupled SVD/convergence process using the latest safe snapshot,
-//    cancel-on-convergence and staged pool growth toward Nmax.
+//  * run_parallel_esse (Fig. 4): the modelled member work of the one
+//    Fig.-4 loop, workflow::EnsembleOrchestrator, which the real runner
+//    (service/runner_core) drives too. This driver supplies the job body,
+//    a differ that absorbs results in completion order on the head node,
+//    timed SVD/convergence checks over the latest safe snapshot, the
+//    deadline and the §5 metrics; the orchestrator owns the pool,
+//    milestones, cancel-on-convergence and staged growth toward Nmax.
 //
 // Convergence inside the DES is *modelled* (no real fields exist here): a
 // pluggable predicate maps the diffed member count to converged/not, so
@@ -27,19 +30,13 @@
 #include "mtc/job.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
+#include "workflow/ensemble_orchestrator.hpp"
 
 namespace essex::telemetry {
 class Sink;
 }
 
 namespace essex::workflow {
-
-/// What to do with in-flight members once converged (§4.1).
-enum class CancelPolicy {
-  kCancelImmediately,  ///< kill queued and running members, conclude
-  kUseAllFinished,     ///< kill queued+running, but diff+SVD what landed
-  kSpareNearFinish,    ///< let members 90% of the way done finish
-};
 
 /// Workflow configuration shared by both drivers.
 struct EsseWorkflowConfig {
@@ -71,25 +68,17 @@ struct EsseWorkflowConfig {
   telemetry::Sink* sink = nullptr;
 };
 
-/// Everything the benches report.
-struct WorkflowMetrics {
+/// Everything the benches report. The inherited tally holds the
+/// distinct members issued to the pool and how each one ended (the
+/// testkit scenario oracle checks it conserves on every run), plus the
+/// fault layer's attempt tallies; the serial driver, with no fault
+/// layer, counts its failed and evicted jobs as `attempts_failed`.
+struct WorkflowMetrics : MemberTally {
   double makespan_s = 0;            ///< workflow start → all results used
   double converged_at_s = 0;        ///< time the convergence test passed
-  /// Distinct members issued to the pool and how each one ended (the
-  /// testkit scenario oracle checks it conserves on every run).
-  MemberLedger ledger;
   std::size_t attempts_cancelled = 0;  ///< incl. timed-out, losing backups
-  /// Failed attempts; the serial driver also counts evicted jobs here.
-  std::size_t attempts_failed = 0;
   std::size_t members_diffed = 0;
   std::size_t svd_runs = 0;
-  // Fault-layer attempt tallies (parallel driver only).
-  std::size_t retries = 0;               ///< re-submissions issued
-  std::size_t evictions = 0;             ///< attempts lost to node outages
-  std::size_t speculative_launched = 0;  ///< straggler backup copies
-  std::size_t speculative_won = 0;
-  /// Converged with fewer members than planned (graceful degradation).
-  bool degraded = false;
   bool converged = false;
   bool deadline_hit = false;
   double pert_cpu_utilization = 0;  ///< mean over completed members

@@ -166,10 +166,10 @@ TEST(FaultExecutor, RetriesWithExponentialBackoffUntilSuccess) {
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].member, 7u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kDone);
-  const FaultStats st = exec.stats();
+  const MemberTally st = exec.stats();
   EXPECT_EQ(st.retries, 2u);
   EXPECT_EQ(st.attempts_failed, 2u);
-  EXPECT_EQ(st.ledger.members_lost, 0u);
+  EXPECT_EQ(st.members_lost, 0u);
   EXPECT_TRUE(exec.idle());
 }
 
@@ -197,8 +197,8 @@ TEST(FaultExecutor, MemberLostWhenRetriesExhausted) {
   EXPECT_EQ(be.submissions.size(), 2u);
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kFailed);
-  EXPECT_EQ(exec.stats().ledger.members_lost, 1u);
-  EXPECT_TRUE(exec.stats().ledger.conserves());
+  EXPECT_EQ(exec.stats().members_lost, 1u);
+  EXPECT_TRUE(exec.stats().conserves());
 }
 
 TEST(FaultExecutor, TimeoutBudgetCoversRunTimeNotQueueWait) {
@@ -220,7 +220,7 @@ TEST(FaultExecutor, TimeoutBudgetCoversRunTimeNotQueueWait) {
   be.advance(20.0);  // now 20 s of actual run time have elapsed
   ASSERT_EQ(be.cancelled.size(), 1u);
   EXPECT_EQ(be.cancelled[0], be.submissions[0]);
-  const FaultStats st = exec.stats();
+  const MemberTally st = exec.stats();
   EXPECT_EQ(st.timeouts, 1u);
   // The kCancelled report was rewritten to kTimedOut and retried.
   EXPECT_EQ(st.retries, 1u);
@@ -281,9 +281,9 @@ TEST(FaultExecutor, SpeculativeCopyCancelledWhenOriginalWins) {
   ASSERT_EQ(s.resolved.size(), 3u);
   EXPECT_EQ(s.resolved.back().member, 2u);
   EXPECT_EQ(s.resolved.back().outcome, TaskOutcome::kDone);
-  const FaultStats st = s.exec->stats();
+  const MemberTally st = s.exec->stats();
   EXPECT_EQ(st.speculative_won, 0u);
-  EXPECT_EQ(st.ledger.members_lost, 0u);
+  EXPECT_EQ(st.members_lost, 0u);
   EXPECT_TRUE(s.exec->idle());
 }
 
@@ -296,8 +296,8 @@ TEST(FaultExecutor, SpeculativeCopyCanWinTheRace) {
   ASSERT_EQ(s.resolved.size(), 3u);
   EXPECT_EQ(s.resolved.back().outcome, TaskOutcome::kDone);
   EXPECT_EQ(s.exec->stats().speculative_won, 1u);
-  EXPECT_EQ(s.exec->stats().ledger.members_done, 3u);
-  EXPECT_TRUE(s.exec->stats().ledger.conserves());
+  EXPECT_EQ(s.exec->stats().members_done, 3u);
+  EXPECT_TRUE(s.exec->stats().conserves());
 }
 
 TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
@@ -323,7 +323,7 @@ TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
   for (const Resolution& r : resolved) {
     EXPECT_EQ(r.outcome, TaskOutcome::kCancelled);
   }
-  const MemberLedger ledger = exec.stats().ledger;
+  const MemberLedger ledger = exec.stats();
   EXPECT_EQ(ledger.members_submitted, 3u);
   EXPECT_EQ(ledger.members_cancelled_final, 3u);
   EXPECT_TRUE(ledger.conserves());
@@ -331,7 +331,7 @@ TEST(FaultExecutor, CancelAllStopsRetriesAndCancelsLiveAttempts) {
   EXPECT_EQ(be.submissions.size(), 3u);  // no post-shutdown launches
   exec.cancel_all();  // idempotent: nothing resolves twice
   EXPECT_EQ(resolved.size(), 3u);
-  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
+  EXPECT_EQ(exec.stats().members_lost, 0u);
 }
 
 TEST(FaultExecutor, DrainModeAbandonsPendingRetriesAsCancelled) {
@@ -350,7 +350,7 @@ TEST(FaultExecutor, DrainModeAbandonsPendingRetriesAsCancelled) {
   // The abandoned retry resolves the member as cancelled — not lost.
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kCancelled);
-  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
+  EXPECT_EQ(exec.stats().members_lost, 0u);
   EXPECT_TRUE(exec.idle());
   be.advance(60.0);
   EXPECT_EQ(be.submissions.size(), 1u);
@@ -371,7 +371,7 @@ TEST(FaultExecutor, CancelMemberResolvesItCancelled) {
   EXPECT_EQ(resolved[0].member, 0u);
   EXPECT_EQ(resolved[0].outcome, TaskOutcome::kCancelled);
   EXPECT_EQ(be.cancelled.size(), 1u);
-  EXPECT_EQ(exec.stats().ledger.members_lost, 0u);
+  EXPECT_EQ(exec.stats().members_lost, 0u);
 }
 
 // ---- ThreadExecutionBackend: where an attempt's cancellation is decided ----------
@@ -627,7 +627,7 @@ TEST(FaultyWorkflow, RetriesRecoverInjectedFailures) {
   EXPECT_TRUE(m.converged);
   EXPECT_GT(m.attempts_failed, 0u);
   EXPECT_GT(m.retries, 0u);
-  EXPECT_EQ(m.ledger.members_lost, 0u);  // default budget absorbs p=0.2
+  EXPECT_EQ(m.members_lost, 0u);  // default budget absorbs p=0.2
   EXPECT_GE(m.members_diffed, 32u);
 }
 
@@ -641,7 +641,7 @@ TEST(FaultyWorkflow, NodeOutagesAreAbsorbedWithZeroLoss) {
   WorkflowMetrics m = run_faulty(cfg, sp);
   EXPECT_TRUE(m.converged);
   EXPECT_GT(m.evictions, 0u);
-  EXPECT_EQ(m.ledger.members_lost, 0u);
+  EXPECT_EQ(m.members_lost, 0u);
   EXPECT_GE(m.members_diffed, 64u);
 }
 
@@ -692,7 +692,7 @@ TEST(FaultyWorkflow, StragglersOnSlowNodesAreSpeculativelyReExecuted) {
   EXPECT_TRUE(m.converged);
   EXPECT_GT(m.speculative_launched, 0u);
   EXPECT_GT(m.speculative_won, 0u);  // backups on fast nodes win the race
-  EXPECT_EQ(m.ledger.members_lost, 0u);
+  EXPECT_EQ(m.members_lost, 0u);
   // The backup copies bound the makespan well below the slow node's
   // ~505 s member runtime.
   EXPECT_LT(m.makespan_s, 400.0);
@@ -710,7 +710,7 @@ TEST(FaultyWorkflow, ConvergedRunWithLossesReportsDegraded) {
   cfg.converge_at = 24;
   WorkflowMetrics m = run_faulty(cfg, sp);
   ASSERT_TRUE(m.converged);
-  EXPECT_GT(m.ledger.members_lost, 0u);
+  EXPECT_GT(m.members_lost, 0u);
   EXPECT_TRUE(m.degraded);
 }
 

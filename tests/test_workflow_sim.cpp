@@ -73,7 +73,7 @@ WorkflowMetrics run(bool parallel, EsseWorkflowConfig cfg,
 TEST(SerialWorkflow, ConvergesAndCompletesAllMembers) {
   WorkflowMetrics m = run(false, test_config());
   EXPECT_TRUE(m.converged);
-  EXPECT_EQ(m.ledger.members_done, 32u);
+  EXPECT_EQ(m.members_done, 32u);
   EXPECT_EQ(m.members_diffed, 32u);
   EXPECT_GT(m.makespan_s, 0.0);
   EXPECT_EQ(m.svd_runs, 1u);  // one barrier SVD sufficed
@@ -105,7 +105,7 @@ TEST(ParallelWorkflow, GrowthStagesReachNmaxWithoutConvergence) {
   cfg.max_members = 64;
   WorkflowMetrics m = run(true, cfg);
   EXPECT_FALSE(m.converged);
-  EXPECT_EQ(m.ledger.members_done, 64u);
+  EXPECT_EQ(m.members_done, 64u);
   EXPECT_EQ(m.members_diffed, 64u);
 }
 
@@ -114,7 +114,7 @@ TEST(SerialWorkflow, GrowthLoopsBackThroughStages) {
   cfg.converge_at = 64;
   WorkflowMetrics m = run(false, cfg);
   EXPECT_TRUE(m.converged);
-  EXPECT_EQ(m.ledger.members_done, 64u);
+  EXPECT_EQ(m.members_done, 64u);
   EXPECT_GE(m.svd_runs, 2u);  // one per round
 }
 
@@ -155,7 +155,7 @@ TEST(CancelPolicies, UseAllFinishedDiffsLandedResults) {
   WorkflowMetrics m = run(true, cfg);
   EXPECT_TRUE(m.converged);
   // Every completed member's result is used (diffed).
-  EXPECT_EQ(m.members_diffed, m.ledger.members_done);
+  EXPECT_EQ(m.members_diffed, m.members_done);
 }
 
 TEST(CancelPolicies, SpareNearFinishUsesMoreMembersThanImmediate) {
@@ -196,7 +196,7 @@ TEST(Deadline, ExpiredForecastStopsAndKeepsPartialEnsemble) {
   EXPECT_TRUE(m.deadline_hit);
   EXPECT_FALSE(m.converged);
   EXPECT_LE(m.makespan_s, 400.0 + 1e-6);
-  EXPECT_LT(m.ledger.members_done, 128u);
+  EXPECT_LT(m.members_done, 128u);
 }
 
 // ---- failures (§4 point 3) ----------------------------------------------------------------
@@ -210,6 +210,42 @@ TEST(Failures, WorkflowToleratesFailedMembers) {
   EXPECT_TRUE(m.converged);
   EXPECT_GT(m.attempts_failed, 0u);
   EXPECT_GE(m.members_diffed, 24u);
+}
+
+TEST(Failures, LossyPoolGrowsOnceItDrains) {
+  // Every failure is a permanent loss, so the first pool (M = 36) drains
+  // with about 28 members diffed, short of converge_at. The drained pool
+  // must grow toward Nmax instead of stopping there.
+  EsseWorkflowConfig cfg = test_config();
+  cfg.converge_at = 60;
+  cfg.fault.max_retries = 0;
+  mtc::SchedulerParams sparams = mtc::sge_params();
+  sparams.faults.segment.probability = 0.1;
+  const WorkflowMetrics m = run(true, cfg, sparams);
+  EXPECT_GT(m.members_submitted, 36u);
+  EXPECT_GT(m.members_lost, 0u);
+  EXPECT_TRUE(m.conserves()) << to_string(m);
+}
+
+// ---- the milestone schedule ----------------------------------------------------------------
+
+TEST(ParallelWorkflow, ZeroSvdStrideIsRefusedBeforeAnyMemberRuns) {
+  // Unrefused, the milestone schedule would never advance past 0 and an
+  // unconverging run would spin forever.
+  EsseWorkflowConfig cfg = test_config();
+  cfg.converge_at = 100000;
+  cfg.svd_stride = 0;
+  Simulator sim;
+  ClusterScheduler sched(sim, test_cluster(), mtc::sge_params());
+  try {
+    run_parallel_esse(sim, sched, cfg);
+    FAIL() << "a zero svd stride must be refused";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("svd stride must be >= 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(sched.records().empty());
 }
 
 // ---- acoustics fan-out (§5.2.1) ---------------------------------------------------------
