@@ -137,10 +137,8 @@ int main(int argc, char** argv) {
 
   // The combiner's second opinion: the coarse companion run with a
   // deliberate bias on top of its truncation error.
-  esse::AnalysisParams surrogate_params;
-  surrogate_params.surrogate_bias = 0.005;
   const la::Vector surrogate = esse::run_surrogate_forecast(
-      model, sc.initial, 0.0, forecast_hours, surrogate_params);
+      model, sc.initial, 0.0, forecast_hours, /*bias=*/0.005);
 
   esse::AnalysisOptions ref_options;
   const esse::AnalysisResult reference = esse::analyze(
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
     esse::AnalysisOptions options;
     options.method = method;
     if (method == esse::AnalysisMethod::kMultiModel)
-      options.multi_model.surrogate = &surrogate;
+      options.surrogate = &surrogate;
     esse::AnalysisResult res;
     double best = 0.0;
     for (std::size_t r = 0; r < reps; ++r) {

@@ -45,7 +45,6 @@ struct PropConfig {
   std::string name = "property";
   std::uint64_t seed = 0xE55E0005ULL;  ///< suite seed; case i derives from it
   std::size_t cases = 100;
-  std::size_t max_shrinks = 500;
 };
 
 /// Outcome of check(): `ok`, or a failure whose `message` embeds the
@@ -75,7 +74,7 @@ std::string failure_banner(const std::string& name, std::size_t case_index,
 /// bool (false = falsified) or throws (treated as falsified, message
 /// captured). On failure the value is shrunk greedily: the first shrink
 /// candidate that still fails becomes the new counterexample, until no
-/// candidate fails or the shrink budget is spent.
+/// candidate fails or the 500-step shrink budget is spent.
 template <typename T, typename Property>
 PropResult check(const PropConfig& config, const Gen<T>& gen,
                  Property&& property) {
@@ -111,9 +110,10 @@ PropResult check(const PropConfig& config, const Gen<T>& gen,
       continue;
     }
     // Deterministic greedy shrink: same seed → same shrink path.
+    constexpr std::size_t kMaxShrinks = 500;
     std::size_t shrinks = 0;
     bool reduced = true;
-    while (reduced && shrinks < config.max_shrinks && gen.shrink) {
+    while (reduced && shrinks < kMaxShrinks && gen.shrink) {
       reduced = false;
       for (T& candidate : gen.shrink(value)) {
         std::string cwhy;

@@ -200,17 +200,15 @@ AnalysisResult analyze_global(const la::Vector& forecast,
 ObsSet with_pseudo_observations(const ErrorSubspace& subspace,
                                 const ObsSet& obs,
                                 const AnalysisOptions& options) {
-  const MultiModelObs& mm = options.multi_model;
-  ESSEX_REQUIRE(mm.surrogate != nullptr,
+  // Sampling stride, variance inflation and floor (see the declaration).
+  constexpr std::size_t kStride = 25;
+  constexpr double kInflation = 4.0;
+  constexpr double kFloor = 1e-6;
+  const la::Vector* surrogate = options.surrogate;
+  ESSEX_REQUIRE(surrogate != nullptr,
                 "multi-model analysis needs a surrogate forecast");
-  ESSEX_REQUIRE(mm.surrogate->size() == subspace.dim(),
+  ESSEX_REQUIRE(surrogate->size() == subspace.dim(),
                 "surrogate forecast dimension does not match the state");
-  ESSEX_REQUIRE(mm.stride >= 1,
-                "pseudo-observation stride must be >= 1");
-  ESSEX_REQUIRE(mm.variance_inflation > 0.0,
-                "pseudo-observation variance inflation must be positive");
-  ESSEX_REQUIRE(mm.variance_floor >= 0.0,
-                "pseudo-observation variance floor must be >= 0");
 
   const std::size_t m = subspace.dim();
   const la::Vector marg = subspace.marginal_stddev();
@@ -222,13 +220,12 @@ ObsSet with_pseudo_observations(const ErrorSubspace& subspace,
     grid = nullptr;
 
   std::vector<ObsEntry> entries = obs.entries();
-  entries.reserve(entries.size() + m / mm.stride + 1);
-  for (std::size_t idx = 0; idx < m; idx += mm.stride) {
+  entries.reserve(entries.size() + m / kStride + 1);
+  for (std::size_t idx = 0; idx < m; idx += kStride) {
     ObsEntry e;
     e.stencil = {{idx, 1.0}};
-    e.value = (*mm.surrogate)[idx];
-    e.variance =
-        mm.variance_inflation * marg[idx] * marg[idx] + mm.variance_floor;
+    e.value = (*surrogate)[idx];
+    e.variance = kInflation * marg[idx] * marg[idx] + kFloor;
     if (grid != nullptr) {
       // Packed layout [T, S, u, v, ssh], 3-D fields iz-major then iy, ix.
       const std::size_t points = grid->points();
@@ -270,7 +267,7 @@ AnalysisResult analyze(const la::Vector& forecast,
     }
     AnalysisOptions base = options;
     base.method = AnalysisMethod::kSubspaceKalman;
-    base.multi_model = MultiModelObs{};
+    base.surrogate = nullptr;
     base.sink = nullptr;  // counted above; don't double-count the core
     return analyze(forecast, subspace, combined, base);
   }

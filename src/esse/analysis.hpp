@@ -82,21 +82,6 @@ struct LocalizationParams {
   double radius_km = 0.0;  ///< GC half-support c; influence dies at 2c
 };
 
-/// Multi-model pseudo-observation knobs for analyze() (method ==
-/// kMultiModel): the surrogate forecast is sampled at every `stride`-th
-/// packed index (canonical ascending order) and each sample becomes an
-/// identity-stencil observation whose noise variance is the prior
-/// marginal variance at that index inflated by `variance_inflation` —
-/// the mm-enkf discipline of weighting the second model by the first's
-/// uncertainty, with a floor so degenerate prior directions stay
-/// assimilable.
-struct MultiModelObs {
-  const la::Vector* surrogate = nullptr;  ///< packed fine-grid forecast
-  std::size_t stride = 25;
-  double variance_inflation = 4.0;
-  double variance_floor = 1e-6;
-};
-
 /// How one analyze() call executes. The default — localization off —
 /// runs the global dense update exactly as before the redesign; enabling
 /// localization selects the tiled engine, which needs the grid geometry
@@ -108,27 +93,22 @@ struct AnalysisOptions {
                                ///< the global HE build)
   const ocean::Grid3D* grid = nullptr;  ///< required when localized
   AnalysisMethod method = AnalysisMethod::kSubspaceKalman;
-  MultiModelObs multi_model;  ///< required when method == kMultiModel
+  /// The multi-model surrogate's packed fine-grid forecast, required
+  /// when method == kMultiModel (see with_pseudo_observations()).
+  const la::Vector* surrogate = nullptr;
   /// Optional telemetry (nullable, not owned): `analysis.*` counters —
   /// method name, observation counts, the thread count actually used.
   telemetry::Sink* sink = nullptr;
 };
 
-/// Method selection + surrogate knobs as carried by CycleParams and
-/// ForecastRequest (workflow::validate() covers every constraint). The
-/// surrogate_* fields shape the deliberately-biased coarse companion
-/// model (a GridHierarchy level integrated once per cycle); the pseudo_*
-/// fields feed MultiModelObs.
+/// Method selection as carried by CycleParams and ForecastRequest
+/// (workflow::validate() covers every constraint). The multi-model
+/// surrogate's shape is fixed (run_surrogate_forecast()); only its bias
+/// is a knob.
 struct AnalysisParams {
   AnalysisMethod method = AnalysisMethod::kSubspaceKalman;
-  std::size_t surrogate_levels = 2;   ///< hierarchy depth; the surrogate
-                                      ///< runs on the coarsest level
-  std::size_t surrogate_coarsen = 2;  ///< horizontal coarsening factor
   double surrogate_bias = 0.0;  ///< additive bias on top of the coarse
                                 ///< truncation error (tests/benches)
-  std::size_t pseudo_obs_stride = 25;
-  double pseudo_variance_inflation = 4.0;
-  double pseudo_variance_floor = 1e-6;
 };
 
 /// The Gaspari–Cohn 5th-order piecewise-rational correlation function:
@@ -150,7 +130,12 @@ AnalysisResult analyze(const la::Vector& forecast,
 
 /// The combined observation set the multi-model method assimilates: the
 /// real observations followed by the surrogate's pseudo-observations in
-/// canonical (ascending packed-index) order. Exposed so tests can pin
+/// canonical (ascending packed-index) order. The surrogate is sampled at
+/// every 25th packed index; each sample becomes an identity-stencil
+/// observation whose noise variance is the prior marginal variance there
+/// inflated 4× — the mm-enkf discipline of weighting the second model by
+/// the first's uncertainty — plus a 1e-6 floor so degenerate prior
+/// directions stay assimilable. Exposed so tests can pin
 /// the combiner to "kSubspaceKalman on this exact set", bitwise. When
 /// options.grid is set the pseudo-observations carry grid positions and
 /// participate in localization tapering.

@@ -53,10 +53,9 @@ std::size_t EnsembleSizeController::floor_members() const {
 }
 
 std::size_t EnsembleSizeController::pool_target(double headroom) const {
-  // `!(headroom >= 1.0)` also catches NaN; huge/inf headroom saturates at
-  // Nmax before the double→size_t cast can overflow.
-  const double h = !(headroom >= 1.0) ? 1.0 : headroom;
-  const double m = std::ceil(static_cast<double>(target_) * h);
+  // Huge or infinite headroom saturates at Nmax before the double→size_t
+  // cast can overflow.
+  const double m = std::ceil(static_cast<double>(target_) * headroom);
   if (!(m < static_cast<double>(params_.max_members))) {
     return params_.max_members;
   }

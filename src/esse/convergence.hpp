@@ -84,11 +84,9 @@ class EnsembleSizeController {
   std::size_t target() const { return target_; }
 
   /// Pool size M ≥ N: keep `headroom` extra members in flight so the SVD
-  /// pipeline never drains while the pool is enlarged. Degenerate
-  /// headroom is clamped rather than rejected — anything below 1 (or
-  /// non-finite) behaves as 1, and extreme headroom saturates at Nmax —
-  /// so an elastic service can feed it raw policy arithmetic.
-  std::size_t pool_target(double headroom = 1.25) const;
+  /// pipeline never drains while the pool is enlarged. Extreme headroom
+  /// saturates at Nmax; callers refuse headroom below 1.
+  std::size_t pool_target(double headroom) const;
 
   /// Enlarge after a failed convergence test; returns the new target.
   /// Saturates at Nmax.

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
-#include "ocean/hierarchy.hpp"
 
 namespace essex::esse {
 
@@ -31,31 +30,21 @@ la::Vector run_member(const ocean::OceanModel& model,
 la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   const ocean::OceanState& initial,
                                   double t0_hours, double forecast_hours,
-                                  const AnalysisParams& analysis) {
-  ESSEX_REQUIRE(analysis.surrogate_levels >= 2,
-                "the multi-model surrogate needs levels >= 2");
-  ESSEX_REQUIRE(analysis.surrogate_coarsen >= 2,
-                "the multi-model surrogate needs a coarsening factor >= 2");
-  const ocean::GridHierarchy hier(model.grid(), analysis.surrogate_levels,
-                                  analysis.surrogate_coarsen);
-  const std::size_t l = analysis.surrogate_levels - 1;
-  const ocean::Grid3D& g = hier.grid(l);
-
-  // Coarse companion model: same physics and forcing, climatology
-  // restricted to the coarse grid (the MultilevelEnsemble recipe).
-  ocean::OceanState clim(g);
-  clim.unpack(hier.restrict_state(model.climatology().pack(), l), g);
-  const ocean::OceanModel coarse(g, model.params(), model.forcing(), clim);
-
-  ocean::OceanState st(g);
-  st.unpack(hier.restrict_state(initial.pack(), l), g);
-  coarse.run(st, t0_hours, forecast_hours, nullptr);
-
-  la::Vector fine = hier.prolong_state(st.pack(), l);
+                                  double bias) {
+  // The coarse companion is the level-1 central forecast of a memberless
+  // two-level ensemble: same physics and forcing, climatology restricted
+  // to the coarse grid.
+  MultilevelParams shape;
+  shape.levels = 2;
+  shape.coarsen = kSurrogateCoarsen;
+  shape.members_per_level = {0, 0};
+  MultilevelEnsemble coarse(model, shape);
+  coarse.run_centrals(initial.pack(), t0_hours, forecast_hours);
+  la::Vector fine = coarse.hierarchy().prolong_state(coarse.central(1), 1);
   // The deliberate bias on top of the coarse truncation error: lets
   // tests and benches dial the surrogate's wrongness explicitly.
-  if (analysis.surrogate_bias != 0.0)
-    for (double& v : fine) v += analysis.surrogate_bias;
+  if (bias != 0.0)
+    for (double& v : fine) v += bias;
   return fine;
 }
 
@@ -138,8 +127,9 @@ ForecastResult run_uncertainty_forecast(const ocean::OceanModel& model,
   out.converged = conv.converged();
   out.convergence_history = conv.history();
   if (params.analysis.method == AnalysisMethod::kMultiModel) {
-    out.surrogate_forecast = run_surrogate_forecast(
-        model, initial, t0_hours, params.forecast_hours, params.analysis);
+    out.surrogate_forecast =
+        run_surrogate_forecast(model, initial, t0_hours, params.forecast_hours,
+                               params.analysis.surrogate_bias);
     if (params.sink) params.sink->count("esse.surrogate_runs");
   }
   if (params.sink) {
@@ -161,11 +151,6 @@ CycleResult run_assimilation_cycle(const ocean::OceanModel& model,
   CycleResult out;
   out.forecast = run_uncertainty_forecast(model, initial, initial_subspace,
                                           t0_hours, params);
-  // Graceful degradation has a floor: an analysis against a subspace
-  // estimated from too few surviving members would be noise.
-  ESSEX_REQUIRE(out.forecast.members_run >= params.min_analysis_members,
-                "analysis refused: fewer surviving members than the "
-                "min_analysis_members floor");
   AnalysisOptions options;
   options.localization = params.localization;
   options.tiling = params.tiling;
@@ -176,12 +161,7 @@ CycleResult run_assimilation_cycle(const ocean::OceanModel& model,
   if (params.analysis.method == AnalysisMethod::kMultiModel) {
     ESSEX_REQUIRE(out.forecast.surrogate_forecast.has_value(),
                   "multi-model analysis needs the surrogate forecast");
-    options.multi_model.surrogate = &*out.forecast.surrogate_forecast;
-    options.multi_model.stride = params.analysis.pseudo_obs_stride;
-    options.multi_model.variance_inflation =
-        params.analysis.pseudo_variance_inflation;
-    options.multi_model.variance_floor =
-        params.analysis.pseudo_variance_floor;
+    options.surrogate = &*out.forecast.surrogate_forecast;
   }
   out.analysis = analyze(out.forecast.central_forecast,
                          out.forecast.forecast_subspace,

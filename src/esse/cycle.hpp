@@ -56,11 +56,7 @@ struct CycleParams {
   /// apply — the level layout is fixed up front so column weights are
   /// schedule-free).
   MultilevelParams multilevel;
-  /// Graceful-degradation floor N′: the analysis stage accepts a forecast
-  /// built from fewer members than planned (survivors of a faulty run),
-  /// but refuses to assimilate below this many members.
-  std::size_t min_analysis_members = 2;
-  /// Analysis filter selection + multi-model surrogate knobs (DESIGN.md
+  /// Analysis filter selection + multi-model surrogate bias (DESIGN.md
   /// §16). The default — kSubspaceKalman — leaves the cycle bitwise
   /// identical to the pre-refactor path. When method == kMultiModel the
   /// forecast stage additionally integrates the deliberately-biased
@@ -104,16 +100,20 @@ struct ForecastResult {
   std::optional<la::Vector> surrogate_forecast;
 };
 
+/// Horizontal coarsening of the multi-model surrogate's grid: it runs on
+/// level 1 of a factor-2 GridHierarchy of the fine grid, so it costs 1/8
+/// of a fine member (¼ the points × ½ the steps under the advective CFL).
+inline constexpr std::size_t kSurrogateCoarsen = 2;
+
 /// Integrate the multi-model surrogate: a deliberately-biased coarse
-/// companion forecast on the coarsest level of a GridHierarchy built
-/// from the fine model's grid per `analysis` (surrogate_levels /
-/// surrogate_coarsen), prolonged back to the fine grid with
-/// `surrogate_bias` added uniformly. Deterministic (no model noise) —
+/// companion forecast on the kSurrogateCoarsen-coarsened grid (the
+/// MultilevelEnsemble coarse-model recipe), prolonged back to the fine
+/// grid with `bias` added uniformly. Deterministic (no model noise) —
 /// one extra cheap integration per cycle.
 la::Vector run_surrogate_forecast(const ocean::OceanModel& model,
                                   const ocean::OceanState& initial,
                                   double t0_hours, double forecast_hours,
-                                  const AnalysisParams& analysis);
+                                  double bias);
 
 /// Integrate one ensemble member from a packed initial condition for
 /// `forecast_hours`; returns the packed final state. A stochastic member

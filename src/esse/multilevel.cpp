@@ -52,11 +52,6 @@ double MultilevelParams::column_weight(std::size_t level) const {
 }
 
 double MultilevelParams::cost_ratio(std::size_t level) const {
-  if (!cost_ratios.empty()) {
-    ESSEX_REQUIRE(level < cost_ratios.size(),
-                  "cost_ratios has no such level");
-    return cost_ratios[level];
-  }
   return std::pow(static_cast<double>(coarsen),
                   -3.0 * static_cast<double>(level));
 }

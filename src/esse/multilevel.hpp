@@ -50,9 +50,6 @@ struct MultilevelParams {
   /// levels); empty = proportional to members_per_level, which treats
   /// the pooled columns as one big ensemble.
   std::vector<double> level_weights;
-  /// Optional per-member cost ratios vs a fine member, for admission
-  /// work-unit accounting; empty = the CFL default coarsen^(-3l).
-  std::vector<double> cost_ratios;
 
   bool enabled() const { return levels > 1; }
 
@@ -70,9 +67,9 @@ struct MultilevelParams {
   /// multilevel run collapses bitwise onto the single-level estimator.
   double column_weight(std::size_t level) const;
 
-  /// Admission cost of one level-`level` member relative to fine: the
-  /// cost_ratios override, or coarsen^(-3l) (¼ points × ½ steps per
-  /// factor-2 coarsening under the advective CFL).
+  /// Admission cost of one level-`level` member relative to fine:
+  /// coarsen^(-3l) (¼ points × ½ steps per factor-2 coarsening under the
+  /// advective CFL).
   double cost_ratio(std::size_t level) const;
 
   /// Total cost of the planned ensemble in fine-member units.

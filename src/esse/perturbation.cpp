@@ -1,5 +1,7 @@
 #include "esse/perturbation.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -10,8 +12,9 @@ PerturbationGenerator::PerturbationGenerator(const ErrorSubspace& subspace,
     : subspace_(subspace), params_(params) {
   ESSEX_REQUIRE(!subspace.empty(),
                 "perturbation generator needs a non-empty subspace");
-  ESSEX_REQUIRE(params.white_noise >= 0.0,
-                "white noise amplitude must be non-negative");
+  ESSEX_REQUIRE(
+      params.white_noise >= 0.0 && std::isfinite(params.white_noise),
+      "white noise amplitude must be finite and non-negative");
 }
 
 la::Vector PerturbationGenerator::perturbation(std::size_t index) const {

@@ -26,6 +26,9 @@ namespace {
 constexpr double kBackoffFactor = 2.0;
 /// Cap on concurrent speculative backup copies.
 constexpr std::size_t kMaxSpeculative = 64;
+/// A running attempt past this multiple of the p95 completed duration is
+/// a straggler.
+constexpr double kStragglerMultiple = 2.0;
 
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
@@ -169,8 +172,7 @@ void FaultTolerantExecutor::check_stragglers() {
     if (durations_.size() < policy_.straggler_min_samples) return;
     if (speculative_live_ >= kMaxSpeculative) return;
     budget = kMaxSpeculative - speculative_live_;
-    threshold =
-        policy_.straggler_multiple * quantile(durations_, 0.95);
+    threshold = kStragglerMultiple * quantile(durations_, 0.95);
     for (const auto& [member, st] : members_) {
       // Only members with exactly one live attempt and no retry in
       // flight are speculation candidates (one backup copy at a time).

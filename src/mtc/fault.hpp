@@ -4,9 +4,9 @@
 // Condor harvest delays, NFS contention, TeraGrid host heterogeneity
 // (Table 1), EC2 instance loss. This header defines the one vocabulary
 // the Fig.-4 loop speaks: a typed TaskOutcome per attempt, a FaultPolicy
-// (retry/backoff/timeout/speculation/degradation floor), a
-// FaultInjection model for the DES, and the FaultTolerantExecutor that
-// implements recovery once against the abstract ExecutionBackend.
+// (retry/backoff/timeout/speculation), a FaultInjection model for the
+// DES, and the FaultTolerantExecutor that implements recovery once
+// against the abstract ExecutionBackend.
 // workflow::EnsembleOrchestrator submits every member through it, for
 // the real runner and the DES driver alike, and reports its MemberTally.
 #pragma once
@@ -81,16 +81,12 @@ struct FaultPolicy {
   /// (the calibrated EsseJobShape runtime in the DES); 0 disables.
   double timeout_multiple = 4.0;
   /// Straggler detection (Table 1 heterogeneity): a running attempt is
-  /// speculatively re-executed once its elapsed time exceeds
-  /// `straggler_multiple` × the p95 of completed attempt durations.
+  /// speculatively re-executed once its elapsed time exceeds twice the
+  /// p95 of completed attempt durations.
   bool speculate = true;
-  double straggler_multiple = 2.0;
   std::size_t straggler_min_samples = 16;
   /// How often the straggler scan runs; 0 = expected runtime / 4.
   double straggler_check_interval_s = 0.0;
-  /// Graceful-degradation floor N′: the analysis may proceed with fewer
-  /// members than planned, but never below this many survivors.
-  std::size_t min_members = 2;
   std::uint64_t seed = 0x5EEDFA01ULL;
 };
 

@@ -134,6 +134,12 @@ Receipt RequestDesk::refuse(double now_s, Rejection rejection) {
 }
 
 Receipt RequestDesk::admit(double now_s, const AdmissionTicket& ticket) {
+  // A NaN deadline ties with every other in the queue's ordering, which
+  // would drop the entry as a duplicate.
+  if (std::isnan(ticket.deadline_s)) {
+    return refuse(now_s, {RejectReason::kInvalidRequest,
+                          "deadline must be a number (+inf = none)"});
+  }
   const ServerLoad load{now_s, queue_.size(),
                         queue_.count_at_or_above(ticket.priority), inflight_,
                         max_inflight_};

@@ -237,7 +237,7 @@ class RequestDesk {
   Receipt refuse(double now_s, Rejection rejection);
   /// Decide a valid submit against the desk's own load. Admitted: queued
   /// and recorded (`service.admitted`, `service.queued`); refused: as
-  /// refuse().
+  /// refuse(). A NaN deadline is refused as kInvalidRequest.
   Receipt admit(double now_s, const AdmissionTicket& ticket);
   /// Start the best queued request if an inflight slot is free; returns
   /// its id (`service.request.start`, `service.inflight`).

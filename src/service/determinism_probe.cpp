@@ -133,7 +133,7 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
   // The combiner's second opinion: the same coarse companion integration
   // the runner attaches for kMultiModel cycles.
   const la::Vector surrogate = esse::run_surrogate_forecast(
-      fx.model, sc.initial, 0.0, 3.0, esse::AnalysisParams{});
+      fx.model, sc.initial, 0.0, 3.0, /*bias=*/0.0);
 
   std::map<esse::AnalysisMethod, std::string> digests;
   for (const esse::AnalysisMethod method :
@@ -143,7 +143,7 @@ std::map<esse::AnalysisMethod, std::string> golden_analysis_digests(
     options.threads = threads;
     options.grid = &sc.grid;
     if (method == esse::AnalysisMethod::kMultiModel)
-      options.multi_model.surrogate = &surrogate;
+      options.surrogate = &surrogate;
     digests[method] = esse::analysis_digest(esse::analyze(
         fc.central_forecast, fc.forecast_subspace, obs, options));
   }

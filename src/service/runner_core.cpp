@@ -1,6 +1,5 @@
 #include "service/runner_core.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -211,11 +210,12 @@ std::optional<esse::ForecastResult> execute_forecast(
     orch.pump();
   }
 
-  // Graceful degradation has a floor N′ (FaultPolicy::min_members).
-  ESSEX_REQUIRE(differ.count() >=
-                    std::max<std::size_t>(1, config.fault.min_members),
-                "graceful degradation floor: fewer surviving members than "
-                "FaultPolicy.min_members");
+  // Graceful degradation has a floor N′: a forecast may use fewer
+  // members than planned, but a spread needs two survivors.
+  constexpr std::size_t kMinSurvivors = 2;
+  ESSEX_REQUIRE(differ.count() >= kMinSurvivors,
+                "graceful degradation floor: fewer than two surviving "
+                "members");
   esse::ForecastResult out;
   out.central_forecast = std::move(central);
   out.converged = conv.converged();
@@ -243,8 +243,10 @@ std::optional<esse::ForecastResult> execute_forecast(
   if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
     // One deterministic task after the ensemble, outside cancellation.
     telemetry::ScopedTimer timer(sink, "runner.surrogate_s");
-    out.surrogate_forecast = esse::run_surrogate_forecast(
-        model, request.initial, t0_hours, cp.forecast_hours, cp.analysis);
+    out.surrogate_forecast =
+        esse::run_surrogate_forecast(model, request.initial, t0_hours,
+                                     cp.forecast_hours,
+                                     cp.analysis.surrogate_bias);
     if (sink) sink->count("runner.surrogate_runs");
   }
   esse::MtcAccounting acct;

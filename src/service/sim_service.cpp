@@ -72,7 +72,7 @@ SimForecastService::SimForecastService(mtc::Simulator& sim,
 std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
   const double now = sim_.now();
   // Structural validation: the real runner's ensemble and member-mix
-  // checks, plus the twin's own modelled-convergence and core knobs.
+  // checks, plus the twin's own modelled-convergence knob.
   const esse::MultilevelParams plan = multilevel_plan(spec);
   std::vector<workflow::ValidationIssue> issues;
   workflow::validate_ensemble(
@@ -83,9 +83,6 @@ std::uint64_t SimForecastService::submit(const SimRequestSpec& spec) {
   if (spec.converge_at < 1) {
     issues.push_back({"spec.converge_at",
                       "modelled convergence needs >= 1 member"});
-  }
-  if (spec.fine_cores < 1) {
-    issues.push_back({"spec.fine_cores", "a fine member needs >= 1 core"});
   }
   Receipt receipt =
       issues.empty()
@@ -142,19 +139,13 @@ void SimForecastService::fill(Active& a) {
 void SimForecastService::submit_member(Active& a) {
   std::size_t level = 0;
   double cost = member_cost_s(config_.shape);
-  std::size_t cores = 1;
   if (a.plan.enabled()) {
     level = a.plan.level_of(a.ledger.members_submitted);
     cost *= a.plan.cost_ratio(level);
-    // Fine members may reserve several cores; coarse members are always
-    // 1-core so backfill packs them into slots fine members leave idle.
-    cores = level == 0 ? a.spec.fine_cores : 1;
   }
-  const mtc::JobId jid = sched_.submit(
-      [cost](mtc::JobContext& ctx) {
-        ctx.compute(cost, [&ctx] { ctx.finish(); });
-      },
-      cores);
+  const mtc::JobId jid = sched_.submit([cost](mtc::JobContext& ctx) {
+    ctx.compute(cost, [&ctx] { ctx.finish(); });
+  });
   job_owner_.emplace(jid, a.id);
   job_level_.emplace(jid, level);
   a.live_jobs.push_back(jid);

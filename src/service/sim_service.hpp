@@ -79,11 +79,8 @@ struct SimRequestSpec {
   /// (¼ points × ½ steps per level).
   std::size_t levels = 1;
   /// Planned members per level, fine (level 0) first; size == levels.
+  /// Every member job, fine or coarse, reserves one core.
   std::vector<std::size_t> members_per_level;
-  /// Cores a fine member job reserves; coarse members always take 1, so
-  /// the backfill scheduler packs them into slots a fine member leaves
-  /// idle (nested-jobs policy).
-  std::size_t fine_cores = 1;
 };
 
 /// Terminal record of one request (admitted or rejected).

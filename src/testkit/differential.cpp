@@ -296,7 +296,7 @@ AnalysisMethodReport run_analysis_method_oracle(std::uint64_t seed,
   options.grid = &sc.grid;
   options.threads = threads;
   if (method == esse::AnalysisMethod::kMultiModel)
-    options.multi_model.surrogate = &surrogate;
+    options.surrogate = &surrogate;
 
   const esse::AnalysisResult global = esse::analyze(forecast, subspace, obs,
                                                     options);

@@ -319,7 +319,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
         options.method = method;
         options.grid = &sc.grid;
         if (method == esse::AnalysisMethod::kMultiModel)
-          options.multi_model.surrogate = &truth;
+          options.surrogate = &truth;
         const esse::AnalysisResult analysis = esse::analyze(
             fc.central_forecast, fc.forecast_subspace, obs_set, options);
         const double rmse =

@@ -48,11 +48,11 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
                      "config.cycle.ensemble.min_members",
                      "config.cycle.multilevel"},
                     issues);
-  check(issues, cp.perturbation.white_noise >= 0.0,
+  check(issues,
+        cp.perturbation.white_noise >= 0.0 &&
+            std::isfinite(cp.perturbation.white_noise),
         "config.cycle.perturbation.white_noise",
-        "white-noise stddev must be >= 0");
-  check(issues, config.fault.min_members >= 1, "config.fault.min_members",
-        "graceful-degradation floor must be >= 1");
+        "white-noise stddev must be finite and >= 0");
   check(issues,
         config.inject.segment.probability >= 0.0 &&
             config.inject.segment.probability <= 1.0,
@@ -72,27 +72,9 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
           "yet — run one or the other");
   }
   // Analysis-method selection (DESIGN.md §16).
-  const esse::AnalysisParams& ap = cp.analysis;
-  check(issues, esse::is_registered(ap.method),
+  check(issues, esse::is_registered(cp.analysis.method),
         "config.cycle.analysis.method",
         "analysis method is not registered");
-  if (ap.method == esse::AnalysisMethod::kMultiModel) {
-    check(issues, ap.surrogate_levels >= 2,
-          "config.cycle.analysis.surrogate_levels",
-          "the multi-model surrogate needs levels >= 2");
-    check(issues, ap.surrogate_coarsen >= 2,
-          "config.cycle.analysis.surrogate_coarsen",
-          "surrogate coarsening factor must be >= 2");
-    check(issues, ap.pseudo_obs_stride >= 1,
-          "config.cycle.analysis.pseudo_obs_stride",
-          "pseudo-observation stride must be >= 1");
-    check(issues, ap.pseudo_variance_inflation > 0.0,
-          "config.cycle.analysis.pseudo_variance_inflation",
-          "pseudo-observation variance inflation must be positive");
-    check(issues, ap.pseudo_variance_floor >= 0.0,
-          "config.cycle.analysis.pseudo_variance_floor",
-          "pseudo-observation variance floor must be >= 0");
-  }
   return issues;
 }
 
@@ -147,14 +129,6 @@ void validate_ensemble(const esse::EnsembleSizeController::Params& ensemble,
             "weights over the used levels must not all vanish");
     }
   }
-  if (!ml.cost_ratios.empty()) {
-    bool ratios_ok = ml.cost_ratios.size() == ml.levels;
-    if (ratios_ok)
-      for (double r : ml.cost_ratios)
-        if (!(std::isfinite(r) && r > 0.0)) ratios_ok = false;
-    check(issues, ratios_ok, prefix + "cost_ratios",
-          "cost ratios must cover every level and be finite and positive");
-  }
 }
 
 std::vector<ValidationIssue> validate(const ForecastRequest& request) {
@@ -191,23 +165,16 @@ std::vector<ValidationIssue> validate(const ForecastRequest& request) {
       }
     }
   }
-  if (cp.analysis.method == esse::AnalysisMethod::kMultiModel &&
-      cp.analysis.surrogate_coarsen >= 2) {
-    // The surrogate's coarsest level obeys the same 3x3 floor.
-    std::size_t nx = grid.nx(), ny = grid.ny();
-    for (std::size_t l = 1; l < cp.analysis.surrogate_levels; ++l) {
-      nx = (nx + cp.analysis.surrogate_coarsen - 1) /
-           cp.analysis.surrogate_coarsen;
-      ny = (ny + cp.analysis.surrogate_coarsen - 1) /
-           cp.analysis.surrogate_coarsen;
-      if (nx < 3 || ny < 3) {
-        std::ostringstream os;
-        os << "surrogate level " << l << " coarsens the grid to " << nx
-           << "x" << ny << ", below the 3x3 minimum";
-        issues.push_back(
-            {"config.cycle.analysis.surrogate_levels", os.str()});
-        break;
-      }
+  if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
+    // The surrogate's coarse grid obeys the same 3x3 floor.
+    const std::size_t f = esse::kSurrogateCoarsen;
+    const std::size_t nx = (grid.nx() + f - 1) / f;
+    const std::size_t ny = (grid.ny() + f - 1) / f;
+    if (nx < 3 || ny < 3) {
+      std::ostringstream os;
+      os << "the multi-model surrogate coarsens the grid to " << nx << "x"
+         << ny << ", below the 3x3 minimum";
+      issues.push_back({"config.cycle.analysis.method", os.str()});
     }
   }
   if (cp.localization.enabled && cp.tiling.tiles_x >= 1 &&
@@ -248,15 +215,12 @@ double forecast_work_units(const ForecastRequest& request) {
       std::max(1.0, std::ceil(request.config.cycle.forecast_hours / dt));
   const esse::CycleParams& cp = request.config.cycle;
   // The multi-model surrogate is one extra deterministic integration on
-  // the coarsest hierarchy level, discounted like a coarse member.
-  double surrogate = 0.0;
-  if (cp.analysis.method == esse::AnalysisMethod::kMultiModel) {
-    surrogate =
-        std::pow(static_cast<double>(cp.analysis.surrogate_coarsen),
-                 -3.0 * static_cast<double>(cp.analysis.surrogate_levels -
-                                            1)) *
-        steps * m;
-  }
+  // the grid coarsened by esse::kSurrogateCoarsen = 2: 1/8 of a member.
+  constexpr double kSurrogateCost = 1.0 / 8.0;
+  const double surrogate =
+      cp.analysis.method == esse::AnalysisMethod::kMultiModel
+          ? kSurrogateCost * steps * m
+          : 0.0;
   const esse::MultilevelParams& ml = cp.multilevel;
   if (!ml.enabled()) {
     // Worst-case planned ensemble: admission should not bet on early

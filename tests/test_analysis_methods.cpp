@@ -112,7 +112,7 @@ esse::AnalysisOptions options_for(const MethodCase& c,
   options.method = c.method;
   options.threads = threads;
   if (c.method == esse::AnalysisMethod::kMultiModel)
-    options.multi_model.surrogate = &c.pair.surrogate;
+    options.surrogate = &c.pair.surrogate;
   return options;
 }
 
@@ -220,8 +220,7 @@ TEST(AnalysisMethods, MultiModelIsKalmanOnThePseudoAugmentedSet) {
         const esse::ObsSet obs = make_obs_for(sp);
         esse::AnalysisOptions mm;
         mm.method = esse::AnalysisMethod::kMultiModel;
-        mm.multi_model.surrogate = &sp.surrogate;
-        mm.multi_model.stride = 7;
+        mm.surrogate = &sp.surrogate;
         const esse::ObsSet combined =
             esse::with_pseudo_observations(sp.subspace, obs, mm);
         if (combined.size() <= obs.size())
@@ -254,8 +253,7 @@ TEST(AnalysisMethods, MultiModelTelemetryAndPreconditions) {
                PreconditionError)
       << "kMultiModel without a surrogate must be rejected";
 
-  mm.multi_model.surrogate = &sp.surrogate;
-  mm.multi_model.stride = 5;
+  mm.surrogate = &sp.surrogate;
   telemetry::Sink sink("multi-model");
   mm.sink = &sink;
   esse::analyze(sp.forecast, sp.subspace, obs, mm);
@@ -314,7 +312,7 @@ TEST(AnalysisMethods, CycleAttachesAndSerializesTheSurrogate) {
   EXPECT_EQ(*mm.surrogate_forecast,
             esse::run_surrogate_forecast(model, sc.initial, 0.0,
                                          params.forecast_hours,
-                                         params.analysis))
+                                         params.analysis.surrogate_bias))
       << "the attached surrogate is not the canonical companion run";
   EXPECT_NE(esse::serialize_forecast_product(mm).find("SURROGAT"),
             std::string::npos);

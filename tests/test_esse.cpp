@@ -618,7 +618,7 @@ TEST_F(AnalysisFixture, RejectsNonFiniteObservationsOnEveryPath) {
   tiled.grid = &sc->grid;
   AnalysisOptions multi_model;
   multi_model.method = AnalysisMethod::kMultiModel;
-  multi_model.multi_model.surrogate = &forecast;
+  multi_model.surrogate = &forecast;
   for (const AnalysisOptions* opts : {&global, &tiled, &multi_model})
     ASSERT_NO_THROW(analyze(forecast, sub, clean, *opts));
 

@@ -25,8 +25,6 @@
 #include "mtc/fault.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
-#include "obs/instruments.hpp"
-#include "obs/observation.hpp"
 #include "ocean/monterey.hpp"
 #include "service/forecast_service.hpp"
 #include "workflow/esse_workflow_sim.hpp"
@@ -241,7 +239,6 @@ struct SpeculationSetup {
     p.timeout_multiple = 0.0;
     p.speculate = true;
     p.straggler_min_samples = 2;
-    p.straggler_multiple = 2.0;
     p.straggler_check_interval_s = 1e9;  // scans only when the test asks
     exec = std::make_unique<FaultTolerantExecutor>(be, p);
     exec->set_member_hook([this](std::size_t m, TaskOutcome o) {
@@ -717,7 +714,7 @@ TEST(FaultyWorkflow, ConvergedRunWithLossesReportsDegraded) {
 }  // namespace
 }  // namespace essex::workflow
 
-// ---- the real-thread runner + the esse-cycle degradation floor -----------------
+// ---- the real-thread runner and its degradation floor --------------------------
 
 namespace essex::esse {
 namespace {
@@ -799,23 +796,6 @@ TEST_F(FaultRunnerFixture, NonFiniteMembersAreLostNotAbsorbed) {
               std::string::npos)
         << e.what();
   }
-}
-
-TEST_F(FaultRunnerFixture, AnalysisRefusesBelowMemberFloor) {
-  Rng obs_rng(31);
-  ocean::OceanState truth = sc->initial;
-  auto campaign = obs::aosn_campaign(sc->grid, truth, obs_rng);
-  obs::ObsOperator h(sc->grid, campaign);
-
-  CycleParams params;
-  params.forecast_hours = 2.0;
-  params.ensemble = {6, 2.0, 6};
-  params.convergence = {0.95, 100};
-  params.max_rank = 6;
-  params.min_analysis_members = 1000;  // unreachable floor N′
-  EXPECT_THROW(run_assimilation_cycle(*model, sc->initial, subspace, 0.0,
-                                      h, params),
-               essex::PreconditionError);
 }
 
 }  // namespace

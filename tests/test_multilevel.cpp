@@ -157,9 +157,6 @@ TEST(MultilevelParams, CostRatiosDefaultToCflScaling) {
   EXPECT_DOUBLE_EQ(ml.cost_ratio(1), 1.0 / 8.0);
   EXPECT_DOUBLE_EQ(ml.cost_ratio(2), 1.0 / 64.0);
   EXPECT_DOUBLE_EQ(ml.total_cost_units(), 4.0 + 1.0 + 0.25);
-  ml.cost_ratios = {1.0, 0.2, 0.05};
-  EXPECT_DOUBLE_EQ(ml.cost_ratio(1), 0.2);
-  EXPECT_DOUBLE_EQ(ml.total_cost_units(), 4.0 + 1.6 + 0.8);
 }
 
 // ---- validation -----------------------------------------------------------------
@@ -197,12 +194,8 @@ TEST(MultilevelValidation, RejectsMalformedMemberMixes) {
   cfg.cycle.multilevel.level_weights = {0.5};  // size mismatch
   EXPECT_TRUE(has_issue(workflow::validate(cfg), "level_weights"));
 
-  cfg = valid_ml_config();
-  cfg.cycle.multilevel.cost_ratios = {1.0, -0.1};
-  EXPECT_TRUE(has_issue(workflow::validate(cfg), "cost_ratios"));
-
-  // Non-finite weights or ratios: an infinite level weight turns
-  // column_weight() into NaN, so validation must catch them up front.
+  // Non-finite weights: an infinite level weight turns column_weight()
+  // into NaN, so validation must catch them up front.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const std::vector<double>& w :
@@ -211,9 +204,6 @@ TEST(MultilevelValidation, RejectsMalformedMemberMixes) {
     cfg.cycle.multilevel.level_weights = w;
     EXPECT_TRUE(has_issue(workflow::validate(cfg), "level_weights"));
   }
-  cfg = valid_ml_config();
-  cfg.cycle.multilevel.cost_ratios = {1.0, inf};
-  EXPECT_TRUE(has_issue(workflow::validate(cfg), "cost_ratios"));
 }
 
 TEST(MultilevelValidation, RejectsCompositionWithLocalization) {
@@ -390,7 +380,6 @@ TEST(SimServiceMultilevel, CoarseMembersRunAndAccountPerLevel) {
   service::SimRequestSpec spec;
   spec.levels = 2;
   spec.members_per_level = {4, 12};
-  spec.fine_cores = 2;  // coarse 1-core members backfill the gaps
   spec.converge_at = 16;
   spec.max_members = 16;
   sim.at(0.0, [&] { svc.submit(spec); });

@@ -22,6 +22,7 @@
 #include "esse/analysis.hpp"
 #include "esse/convergence.hpp"
 #include "esse/obs_set.hpp"
+#include "esse/perturbation.hpp"
 #include "mtc/cluster.hpp"
 #include "mtc/scheduler.hpp"
 #include "mtc/sim.hpp"
@@ -74,10 +75,10 @@ TEST(SizeControllerElasticity, MinAboveMaxIsRejected) {
 TEST(SizeControllerElasticity, PoolTargetClampsDegenerateHeadroom) {
   esse::EnsembleSizeController sizer({8, 2.0, 64, 2});
   EXPECT_EQ(sizer.pool_target(1.25), 10u);
-  // Below-1 and non-finite headroom behave as 1 (never starve N).
+  // Below-1 headroom never starves N; NaN saturates like +inf.
   EXPECT_EQ(sizer.pool_target(0.0), 8u);
   EXPECT_EQ(sizer.pool_target(0.5), 8u);
-  EXPECT_EQ(sizer.pool_target(std::nan("")), 8u);
+  EXPECT_EQ(sizer.pool_target(std::nan("")), 64u);
   // Extreme headroom saturates at Nmax instead of overflowing.
   EXPECT_EQ(sizer.pool_target(1e18), 64u);
   EXPECT_EQ(sizer.pool_target(kInf), 64u);
@@ -162,6 +163,28 @@ TEST(RequestDeskTest, TalliesEachStepAndFeedsTheEstimator) {
   EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.deadline_missed, 1u);
   EXPECT_EQ(st.peak_queue, 1u);
+}
+
+TEST(RequestDeskTest, RefusesANaNDeadline) {
+  // A NaN deadline compares equal to every other deadline in the queue's
+  // ordering, so an admitted one would be dropped as a duplicate entry
+  // and never start.
+  RequestDesk desk(AdmissionPolicy{}, /*max_inflight=*/3, /*sink=*/nullptr);
+  const Receipt a = desk.admit(0.0, {0, 100.0, 0.0, 1.0});
+  const Receipt b = desk.admit(0.0, {0, 50.0, 0.0, 1.0});
+  const Receipt c = desk.admit(0.0, {0, std::nan(""), 0.0, 1.0});
+  ASSERT_FALSE(a.rejection.has_value());
+  ASSERT_FALSE(b.rejection.has_value());
+  ASSERT_TRUE(c.rejection.has_value());
+  EXPECT_EQ(c.rejection->reason, RejectReason::kInvalidRequest);
+  EXPECT_EQ(desk.stats().rejected_invalid, 1u);
+  EXPECT_EQ(desk.start(1.0), std::optional<std::uint64_t>(b.id));
+  EXPECT_EQ(desk.start(1.0), std::optional<std::uint64_t>(a.id));
+  EXPECT_FALSE(desk.start(1.0).has_value());
+  desk.finish(a.id, RequestState::kDone, 2.0);
+  desk.finish(b.id, RequestState::kDone, 2.0);
+  EXPECT_TRUE(desk.idle());
+  EXPECT_EQ(desk.stats().completed, desk.stats().admitted);
 }
 
 // ---- AdmissionController --------------------------------------------------------
@@ -648,6 +671,25 @@ TEST_F(ServiceFixture, UnregisteredAnalysisMethodIsRefusedBeforeAnyMember) {
     EXPECT_THROW(esse::analyze(forecast, subspace, obs, options),
                  PreconditionError);
   }
+}
+
+TEST_F(ServiceFixture, InfiniteWhiteNoiseIsRefusedAtSubmit) {
+  // +inf passes a bare `>= 0` check; every perturbed member then
+  // diverges and is retried with backoff until the degradation floor.
+  workflow::ForecastRequest bad = quick_request();
+  bad.config.cycle.perturbation.white_noise = kInf;
+  const auto issues = workflow::validate(bad);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "config.cycle.perturbation.white_noise");
+
+  ForecastService svc(ServiceConfig{});
+  ForecastHandle h = svc.submit(wrap(bad));
+  ASSERT_EQ(h.state(), RequestState::kRejected);
+  EXPECT_EQ(h.rejection().reason, RejectReason::kInvalidRequest);
+  EXPECT_EQ(svc.stats().admitted, 0u);
+  EXPECT_THROW(
+      esse::PerturbationGenerator(subspace, bad.config.cycle.perturbation),
+      PreconditionError);
 }
 
 TEST_F(ServiceFixture, InfeasibleDeadlinesAreRefusedUpFront) {
