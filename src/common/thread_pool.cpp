@@ -1,8 +1,45 @@
 #include "common/thread_pool.hpp"
 
+#include <atomic>
+
 #include "common/error.hpp"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace essex {
+
+namespace {
+
+/// Moves the calling (new) worker once onto the next CPU of the affinity
+/// mask it inherited, then hands that whole mask back to the scheduler.
+/// After an idle spell Linux places a burst of freshly spawned threads on
+/// the CPU that spawned them and keeps them stacked there while work
+/// arrives in bursts (DESIGN.md §12.2); one forced migration at spawn
+/// starts the workers spread. With a one-CPU mask, or if the mask cannot
+/// be read or the move fails, the worker stays where the kernel put it.
+void spread_new_worker() {
+#ifdef __linux__
+  static std::atomic<unsigned> next{0};  // process-wide round robin
+  cpu_set_t inherited;
+  CPU_ZERO(&inherited);
+  if (sched_getaffinity(0, sizeof inherited, &inherited) != 0) return;
+  const int n = CPU_COUNT(&inherited);
+  if (n < 2) return;
+  int skip = static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
+                              static_cast<unsigned>(n));
+  int cpu = 0;  // the skip-th CPU set in the mask
+  while (!CPU_ISSET(cpu, &inherited) || skip-- > 0) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) return;
+  sched_setaffinity(0, sizeof inherited, &inherited);
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   ESSEX_REQUIRE(n_threads >= 1, "thread pool needs at least one worker");
@@ -93,6 +130,7 @@ std::size_t ThreadPool::queued() const {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
+  spread_new_worker();
   for (;;) {
     Item item;
     {

@@ -22,7 +22,9 @@ namespace essex {
 /// resized at runtime (ForecastService elasticity): growing spawns
 /// workers that immediately join the running queue, and shrinking retires
 /// workers after their current task — in-flight work is never interrupted
-/// by a resize.
+/// by a resize. Each new worker starts on the next CPU of the mask it
+/// inherited (round robin across every pool in the process), then keeps
+/// that whole mask: placement only, never a pin.
 class ThreadPool {
  public:
   /// Spawn `n_threads` workers (>= 1).

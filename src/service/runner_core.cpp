@@ -1,5 +1,6 @@
 #include "service/runner_core.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -35,7 +36,10 @@ class RealMemberWork final : public workflow::MemberWork {
   std::size_t absorbed() const override { return differ_.count(); }
 
   std::optional<bool> check(std::size_t c) override {
-    if (c < 2) return false;  // spread needs two members
+    // A spread needs two members, and ConvergenceTest::update records
+    // nothing below min_members: skip the decomposition it would discard.
+    if (c < std::max<std::size_t>(2, conv_.params().min_members))
+      return false;
     ++svd_runs;
     telemetry::ScopedTimer timer(sink_, "runner.svd_s");
     // The differ's copy-free snapshot: prefix(c) is the same bytes

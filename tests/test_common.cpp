@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -14,6 +19,10 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "testkit/temp_dir.hpp"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace essex {
 namespace {
@@ -155,6 +164,66 @@ TEST(ThreadPool, WaitIdleReturnsImmediatelyWhenEmpty) {
   pool.wait_idle();  // must not hang
   EXPECT_EQ(pool.queued(), 0u);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, SpawnedWorkersKeepTheWholeInheritedMask) {
+  // A new worker is moved onto one CPU of its inherited mask and must get
+  // the whole mask back. Under a two-CPU mask, five workers (three from
+  // the constructor, two from a resize) each run one task that reads its
+  // own mask and CPU.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof original, &original), 0);
+  if (CPU_COUNT(&original) < 2) GTEST_SKIP() << "needs two allowed CPUs";
+  struct RestoreMask {
+    explicit RestoreMask(const cpu_set_t& m) : mask(m) {}
+    ~RestoreMask() { sched_setaffinity(0, sizeof mask, &mask); }
+    RestoreMask(const RestoreMask&) = delete;
+    RestoreMask& operator=(const RestoreMask&) = delete;
+    cpu_set_t mask;
+  } restore(original);
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  std::vector<int> cpus;
+  for (int c = 0; cpus.size() < 2; ++c) {
+    if (!CPU_ISSET(c, &original)) continue;
+    CPU_SET(c, &two);
+    cpus.push_back(c);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof two, &two), 0);
+
+  constexpr std::size_t kWorkers = 5;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> workers;
+  std::size_t wrong_mask = 0;
+  std::size_t wrong_cpu = 0;
+  const auto task = [&] {
+    cpu_set_t mine;
+    CPU_ZERO(&mine);
+    const bool mask_ok = sched_getaffinity(0, sizeof mine, &mine) == 0 &&
+                         CPU_EQUAL(&mine, &two);
+    const int cpu = sched_getcpu();
+    std::unique_lock<std::mutex> lk(mu);
+    workers.insert(std::this_thread::get_id());
+    wrong_mask += mask_ok ? 0 : 1;
+    wrong_cpu += (cpu == cpus[0] || cpu == cpus[1]) ? 0 : 1;
+    cv.notify_all();
+    // Hold this worker until every worker has taken a task.
+    cv.wait_for(lk, std::chrono::seconds(10),
+                [&] { return workers.size() >= kWorkers; });
+  };
+  {
+    ThreadPool pool(3);
+    pool.resize(kWorkers);
+    for (std::size_t i = 0; i < kWorkers; ++i) pool.submit(task);
+    pool.wait_idle();
+  }
+  EXPECT_EQ(workers.size(), kWorkers);
+  EXPECT_EQ(wrong_mask, 0u);
+  EXPECT_EQ(wrong_cpu, 0u);
+}
+#endif
 
 // ---- table ----------------------------------------------------------------
 
