@@ -63,10 +63,10 @@ class ConvergenceTest {
 
 /// Staged ensemble-size schedule: start at N, multiply by `growth` on
 /// each failed convergence test, cap at Nmax (paper §4.1 last paragraph).
-/// The ForecastService additionally drives the schedule *down* under
-/// deadline or multi-tenant pressure: shrink() walks the target back
-/// toward the `min_members` floor, so an elastic runner can hand worker
-/// slots to other requests without restarting the ensemble.
+/// The DES twin (SimForecastService::maybe_shrink_for_deadline) also
+/// drives the schedule *down* when a request would miss its deadline:
+/// shrink() walks the target back toward the `min_members` floor without
+/// restarting the ensemble. The real ForecastService never shrinks.
 class EnsembleSizeController {
  public:
   struct Params {

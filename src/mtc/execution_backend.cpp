@@ -100,10 +100,7 @@ ThreadExecutionBackend::ThreadExecutionBackend(ThreadPool& pool, TaskFn fn)
     : pool_(pool), fn_(std::move(fn)),
       epoch_(std::chrono::steady_clock::now()) {
   ESSEX_REQUIRE(fn_ != nullptr, "backend needs a task function");
-  timer_thread_ = std::thread([this] { timer_loop(); });
 }
-
-ThreadExecutionBackend::~ThreadExecutionBackend() { shutdown_timers(); }
 
 double ThreadExecutionBackend::now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -253,50 +250,9 @@ TaskReport ThreadExecutionBackend::poll_locked(TaskId id) const {
 }
 
 void ThreadExecutionBackend::after(double delay_s, std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    if (timer_shutdown_) return;
-    timers_.emplace(now() + delay_s, std::move(fn));
-  }
-  timer_cv_.notify_one();
-}
-
-void ThreadExecutionBackend::timer_loop() {
-  std::unique_lock<std::mutex> lk(timer_mu_);
-  while (!timer_shutdown_) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lk, [this] {
-        return timer_shutdown_ || !timers_.empty();
-      });
-      continue;
-    }
-    const double deadline = timers_.begin()->first;
-    const auto when =
-        epoch_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(deadline));
-    if (timer_cv_.wait_until(lk, when, [this, deadline] {
-          return timer_shutdown_ ||
-                 (!timers_.empty() && timers_.begin()->first < deadline);
-        })) {
-      continue;  // shutdown or an earlier deadline arrived
-    }
-    auto it = timers_.begin();
-    std::function<void()> fn = std::move(it->second);
-    timers_.erase(it);
-    lk.unlock();
-    fn();
-    lk.lock();
-  }
-}
-
-void ThreadExecutionBackend::shutdown_timers() {
-  {
-    std::lock_guard<std::mutex> lk(timer_mu_);
-    timer_shutdown_ = true;
-    timers_.clear();
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
+  ESSEX_REQUIRE(delay_s == 0.0,
+                "the thread backend runs no delayed timers");
+  fn();
 }
 
 }  // namespace essex::mtc

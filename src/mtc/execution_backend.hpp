@@ -6,18 +6,19 @@
 // tasks. ExecutionBackend abstracts the four things the fault layer
 // needs — submit / cancel / poll and a terminal TaskReport stream — plus
 // a clock and one-shot timers, so FaultTolerantExecutor is written
-// exactly once and both drivers inherit retry, speculation and graceful
-// degradation.
+// exactly once for both drivers.
 //
 //  * SimExecutionBackend wraps a ClusterScheduler: tasks are simulated
 //    member jobs, time is Simulator time, eviction comes from the node
-//    outage model.
+//    outage model. The DES is where backoff, timeouts and straggler
+//    speculation act: its hosts fail and run slow.
 //  * ThreadExecutionBackend wraps the in-process ThreadPool: tasks are
-//    real member closures, exceptions become TaskOutcome::kFailed, time
-//    is the wall clock and timers run on a dedicated timer thread. It is
-//    the only place an attempt's cancellation is decided: each attempt
-//    carries its own token, and an attempt cancelled before it starts
-//    never runs its closure.
+//    real member closures, exceptions become TaskOutcome::kFailed and
+//    time is the wall clock. The real runner only retries, at once, so
+//    it has no timers: after() takes a zero delay and runs the callback
+//    on the calling thread. It is the only place an attempt's
+//    cancellation is decided: each attempt carries its own token, and an
+//    attempt cancelled before it starts never runs its closure.
 #pragma once
 
 #include <atomic>
@@ -25,10 +26,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "common/thread_pool.hpp"
@@ -65,7 +64,8 @@ class ExecutionBackend {
   virtual double now() const = 0;
 
   /// One-shot timer on the backend's clock (backoff, timeouts,
-  /// straggler scans). Timers may be dropped at backend teardown.
+  /// straggler scans). Timers may be dropped at backend teardown. The
+  /// thread backend accepts only a zero delay (an immediate retry).
   virtual void after(double delay_s, std::function<void()> fn) = 0;
 
   /// Expected single-attempt runtime; 0 = unknown (the fault layer then
@@ -113,8 +113,7 @@ class SimExecutionBackend final : public ExecutionBackend {
 };
 
 /// ExecutionBackend over the in-process ThreadPool: member closures,
-/// exception capture, per-attempt cancellation tokens and a timer
-/// thread.
+/// exception capture and per-attempt cancellation tokens.
 class ThreadExecutionBackend final : public ExecutionBackend {
  public:
   /// Runs (member, attempt) to completion; throwing reports kFailed.
@@ -124,12 +123,15 @@ class ThreadExecutionBackend final : public ExecutionBackend {
                                     const std::atomic<bool>& cancelled)>;
 
   ThreadExecutionBackend(ThreadPool& pool, TaskFn fn);
-  ~ThreadExecutionBackend() override;
 
   TaskId submit(std::size_t member, std::size_t attempt) override;
   void cancel(TaskId id) override;
   TaskReport poll(TaskId id) const override;
   double now() const override;
+  /// Runs `fn` now, on the calling thread; refuses a nonzero delay. The
+  /// executor's only call is a retry from the report hook of the attempt
+  /// that failed, which has not yet retired, so drain_tasks() covers the
+  /// retry it submits.
   void after(double delay_s, std::function<void()> fn) override;
   void set_report_hook(ReportHook hook) override;
 
@@ -140,11 +142,6 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   /// persistent pool (ForecastService) tear down independently. After it
   /// returns, no pool worker can re-enter this backend.
   void drain_tasks();
-
-  /// Join the timer thread and drop pending timers. Call before
-  /// drain_tasks(), so no timer can submit an attempt the drain misses,
-  /// and before destroying whatever the report hook points at.
-  void shutdown_timers();
 
  private:
   struct TaskRec {
@@ -165,7 +162,6 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   void finish_task(TaskId id, bool threw);
   void retire_task();
   TaskReport poll_locked(TaskId id) const;
-  void timer_loop();
 
   ThreadPool& pool_;
   TaskFn fn_;
@@ -176,13 +172,6 @@ class ThreadExecutionBackend final : public ExecutionBackend {
   TaskId next_id_ = 1;
   std::size_t outstanding_ = 0;  ///< attempts not yet retired from the pool
   std::condition_variable retired_cv_;
-
-  // Timer thread state.
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  std::multimap<double, std::function<void()>> timers_;  // by deadline
-  bool timer_shutdown_ = false;
-  std::thread timer_thread_;
 };
 
 }  // namespace essex::mtc

@@ -76,16 +76,15 @@ struct ServiceStats {
   std::size_t peak_workers = 0;
 };
 
-/// Knobs of the admission decision.
+/// Knobs of the admission decision. A request with a finite deadline
+/// that cannot be met is rejected kDeadlineInfeasible; the check needs a
+/// runtime estimate (the per-request expected cost, or the estimator's
+/// rolling view once completions exist) and admits optimistically
+/// without one.
 struct AdmissionPolicy {
   /// Bounded queue: submits beyond this many *queued* (not yet running)
   /// requests are rejected kQueueFull.
   std::size_t max_queued = 256;
-  /// Reject requests whose deadline cannot be met (kDeadlineInfeasible).
-  /// Needs a runtime estimate: the per-request expected cost, or the
-  /// estimator's rolling view once completions exist. With neither, the
-  /// deadline check admits optimistically.
-  bool enforce_deadlines = true;
 };
 
 /// Rolling estimate of service cost, fed by completions. Exponentially

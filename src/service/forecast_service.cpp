@@ -292,8 +292,8 @@ void ForecastService::shutdown() {
     rec->cancel.store(true, std::memory_order_relaxed);
   }
   // Joining the orchestrator pool waits out every in-flight run_request,
-  // each of which tears down its own backend (cancel, drain, timers)
-  // before returning — only then is the member pool safe to join. The
+  // each of which tears down its own backend (cancel, then drain) before
+  // returning — only then is the member pool safe to join. The
   // queue is empty, so no finishing request dispatches another.
   orchestrators_.reset();
   member_pool_.reset();
@@ -344,17 +344,14 @@ esse::ForecastResult run_parallel_forecast(
     const auto issues = workflow::validate(request);
     if (!issues.empty()) throw PreconditionError(workflow::describe(issues));
   }
-  // One-shot mode: a private single-request service with a fixed pool of
-  // cycle.threads workers and elasticity off reproduces the pre-service
-  // runner exactly (same pool size, same core), so the determinism
-  // digests hold bitwise.
+  // One-shot mode: a private single-request service whose pool is pinned
+  // at cycle.threads workers (min = max, so demand never resizes it).
+  // The request has no deadline, so admission only checks the queue.
   ServiceConfig sc;
   const std::size_t workers =
       std::max<std::size_t>(request.config.cycle.threads, 1);
   sc.min_workers = sc.max_workers = workers;
   sc.max_inflight = 1;
-  sc.elastic = false;
-  sc.admission.enforce_deadlines = false;
   ForecastService svc(sc);
   ForecastHandle handle = svc.submit({.forecast = request});
   return handle.take_result();

@@ -164,7 +164,7 @@ class ForecastService {
   void drain();
 
   /// Stop intake, cancel queued requests (kCancelled), flag running ones
-  /// to cancel, and join every worker and timer thread. Idempotent; the
+  /// to cancel, and join every worker thread. Idempotent; the
   /// destructor calls it. Handles stay usable afterwards.
   void shutdown();
 

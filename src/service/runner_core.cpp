@@ -72,10 +72,10 @@ class RealMemberWork final : public workflow::MemberWork {
   }
 
   void finished() override {
-    // Join the timer thread (no retry launches after it), then drain THIS
-    // request's tasks off the shared pool: only then may the executor and
-    // the differ go out of scope.
-    backend_.shutdown_timers();
+    // Drain THIS request's tasks off the shared pool: only then may the
+    // executor and the differ go out of scope. A retry is submitted by
+    // the worker whose attempt failed, before that attempt retires, so
+    // the drain covers it too.
     backend_.drain_tasks();
   }
 
@@ -162,11 +162,11 @@ std::optional<esse::ForecastResult> execute_forecast(
           const std::atomic<bool>& cancelled) {
         if (cancelled.load(std::memory_order_relaxed)) return;
         telemetry::ScopedTimer timer(sink, "runner.member_s");
-        if (config.inject.segment.probability > 0.0) {
+        if (config.inject_probability > 0.0) {
           // Deterministic per-(member, attempt) stream — mirrors the
           // per-job RNG keying of the DES failure injection.
-          Rng inject_rng(config.inject.seed, (id << 20) | attempt);
-          if (inject_rng.uniform() < config.inject.segment.probability) {
+          Rng inject_rng(config.inject_seed, (id << 20) | attempt);
+          if (inject_rng.uniform() < config.inject_probability) {
             throw std::runtime_error("injected member failure");
           }
         }
@@ -192,19 +192,26 @@ std::optional<esse::ForecastResult> execute_forecast(
                                            cp.perturbation.seed, id);
           if (cancelled.load(std::memory_order_relaxed)) return;
           if (config.arrival_hook) config.arrival_hook(id);
-          // Dedups a speculative duplicate.
           differ.add_member(id, xf, ml ? mlp.column_weight(0) : 1.0);
         }
         if (sink) sink->count("runner.members_run");
       });
   RealMemberWork work(backend, differ, conv, cp, sink, hooks);
+  // A failed attempt is retried at once, so the retry sequence is a pure
+  // function of the (member, attempt) fates, never of scheduling
+  // (DESIGN.md §10).
+  const mtc::FaultPolicy retry_only{.max_retries = config.max_retries,
+                                    .backoff_base_s = 0.0,
+                                    .backoff_jitter = 0.0,
+                                    .timeout_multiple = 0.0,
+                                    .speculate = false};
   // A multilevel plan is its own pool: ids beyond it have no level.
   workflow::EnsembleOrchestrator orch(
       backend, work,
       {workflow::EnsemblePool(cp.ensemble, config.pool_headroom,
                               ml ? mlp.total_members() : 0),
        config.svd_min_new_members, workflow::CancelPolicy::kCancelImmediately,
-       config.fault, sink});
+       retry_only, sink});
   orch.start();
   while (!orch.finished()) {
     if (!work.wait()) {

@@ -169,15 +169,11 @@ esse::ForecastResult run_science_forecast(const ScenarioSpec& spec,
                            : esse::EnsembleSizeController::Params{12, 2.0, 32};
   cfg.svd_min_new_members = 4;
   if (spec.fault == FaultProfile::kEvictionHeavy) {
-    // Deterministic fault regime: injected failures are keyed by
-    // (member, attempt), and with speculation and timeouts off the
-    // retry sequence is schedule-independent, so the digest oracle must
-    // still hold (DESIGN.md §10).
-    cfg.inject.segment.probability = 0.15;
-    cfg.inject.seed = spec.seed ^ 0xFA017ULL;
-    cfg.fault.speculate = false;
-    cfg.fault.timeout_multiple = 0.0;
-    cfg.fault.backoff_base_s = 0.01;
+    // Injected failures are keyed by (member, attempt) and the real
+    // runner only retries, so the retry sequence is schedule-independent
+    // and the digest oracle must still hold (DESIGN.md §10).
+    cfg.inject_probability = 0.15;
+    cfg.inject_seed = spec.seed ^ 0xFA017ULL;
   }
   return service::run_parallel_forecast(
       workflow::ForecastRequest{model, sc.initial, subspace, 0.0, cfg});

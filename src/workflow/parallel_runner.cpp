@@ -54,9 +54,8 @@ std::vector<ValidationIssue> validate(const ParallelRunnerConfig& config) {
         "config.cycle.perturbation.white_noise",
         "white-noise stddev must be finite and >= 0");
   check(issues,
-        config.inject.segment.probability >= 0.0 &&
-            config.inject.segment.probability <= 1.0,
-        "config.inject.segment.probability",
+        config.inject_probability >= 0.0 && config.inject_probability <= 1.0,
+        "config.inject_probability",
         "failure probability must lie in [0, 1]");
   check(issues, !cp.localization.enabled || cp.localization.radius_km > 0.0,
         "config.cycle.localization.radius_km",

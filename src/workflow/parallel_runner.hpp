@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "esse/cycle.hpp"
 #include "esse/differ.hpp"
 #include "esse/error_subspace.hpp"
-#include "mtc/fault.hpp"
 #include "ocean/model.hpp"
 
 namespace essex::telemetry {
@@ -35,14 +35,17 @@ struct ParallelRunnerConfig {
   esse::CycleParams cycle;     ///< perturbation/convergence/size knobs
   double pool_headroom = 1.25; ///< M = headroom × N
   std::size_t svd_min_new_members = 4;  ///< snapshot stride for the SVD
-  /// Recovery policy: a member whose attempt throws (or is injected to
-  /// fail) is resubmitted with jittered backoff through the same
-  /// FaultTolerantExecutor the DES driver uses.
-  mtc::FaultPolicy fault;
-  /// Failure injection for tests/benches: attempt (member, k) throws
-  /// with `inject.segment.probability`, drawn from a per-attempt RNG
-  /// stream.
-  mtc::FaultInjection inject;
+  /// Recovery: a member whose attempt throws (or is injected to fail) is
+  /// resubmitted at once, up to this many times, through the same
+  /// FaultTolerantExecutor the DES driver uses. The in-process runner has
+  /// no slow or lost hosts, so backoff, timeouts and speculation are
+  /// DES-only.
+  std::size_t max_retries = 3;
+  /// Failure injection for tests: attempt (member, k) throws with this
+  /// probability, drawn from the RNG stream keyed (inject_seed, member,
+  /// k).
+  double inject_probability = 0.0;
+  std::uint64_t inject_seed = 1234;
   /// Test hook, called on the worker thread just before a finished
   /// member's forecast is absorbed into the differ. The determinism
   /// harness uses it to impose adversarial absorption orders (hold some

@@ -482,6 +482,22 @@ TEST(ThreadExecutionBackend, CancelledAttemptsSkipOrSeeTheirTokenAndDrain) {
   w.expect_all_cancelled_once(5);
 }
 
+TEST(ThreadExecutionBackend, RefusesADelayedTimer) {
+  // The real runner only retries at once: the backend keeps no timer
+  // thread, so a delay is refused and a zero delay runs inline.
+  ThreadPool pool(1);
+  ThreadExecutionBackend be{
+      pool, [](std::size_t, std::size_t, const std::atomic<bool>&) {}};
+  std::atomic<bool> fired{false};
+  EXPECT_THROW(be.after(0.01, [&] { fired = true; }), PreconditionError);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(fired.load());
+
+  std::thread::id ran_on;
+  be.after(0.0, [&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
 // ---- per-job injection RNG streams (the splittable-key bugfix) -----------------
 
 ClusterSpec tiny_cluster(std::size_t nodes, std::size_t cores) {
@@ -741,18 +757,14 @@ workflow::ParallelRunnerConfig fast_retry_config() {
   cfg.cycle.convergence = {0.90, 6};
   cfg.cycle.max_rank = 8;
   cfg.svd_min_new_members = 4;
-  cfg.fault.backoff_base_s = 0.005;  // wall-clock backoff: keep tests fast
-  cfg.fault.backoff_jitter = 0.0;
-  cfg.fault.timeout_multiple = 0.0;
-  cfg.fault.speculate = false;
   return cfg;
 }
 
 TEST_F(FaultRunnerFixture, InjectedFailuresAreRetriedToCompletion) {
   workflow::ParallelRunnerConfig cfg = fast_retry_config();
-  cfg.fault.max_retries = 6;  // loss probability 0.3^7 ≈ 2e-4 per member
-  cfg.inject.segment.probability = 0.3;
-  cfg.inject.seed = 77;
+  cfg.max_retries = 6;  // loss probability 0.3^7 ≈ 2e-4 per member
+  cfg.inject_probability = 0.3;
+  cfg.inject_seed = 77;
   ForecastResult res = service::run_parallel_forecast(
       workflow::ForecastRequest{*model, sc->initial, subspace, 0.0, cfg});
   EXPECT_GT(res.members_run, 4u);
@@ -760,14 +772,17 @@ TEST_F(FaultRunnerFixture, InjectedFailuresAreRetriedToCompletion) {
   EXPECT_GT(res.mtc->attempts_failed, 0u);
   EXPECT_GT(res.mtc->retries, 0u);
   EXPECT_EQ(res.mtc->members_lost, 0u);
+  // The real runner only retries: nothing times out or runs twice.
+  EXPECT_EQ(res.mtc->speculative_launched, 0u);
+  EXPECT_EQ(res.mtc->timeouts, 0u);
   EXPECT_EQ(res.mtc->members_submitted,
             res.members_run + res.mtc->members_unused);
 }
 
 TEST_F(FaultRunnerFixture, AllMembersLostTripsTheDegradationFloor) {
   workflow::ParallelRunnerConfig cfg = fast_retry_config();
-  cfg.fault.max_retries = 0;
-  cfg.inject.segment.probability = 1.0;  // every attempt dies
+  cfg.max_retries = 0;
+  cfg.inject_probability = 1.0;  // every attempt dies
   EXPECT_THROW(
       service::run_parallel_forecast(workflow::ForecastRequest{
           *model, sc->initial, subspace, 0.0, cfg}),
@@ -785,7 +800,7 @@ TEST_F(FaultRunnerFixture, NonFiniteMembersAreLostNotAbsorbed) {
   const ErrorSubspace poisoned(std::move(modes), subspace.sigmas());
   workflow::ParallelRunnerConfig cfg = fast_retry_config();
   cfg.cycle.ensemble = {4, 2.0, 8};
-  cfg.fault.max_retries = 1;
+  cfg.max_retries = 1;
   try {
     service::run_parallel_forecast(
         workflow::ForecastRequest{*model, sc->initial, poisoned, 0.0, cfg});

@@ -728,7 +728,7 @@ TEST_F(ServiceFixture, QueueBoundCancelAndShutdownWithInflight) {
   EXPECT_THROW(queued.result(), PreconditionError);
 
   // Shut down with the slow request still in flight: it must resolve
-  // (cancelled mid-run) and every worker/timer thread must be joined —
+  // (cancelled mid-run) and every worker thread must be joined —
   // the destructor would hang or tsan would fire otherwise.
   svc.shutdown();
   EXPECT_TRUE(running.done());

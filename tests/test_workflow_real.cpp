@@ -216,9 +216,7 @@ TEST_F(RunnerFixture, DrainedRunWithALostMemberRecomputes) {
   // Member 13 fails every attempt and is lost: the id prefix stops at 13,
   // the last milestone is 12, and the 15 survivors are decomposed anew.
   ParallelRunnerConfig cfg = draining_config(4);
-  cfg.fault.max_retries = 0;
-  cfg.fault.speculate = false;
-  cfg.fault.timeout_multiple = 0.0;
+  cfg.max_retries = 0;
   cfg.arrival_hook = [](std::size_t id) {
     if (id == 13) throw std::runtime_error("member 13 always fails");
   };
